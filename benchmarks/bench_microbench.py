@@ -2,10 +2,10 @@
 
 Unlike the experiment benchmarks (single deterministic runs), these are
 true repeated-timing benchmarks of the hot paths: Canberra dissimilarity
-matrix construction (binned kernel vs the per-pair reference oracle,
-serial vs parallel — the grid is persisted to ``BENCH_matrix.json`` as
-the perf trajectory baseline), k-NN extraction, DBSCAN, and the NEMESYS
-segmenter.
+matrix construction (binned kernel serial vs threaded, against the
+serial per-pair reference oracle — the grid is persisted to
+``BENCH_matrix.json`` as the perf trajectory baseline), k-NN
+extraction, DBSCAN, and the NEMESYS segmenter.
 """
 
 import json
@@ -19,8 +19,9 @@ import pytest
 
 from conftest import attach_matrix_stats
 from repro.core.autoconf import configure
+from repro.core.canberra import dissimilarity_matrix_reference
 from repro.core.dbscan import dbscan
-from repro.core.matrix import KERNELS, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import cache_counters
 from repro.core.segments import Segment, unique_segments
 from repro.protocols import get_model
@@ -110,12 +111,15 @@ MIN_PARALLEL_SPEEDUP_2CORE = 1.2
 
 
 def test_matrix_kernel_grid(benchmark):
-    """pairwise vs binned × serial vs parallel at n ∈ {200, 1000}.
+    """binned serial vs parallel vs the per-pair oracle at n ∈ {200, 1000}.
 
-    The whole grid must agree within 1e-12 (the kernels are numerically
-    interchangeable), the binned kernel must beat the per-pair oracle by
-    ≥5× single-core, and the measured grid is written to
-    ``BENCH_matrix.json`` so future PRs have a perf trajectory.
+    The whole grid must agree within 1e-12 (the kernel and the oracle
+    are numerically interchangeable), the binned kernel must beat the
+    per-pair oracle by ≥5× single-core, and the measured grid is written
+    to ``BENCH_matrix.json`` so future PRs have a perf trajectory.  The
+    oracle is timed serially through
+    :func:`repro.core.canberra.dissimilarity_matrix_reference`, the
+    function the parity tests pin the kernel against.
 
     Honesty contract of the baseline: parallel rows request
     ``workers=4`` explicitly and record the backend that *actually*
@@ -131,67 +135,63 @@ def test_matrix_kernel_grid(benchmark):
     cpus = available_cpus()
     for n in KERNEL_GRID_SIZES:
         segments = synthetic_unique_segments(n, seed=3)
-        seconds = {}
-        reference = None
-        for kernel in KERNELS:
-            for backend, options in (
-                (
-                    "serial",
-                    MatrixBuildOptions(workers=1, use_cache=False, kernel=kernel),
-                ),
-                (
-                    "parallel",
-                    MatrixBuildOptions(
-                        workers=GRID_WORKERS,
-                        use_cache=False,
-                        parallel_threshold=0,
-                        kernel=kernel,
-                    ),
-                ),
-            ):
-                started = time.perf_counter()
-                matrix = DissimilarityMatrix.build(segments, options=options)
-                elapsed = time.perf_counter() - started
-                seconds[(kernel, backend)] = elapsed
-                if reference is None:
-                    reference = matrix.values
-                else:
-                    drift = float(np.abs(reference - matrix.values).max())
-                    assert drift <= 1e-12, (
-                        f"kernel grid drift {drift} at n={n} {kernel}/{backend}"
-                    )
-                if backend == "parallel":
-                    # The baseline must not lie: a row labelled
-                    # "parallel" that ran serially (pool unavailable,
-                    # gate regression) fails the bench instead of
-                    # being committed as a fake speedup.
-                    assert matrix.stats.backend == "parallel", (
-                        f"requested parallel build degraded to "
-                        f"{matrix.stats.backend!r} at n={n} kernel={kernel} "
-                        f"(workers={GRID_WORKERS}, {cpus} usable cores)"
-                    )
-                cases.append(
-                    {
-                        "n": n,
-                        "kernel": kernel,
-                        "requested_backend": backend,
-                        "backend": matrix.stats.backend,
-                        "parallel_backend": matrix.stats.parallel_backend,
-                        "workers": matrix.stats.workers,
-                        "tiles": matrix.stats.tile_count,
-                        "pairs_vectorized": matrix.stats.pairs_vectorized,
-                        "seconds": round(elapsed, 4),
-                    }
-                )
-        single_core = seconds[("pairwise", "serial")] / seconds[("binned", "serial")]
-        parallel_scaling = (
-            seconds[("binned", "serial")] / seconds[("binned", "parallel")]
+        started = time.perf_counter()
+        reference = dissimilarity_matrix_reference([s.data for s in segments])
+        oracle_seconds = time.perf_counter() - started
+        cases.append(
+            {
+                "n": n,
+                "kernel": "pairwise",
+                "requested_backend": "serial",
+                "backend": "serial",
+                "workers": 1,
+                "tiles": 0,
+                "pairs_vectorized": 0,
+                "seconds": round(oracle_seconds, 4),
+            }
         )
+        seconds = {}
+        for backend, options in (
+            ("serial", MatrixBuildOptions(workers=1, use_cache=False)),
+            (
+                "parallel",
+                MatrixBuildOptions(
+                    workers=GRID_WORKERS, use_cache=False, parallel_threshold=0
+                ),
+            ),
+        ):
+            started = time.perf_counter()
+            matrix = DissimilarityMatrix.build(segments, options=options)
+            elapsed = time.perf_counter() - started
+            seconds[backend] = elapsed
+            drift = float(np.abs(reference - matrix.values).max())
+            assert drift <= 1e-12, f"kernel grid drift {drift} at n={n} binned/{backend}"
+            if backend == "parallel":
+                # The baseline must not lie: a row labelled
+                # "parallel" that ran serially (gate regression) fails
+                # the bench instead of being committed as a fake
+                # speedup.
+                assert matrix.stats.backend == "parallel", (
+                    f"requested parallel build degraded to "
+                    f"{matrix.stats.backend!r} at n={n} "
+                    f"(workers={GRID_WORKERS}, {cpus} usable cores)"
+                )
+            cases.append(
+                {
+                    "n": n,
+                    "kernel": "binned",
+                    "requested_backend": backend,
+                    "backend": matrix.stats.backend,
+                    "workers": matrix.stats.workers,
+                    "tiles": matrix.stats.tile_count,
+                    "pairs_vectorized": matrix.stats.pairs_vectorized,
+                    "seconds": round(elapsed, 4),
+                }
+            )
+        single_core = oracle_seconds / seconds["serial"]
+        parallel_scaling = seconds["serial"] / seconds["parallel"]
         speedups[str(n)] = {
             "binned_vs_pairwise_serial": round(single_core, 1),
-            "binned_vs_pairwise_parallel": round(
-                seconds[("pairwise", "parallel")] / seconds[("binned", "parallel")], 1
-            ),
             "binned_parallel_vs_serial": round(parallel_scaling, 2),
         }
         assert single_core >= MIN_SINGLE_CORE_SPEEDUP, (
@@ -213,7 +213,7 @@ def test_matrix_kernel_grid(benchmark):
         benchmark.extra_info[f"speedup_serial_n{n}"] = round(single_core, 1)
         benchmark.extra_info[f"scaling_parallel_n{n}"] = round(parallel_scaling, 2)
     payload = {
-        "schema": "repro.bench-matrix/v2",
+        "schema": "repro.bench-matrix/v3",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
@@ -267,7 +267,6 @@ def test_matrix_build_parallel(benchmark):
     benchmark.extra_info["parallel_seconds"] = round(parallel_seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["backend"] = parallel.stats.backend
-    benchmark.extra_info["parallel_backend"] = parallel.stats.parallel_backend
     attach_matrix_stats(benchmark, parallel)
     cpus = available_cpus()
     if cpus >= 4:

@@ -28,14 +28,12 @@ everywhere a ``segmenter=`` parameter or ``--segmenter`` flag is
 accepted; :func:`~repro.segmenters.available_segmenters` lists the
 names.
 
-Execution knobs (worker count, parallel backend, kernel, dtype,
-storage, cache) ride along on
+Execution knobs (worker count, dtype, storage, cache) ride along on
 :attr:`~repro.core.pipeline.ClusteringConfig.matrix_options` — the same
 :class:`~repro.core.matrix.MatrixBuildOptions` the CLIs fill from
-``--workers`` (``0`` = serial, unset = all cores) and
-``--parallel-backend`` (``threads`` shares blocks and the output matrix
-zero-copy across a thread pool; ``processes`` keeps the self-healing
-per-block pool; ``auto`` picks by kernel).
+``--workers`` (``0`` = serial, unset = all cores; more than one worker
+runs the matrix's row tiles on a thread pool that shares the segment
+blocks and the output matrix zero-copy).
 
 Example::
 
@@ -45,7 +43,7 @@ Example::
 
     tracer = Tracer()
     config = ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=8, parallel_backend="auto")
+        matrix_options=MatrixBuildOptions(workers=8, use_cache=True)
     )
     report = analyze("capture.pcap", config, protocol="mystery",
                      port=9999, tracer=tracer)

@@ -5,13 +5,14 @@ module owns them once, as an :mod:`argparse` *parent parser*
 (:func:`backend_parent`), plus the helpers that turn parsed flags into
 options and emit the observability artefacts after a run:
 
-- ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--kernel`` /
-  ``--parallel-backend`` — the matrix execution backend (worker count:
-  ``0`` = serial, ``N`` = exactly N, unset = all cores), per-bin
-  compute kernel, and parallel backend (threads / processes / auto);
-  see :class:`repro.core.matrix.MatrixBuildOptions`;
-- ``--block-timeout`` / ``--max-retries`` — the self-healing knobs of
-  the parallel backend (per-block timeout, pool rebuild budget);
+- ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--matrix-dtype``
+  / ``--matrix-memmap`` — the matrix execution backend (worker count:
+  ``0`` = serial, ``N`` = exactly N, unset = all cores), on-disk cache,
+  value dtype and storage; see
+  :class:`repro.core.matrix.MatrixBuildOptions`;
+- ``--neighborhoods`` / ``--memory-bound-mb`` — the post-matrix stage
+  knobs; :meth:`repro.core.pipeline.ClusteringConfig.from_args` turns
+  the whole group into one config;
 - ``--lenient`` — quarantine malformed capture records instead of
   aborting the load (see :mod:`repro.errors`);
 - ``--timings`` — per-stage wall-clock summary to stderr, a thin view
@@ -28,17 +29,7 @@ import argparse
 import sys
 
 from repro.core.dbscan import NEIGHBORHOOD_MODES, NEIGHBORHOODS_CSR
-from repro.core.matrix import (
-    DTYPE_FLOAT64,
-    DTYPES,
-    KERNEL_BINNED,
-    KERNELS,
-    PARALLEL_AUTO,
-    PARALLEL_BACKENDS,
-    STORAGE_MEMMAP,
-    STORAGE_RAM,
-    MatrixBuildOptions,
-)
+from repro.core.matrix import DTYPE_FLOAT64, DTYPES
 from repro.core.matrixcache import cache_counters
 from repro.errors import ingest_counters
 from repro.obs.export import write_manifest, write_prometheus
@@ -149,15 +140,6 @@ def backend_parent() -> argparse.ArgumentParser:
         "N>=1 uses exactly N workers (default: all CPU cores)",
     )
     backend.add_argument(
-        "--parallel-backend",
-        choices=PARALLEL_BACKENDS,
-        default=PARALLEL_AUTO,
-        help="matrix parallel backend: 'auto' (default; threads for the "
-        "binned kernel, processes for the pairwise oracle), 'threads' "
-        "(bin tile scheduler, shared-memory output), or 'processes' "
-        "(self-healing per-block pool)",
-    )
-    backend.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the on-disk dissimilarity-matrix cache",
@@ -166,13 +148,6 @@ def backend_parent() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="matrix cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    backend.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default=KERNEL_BINNED,
-        help="per-bin compute kernel: 'binned' (vectorized, default) or "
-        "'pairwise' (per-pair reference oracle, slow)",
     )
     backend.add_argument(
         "--matrix-dtype",
@@ -203,22 +178,6 @@ def backend_parent() -> argparse.ArgumentParser:
         help="working-set budget for the post-matrix blockwise scans "
         "(k-NN extraction, CSR neighborhoods, refinement; default: 256)",
     )
-    backend.add_argument(
-        "--block-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-block timeout for parallel matrix builds; a hung worker "
-        "is abandoned and its block recomputed (default: wait forever)",
-    )
-    backend.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="how often a crashed/hung worker pool is rebuilt before the "
-        "remaining blocks run serially (default: 2)",
-    )
     ingest = parent.add_argument_group("fault tolerance")
     ingest.add_argument(
         "--lenient",
@@ -247,23 +206,6 @@ def backend_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def matrix_options_from_args(args) -> MatrixBuildOptions:
-    """Translate the shared matrix-backend flags into build options."""
-    return MatrixBuildOptions(
-        workers=args.workers,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        block_timeout=args.block_timeout,
-        max_retries=max(0, args.max_retries),
-        kernel=getattr(args, "kernel", KERNEL_BINNED),
-        parallel_backend=getattr(args, "parallel_backend", PARALLEL_AUTO),
-        dtype=getattr(args, "matrix_dtype", DTYPE_FLOAT64),
-        storage=(
-            STORAGE_MEMMAP if getattr(args, "matrix_memmap", False) else STORAGE_RAM
-        ),
-    )
-
-
 def print_timings(tracer: Tracer, metrics: MetricsRegistry) -> None:
     """``--timings`` view: stage wall clock + cache counters, to stderr.
 
@@ -278,15 +220,12 @@ def print_timings(tracer: Tracer, metrics: MetricsRegistry) -> None:
         print(f"timings: {stages}", file=sys.stderr)
     for span in tracer.find("matrix.build"):
         attributes = span.attributes
-        line = (
+        print(
             f"matrix: backend={attributes.get('backend')} "
-            f"kernel={attributes.get('kernel')} "
             f"workers={attributes.get('workers')} "
-            f"cache_hit={attributes.get('cache_hit')}"
+            f"cache_hit={attributes.get('cache_hit')}",
+            file=sys.stderr,
         )
-        if attributes.get("parallel_backend") is not None:
-            line += f" parallel_backend={attributes['parallel_backend']}"
-        print(line, file=sys.stderr)
     with use_metrics(metrics):
         counters = cache_counters()
         ingest = ingest_counters()

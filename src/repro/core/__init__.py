@@ -20,20 +20,7 @@ from repro.core.canberra import (
 from repro.core.dbscan import NOISE, DbscanResult, dbscan
 from repro.core.ecdf import Ecdf
 from repro.core.kneedle import Knee, detect_knees, rightmost_knee, smooth_ecdf
-from repro.core.matrix import (
-    KERNEL_BINNED,
-    KERNEL_PAIRWISE,
-    KERNELS,
-    PARALLEL_AUTO,
-    PARALLEL_BACKENDS,
-    PARALLEL_PROCESSES,
-    PARALLEL_THREADS,
-    BuildStats,
-    DissimilarityMatrix,
-    MatrixBuildOptions,
-    get_default_build_options,
-    set_default_build_options,
-)
+from repro.core.matrix import BuildStats, DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import cache_counters, reset_cache_counters
 from repro.core.pipeline import ClusteringConfig, ClusteringResult, FieldTypeClusterer
 from repro.core.refinement import merge_clusters, percent_rank, refine, split_polarized
@@ -54,16 +41,9 @@ __all__ = [
     "DissimilarityMatrix",
     "Ecdf",
     "FieldTypeClusterer",
-    "KERNEL_BINNED",
-    "KERNEL_PAIRWISE",
-    "KERNELS",
     "Knee",
     "MatrixBuildOptions",
     "NOISE",
-    "PARALLEL_AUTO",
-    "PARALLEL_BACKENDS",
-    "PARALLEL_PROCESSES",
-    "PARALLEL_THREADS",
     "Segment",
     "UniqueSegment",
     "cache_counters",
@@ -72,14 +52,12 @@ __all__ = [
     "configure",
     "dbscan",
     "detect_knees",
-    "get_default_build_options",
     "merge_clusters",
     "min_samples_for",
     "percent_rank",
     "refine",
     "reset_cache_counters",
     "rightmost_knee",
-    "set_default_build_options",
     "segments_from_fields",
     "smooth_ecdf",
     "split_polarized",

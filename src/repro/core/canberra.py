@@ -19,22 +19,27 @@ Two layers:
   (see DESIGN.md for the rationale where the paper under-specifies).
 
 On top of the per-pair functions sit the **batch kernels** the matrix
-builder uses, in two interchangeable flavors per length bin:
+builder uses, plus their reference oracles:
 
-- *binned* (:func:`pairwise_equal_length`, :func:`cross_length_block`)
-  — whole ``(len_a, len_b)`` bins at once.  Because byte values live in
-  ``[0, 255]``, every Canberra term is one of 256×256 possible values;
-  uint8 blocks are resolved through a precomputed 512 KB lookup table
-  (:func:`byte_term_lut`), replacing the abs/add/divide/where chain by
-  a single gather.  Equal-length bins compute only the upper triangle
-  and mirror it (the terms are exactly symmetric); unequal-length bins
-  evaluate all sliding offsets simultaneously.  Work is tiled to a
-  fixed temporary budget so peak memory stays bounded.
-- *pairwise* (:func:`pairwise_equal_length_reference`,
-  :func:`cross_length_block_reference`) — one Python-level
+- *binned* (:func:`pairwise_equal_length_rows`,
+  :func:`equal_length_cross_rows`, :func:`cross_length_block_rows`) —
+  row ranges of whole ``(len_a, len_b)`` bins at once.  Because byte
+  values live in ``[0, 255]``, every Canberra term is one of 256×256
+  possible values; uint8 blocks are resolved through a precomputed
+  512 KB lookup table (:func:`byte_term_lut`), replacing the
+  abs/add/divide/where chain by a single gather.  Equal-length bins
+  compute only their upper band (the terms are exactly symmetric, so
+  the matrix builder mirrors it); unequal-length bins evaluate all
+  sliding offsets simultaneously.  Work is chunked to a fixed temporary
+  budget so peak memory stays bounded.
+- *reference* (:func:`pairwise_equal_length_reference`,
+  :func:`equal_length_cross_block_reference`,
+  :func:`cross_length_block_reference`, and the whole-matrix
+  :func:`dissimilarity_matrix_reference`) — one Python-level
   :func:`canberra_distance` / :func:`canberra_dissimilarity` call per
-  pair.  Slow by construction, kept as the reference oracle the parity
-  and golden-trace tests pin the binned kernel against.
+  pair.  Slow by construction, kept as the oracle the parity tests and
+  the kernel-grid microbenchmark pin the binned kernel against; no
+  runtime option selects it.
 """
 
 from __future__ import annotations
@@ -108,10 +113,10 @@ def _as_vector(data) -> np.ndarray:
 
 
 #: Cap on temporary broadcast cells (float64) per chunk: ~160 MB.  Also
-#: the tile-size target of the threaded matrix scheduler — one work item
-#: covers about one chunk's worth of gather cells, so tile boundaries
-#: are deterministic (worker-count independent) and per-tile temporaries
-#: stay inside the same budget the serial kernel always used.
+#: the tile-size target of the matrix builder's row-tile queue — one
+#: work item covers about one chunk's worth of gather cells, so tile
+#: boundaries are deterministic (worker-count independent) and per-tile
+#: temporaries stay inside the budget an inline run chunks under.
 CHUNK_CELL_BUDGET = 20_000_000
 
 #: Private runtime knob (and the pre-threading name): the chunked
@@ -152,86 +157,6 @@ def _terms_mean_float(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return terms.mean(axis=-1)
 
 
-def pairwise_equal_length(block: np.ndarray) -> np.ndarray:
-    """Pairwise normalized Canberra distances within one equal-length block.
-
-    *block* has shape (count, length).  Returns a symmetric (count, count)
-    matrix.  Work is chunked to bound peak memory.  uint8 blocks take the
-    fast path: terms are gathered from :func:`byte_term_lut` and only the
-    upper triangle is computed (``|x−y|/(x+y)`` is exactly symmetric, so
-    mirroring is bit-identical to computing both halves).
-    """
-    block = np.asarray(block)
-    binned = block.dtype == np.uint8
-    if not binned:
-        block = np.asarray(block, dtype=np.float64)
-    count, length = block.shape
-    result = np.zeros((count, count), dtype=np.float64)
-    if length == 0 or count < 2:
-        return result
-    chunk_rows = _chunk_rows_for(count * length)
-    if binned:
-        lut = byte_term_lut()
-        for start in range(0, count, chunk_rows):
-            stop = min(start + chunk_rows, count)
-            # Gather terms for rows [start:stop) against columns
-            # [start:) only — everything left of the diagonal band is
-            # recovered by mirroring below.
-            terms = lut[block[start:stop, np.newaxis, :], block[np.newaxis, start:, :]]
-            result[start:stop, start:] = terms.mean(axis=2)
-        lower = np.tril_indices(count, k=-1)
-        result[lower] = result.T[lower]
-        return result
-    for start in range(0, count, chunk_rows):
-        stop = min(start + chunk_rows, count)
-        left = block[start:stop, np.newaxis, :]  # (c, 1, m)
-        right = block[np.newaxis, :, :]  # (1, count, m)
-        result[start:stop, :] = _terms_mean_float(left, right)
-    return result
-
-
-def cross_length_block(
-    short_block: np.ndarray,
-    long_block: np.ndarray,
-    penalty_factor: float = DEFAULT_PENALTY_FACTOR,
-) -> np.ndarray:
-    """Pairwise dissimilarities between a length-m block and a length-n block.
-
-    *short_block* is (a, m), *long_block* is (b, n) with m < n.  Returns
-    an (a, b) matrix of length-tolerant Canberra dissimilarities.  The
-    sliding-overlap minimum is evaluated across all offsets of all pairs
-    simultaneously; uint8 blocks gather their terms from
-    :func:`byte_term_lut` instead of recomputing them.
-    """
-    short_block = np.asarray(short_block)
-    long_block = np.asarray(long_block)
-    binned = short_block.dtype == np.uint8 and long_block.dtype == np.uint8
-    if not binned:
-        short_block = np.asarray(short_block, dtype=np.float64)
-        long_block = np.asarray(long_block, dtype=np.float64)
-    a, m = short_block.shape
-    b, n = long_block.shape
-    if m >= n:
-        raise ValueError(f"short block must be shorter: {m} >= {n}")
-    # (b, n-m+1, m) sliding windows over every long segment.
-    windows = np.lib.stride_tricks.sliding_window_view(long_block, m, axis=1)
-    offsets = windows.shape[1]
-    d_min = np.full((a, b), np.inf, dtype=np.float64)
-    chunk_rows = _chunk_rows_for(b * offsets * m)
-    lut = byte_term_lut() if binned else None
-    for start in range(0, a, chunk_rows):
-        stop = min(start + chunk_rows, a)
-        left = short_block[start:stop, np.newaxis, np.newaxis, :]  # (c,1,1,m)
-        right = windows[np.newaxis, :, :, :]  # (1,b,offsets,m)
-        if binned:
-            means = lut[left, right].mean(axis=3)  # (c, b, offsets)
-        else:
-            means = _terms_mean_float(left, right)
-        d_min[start:stop, :] = means.min(axis=2)
-    penalty = penalty_factor + (1.0 - penalty_factor) * d_min
-    return (m * d_min + (n - m) * penalty) / n
-
-
 def pairwise_equal_length_rows(
     block: np.ndarray,
     row_start: int,
@@ -242,17 +167,17 @@ def pairwise_equal_length_rows(
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of one equal-length bin, upper band.
 
-    Tile-level entry point for the threaded matrix scheduler: returns
-    (or fills *out* with) a ``(row_stop - row_start, count - row_start)``
-    float64 array whose cell ``(i - row_start, j - row_start)`` is the
-    dissimilarity of segments *i* and *j* for ``j >= row_start`` — the
-    same upper-band cells :func:`pairwise_equal_length` computes before
-    mirroring.  Every cell is the mean of the same gathered terms no
-    matter how rows are tiled or chunked, so tiled builds stay
-    bit-identical to the whole-bin kernel.  *cells_budget* caps the
-    per-chunk temporary (default: the whole :data:`CHUNK_CELL_BUDGET`);
-    the threaded scheduler divides it across workers so aggregate peak
-    memory is worker-count independent.
+    Tile-level entry point for the matrix builder's row-tile queue:
+    returns (or fills *out* with) a ``(row_stop - row_start, count -
+    row_start)`` float64 array whose cell ``(i - row_start, j -
+    row_start)`` is the dissimilarity of segments *i* and *j* for
+    ``j >= row_start``; over the full row range ``[0, count)`` that is
+    the whole symmetric bin.  Every cell is the mean of the same
+    gathered terms no matter how rows are tiled or chunked, so tiled
+    builds are bit-identical whatever the tiling.  *cells_budget* caps
+    the per-chunk temporary (default: the whole
+    :data:`CHUNK_CELL_BUDGET`); the threaded scheduler divides it across
+    workers so aggregate peak memory is worker-count independent.
     """
     block = np.asarray(block)
     binned = block.dtype == np.uint8
@@ -298,13 +223,14 @@ def cross_length_block_rows(
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of one cross-length bin.
 
-    Tile-level entry point for the threaded matrix scheduler: returns
-    (or fills *out* with) the ``(row_stop - row_start, b)`` slice of
-    :func:`cross_length_block`'s result covering the given rows of the
-    short block.  The sliding minimum of each pair only reads that
-    pair's own windows, so the tiled values are bit-identical to the
-    whole-bin kernel.  *cells_budget* bounds the per-chunk temporary
-    exactly as in :func:`pairwise_equal_length_rows`.
+    *short_block* is (a, m), *long_block* is (b, n) with m < n.  Returns
+    (or fills *out* with) the ``(row_stop - row_start, b)`` matrix of
+    length-tolerant Canberra dissimilarities between the given rows of
+    the short block and every long segment.  The sliding-overlap
+    minimum is evaluated across all offsets of all pairs at once, and
+    each pair only reads its own windows, so the values are
+    bit-identical however the rows are tiled.  *cells_budget* bounds the
+    per-chunk temporary exactly as in :func:`pairwise_equal_length_rows`.
     """
     short_block = np.asarray(short_block)
     long_block = np.asarray(long_block)
@@ -366,7 +292,7 @@ def equal_length_cross_rows(
     (both ``(count, length)`` with the same length).
 
     Each cell is the mean of the same gathered terms
-    :func:`pairwise_equal_length` computes for that pair inside one
+    :func:`pairwise_equal_length_rows` computes for that pair inside one
     combined bin, reduced along the same axis — so an append build that
     routes old-vs-new pairs through this kernel stays bit-identical to
     a batch build over the union.  *cells_budget* bounds the per-chunk
@@ -411,23 +337,10 @@ def equal_length_cross_rows(
     return out
 
 
-def equal_length_cross_block(
-    block_a: np.ndarray, block_b: np.ndarray
-) -> np.ndarray:
-    """Full ``(count_a, count_b)`` equal-length rectangular bin.
-
-    Whole-block convenience over :func:`equal_length_cross_rows` — the
-    serial append path's unit of work, mirroring how
-    :func:`pairwise_equal_length` relates to its row-tile entry point.
-    """
-    block_a = np.asarray(block_a)
-    return equal_length_cross_rows(block_a, block_b, 0, block_a.shape[0])
-
-
 def equal_length_cross_block_reference(
     block_a: np.ndarray, block_b: np.ndarray
 ) -> np.ndarray:
-    """Per-pair oracle for :func:`equal_length_cross_block`.
+    """Per-pair oracle for :func:`equal_length_cross_rows`.
 
     One :func:`canberra_distance` call per (a, b) pair; pins the
     vectorized rectangular kernel exactly as the other references pin
@@ -448,7 +361,7 @@ def equal_length_cross_block_reference(
 
 
 def pairwise_equal_length_reference(block: np.ndarray) -> np.ndarray:
-    """Per-pair oracle for :func:`pairwise_equal_length`.
+    """Per-pair oracle for :func:`pairwise_equal_length_rows`.
 
     One :func:`canberra_distance` call per unordered pair — the direct
     transcription of the paper's definition, quadratic in Python-call
@@ -468,7 +381,7 @@ def cross_length_block_reference(
     long_block: np.ndarray,
     penalty_factor: float = DEFAULT_PENALTY_FACTOR,
 ) -> np.ndarray:
-    """Per-pair oracle for :func:`cross_length_block`.
+    """Per-pair oracle for :func:`cross_length_block_rows`.
 
     One :func:`canberra_dissimilarity` call per (short, long) pair,
     including its Python-level sliding-window minimum.
@@ -485,5 +398,26 @@ def cross_length_block_reference(
         for j, long in enumerate(long_block):
             result[i, j] = canberra_dissimilarity(
                 short, long, penalty_factor=penalty_factor
+            )
+    return result
+
+
+def dissimilarity_matrix_reference(
+    datas: list, penalty_factor: float = DEFAULT_PENALTY_FACTOR
+) -> np.ndarray:
+    """Per-pair oracle for the whole dissimilarity matrix.
+
+    One serial :func:`canberra_dissimilarity` call per unordered pair of
+    *datas* (byte strings or vectors), in the given order — the paper's
+    definition with no binning, tiling or lookup table.  Parity tests
+    and the kernel-grid microbenchmark pin
+    :meth:`repro.core.matrix.DissimilarityMatrix.build` against it.
+    """
+    count = len(datas)
+    result = np.zeros((count, count), dtype=np.float64)
+    for i in range(count):
+        for j in range(i + 1, count):
+            result[i, j] = result[j, i] = canberra_dissimilarity(
+                datas[i], datas[j], penalty_factor=penalty_factor
             )
     return result

@@ -6,47 +6,36 @@ epsilon auto-configuration.  Computation is grouped by segment length so
 that equal-length pairs use the plain normalized Canberra distance and
 unequal-length pairs use the sliding/penalty extension.
 
-Two interchangeable **kernels** fill each per-length-pair bin
-(:attr:`MatrixBuildOptions.kernel`):
+Every per-length-pair bin is filled by the vectorized **binned** kernel
+(see :mod:`repro.core.canberra`): Canberra terms are gathered from a
+byte-term lookup table, equal-length bins compute only their upper band
+and mirror it, and unequal-length bins take the sliding minimum over
+all offsets at once.  The per-pair reference oracle
+(:func:`repro.core.canberra.dissimilarity_matrix_reference`) is not a
+runtime option: parity tests and the kernel-grid microbenchmark call it
+directly to pin the kernel's numerics (agreement within 1e-12 absolute,
+in practice bit-identical).
 
-- ``"binned"`` (default) — the vectorized batch kernel: every bin is
-  computed at once via a byte-term lookup table, triangle mirroring for
-  equal lengths and an all-offsets sliding minimum for unequal lengths
-  (see :mod:`repro.core.canberra`);
-- ``"pairwise"`` — the per-pair reference oracle (one
-  ``canberra_dissimilarity`` call per pair), kept so parity and
-  golden-trace tests can pin the fast kernel's numerics (agreement
-  within 1e-12 absolute, in practice bit-identical).
+One engine computes cells, the **row-tile queue**.  A build lists the
+bins holding at least one new segment (:func:`_append_tasks`; a batch
+build is an append onto an empty matrix), sub-tiles every bin along its
+rows to the kernel's ~160 MB temporary budget, and runs the tiles
+either inline — one worker, or fewer segments than
+:attr:`MatrixBuildOptions.parallel_threshold` — or longest-processing-
+time-first on a :class:`concurrent.futures.ThreadPoolExecutor`.  The
+numpy LUT gathers release the GIL, so worker threads share the uint8
+blocks and the output matrix (RAM or memmap) zero-copy: each tile is
+written straight into its disjoint cells of the output — no result
+shipping, no pickling.  Tile boundaries are deterministic (worker-count
+independent) and every cell is the same reduction either way, so the
+bytes are identical regardless of worker count, completion order, or
+whether the matrix was built at once or grown by appends.
 
-Four interchangeable execution paths produce bit-identical values:
-
-- **serial** — one process walks the per-length-pair blocks in order
-  (the reference implementation, and the automatic fallback when the
-  segment count is below :attr:`MatrixBuildOptions.parallel_threshold`);
-- **threads** (the default parallel backend for the binned kernel) —
-  the length bins, sub-tiled to the kernel's ~160 MB temporary budget,
-  form a work queue scheduled longest-processing-time-first onto a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  The numpy LUT
-  gathers release the GIL, so worker threads share the uint8 blocks
-  and the output matrix (RAM or memmap) zero-copy: each worker writes
-  its disjoint tile straight into the output — no result shipping, no
-  pickling.  Tile boundaries are deterministic (worker-count
-  independent) and every cell is the same reduction either way, so the
-  bytes are identical regardless of worker count or completion order;
-- **processes** (the parallel backend the ``pairwise`` reference
-  oracle keeps) — the independent blocks are dispatched as per-block
-  futures on a :class:`concurrent.futures.ProcessPoolExecutor`
-  (:attr:`MatrixBuildOptions.workers`, default ``os.cpu_count()``),
-  with block-level fault tolerance: a failed or timed-out block is
-  retried once and then recomputed serially in-process, and a crashed
-  or hung pool is rebuilt up to :attr:`MatrixBuildOptions.max_retries`
-  times before the remainder falls back to the serial path;
-- **cached** — a content-addressed ``.npz`` on disk
-  (:mod:`repro.core.matrixcache`) short-circuits the whole computation
-  for a previously seen segment set + penalty factor.
-
-:class:`BuildStats` on the returned matrix records which path ran and
-how long each stage took, so speedups stay observable.
+A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
+short-circuits the whole computation for a previously seen segment set
++ penalty factor.  :class:`BuildStats` on the returned matrix records
+which path ran and how long each stage took, so speedups stay
+observable.
 """
 
 from __future__ import annotations
@@ -56,13 +45,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,14 +55,8 @@ from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
-    cross_length_block,
-    cross_length_block_reference,
     cross_length_block_rows,
-    equal_length_cross_block,
-    equal_length_cross_block_reference,
     equal_length_cross_rows,
-    pairwise_equal_length,
-    pairwise_equal_length_reference,
     pairwise_equal_length_rows,
 )
 from repro.core.membound import divide_bound, rows_per_block
@@ -96,20 +73,6 @@ PAIRS_VECTORIZED_METRIC = "repro_matrix_pairs_vectorized_total"
 KNN_PARTITION_METRIC = "repro_knn_partition_seconds"
 BIN_QUEUE_METRIC = "repro_matrix_bin_queue_seconds"
 BINS_SCHEDULED_METRIC = "repro_matrix_bins_scheduled_total"
-
-#: The per-bin compute kernels (see module docstring).
-KERNEL_BINNED = "binned"
-KERNEL_PAIRWISE = "pairwise"
-KERNELS = (KERNEL_BINNED, KERNEL_PAIRWISE)
-
-#: Parallel backends (``MatrixBuildOptions.parallel_backend``): "auto"
-#: picks threads for the binned kernel (its numpy gathers release the
-#: GIL, so threads share blocks and output zero-copy) and processes for
-#: the per-pair oracle (pure Python, GIL-bound, needs real processes).
-PARALLEL_AUTO = "auto"
-PARALLEL_THREADS = "threads"
-PARALLEL_PROCESSES = "processes"
-PARALLEL_BACKENDS = (PARALLEL_AUTO, PARALLEL_THREADS, PARALLEL_PROCESSES)
 
 #: Matrix value dtypes (``MatrixBuildOptions.dtype``): float64 is the
 #: bit-exact reference; float32 halves resident memory for large n at
@@ -135,10 +98,8 @@ _PAIRS_HELP = (
 )
 
 _FAULTS_HELP = (
-    "Self-healing events during parallel matrix builds "
-    "(kind: block_retry/serial_fallback/pool_rebuild for the process "
-    "pool; bin_error for a failed threaded bin — threads have no "
-    "retry ladder, a bin failure fails the build)."
+    "Failed matrix tiles (kind: bin_error).  There is no retry: a tile "
+    "failure fails the build with a ComputeError naming its bin."
 )
 
 _BIN_QUEUE_HELP = (
@@ -147,20 +108,19 @@ _BIN_QUEUE_HELP = (
 )
 
 _BINS_SCHEDULED_HELP = (
-    "Tiles enqueued by the threaded matrix scheduler (kind: same/cross)."
+    "Tiles enqueued by the threaded matrix scheduler (kind: same/eqcross/cross)."
 )
 
 
-def _count_fault(kind: str, amount: int = 1) -> None:
-    if amount:
-        get_metrics().counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(amount, kind=kind)
+def _count_fault(kind: str) -> None:
+    get_metrics().counter(FAULTS_METRIC, help=_FAULTS_HELP).inc(kind=kind)
 
 
 @dataclass(frozen=True)
 class MatrixBuildOptions:
     """Execution knobs for :meth:`DissimilarityMatrix.build`.
 
-    The defaults are safe for library use: auto worker count (serial on
+    The defaults are safe for library use: auto worker count (inline on
     single-core machines and below the parallel threshold) and no disk
     cache.  The CLIs enable the cache and expose every knob as a flag.
     """
@@ -174,27 +134,12 @@ class MatrixBuildOptions:
     use_cache: bool = False
     #: Cache location; None means ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
     cache_dir: str | Path | None = None
-    #: Minimum unique-segment count before forking workers pays for
-    #: itself; below it the serial path runs regardless of ``workers``.
+    #: Minimum unique-segment count before a thread pool pays for
+    #: itself; below it the tiles run inline regardless of ``workers``.
     parallel_threshold: int = 512
-    #: Seconds to wait for one block result before treating the worker
-    #: as hung; None waits forever (historical behavior).
-    block_timeout: float | None = None
-    #: How many times a broken or hung process pool is rebuilt before
-    #: the remaining blocks are computed serially in-process.
-    max_retries: int = 2
-    #: Per-bin compute kernel: "binned" (vectorized, default) or
-    #: "pairwise" (per-pair reference oracle; orders of magnitude
-    #: slower, numerically equal within 1e-12).
-    kernel: str = KERNEL_BINNED
-    #: Parallel backend: "auto" (default; threads for the binned
-    #: kernel, processes for the pairwise oracle), "threads" (the bin
-    #: tile scheduler — binned kernel only), or "processes" (the
-    #: self-healing per-block pool).
-    parallel_backend: str = PARALLEL_AUTO
     #: Value dtype: "float64" (bit-exact reference, default) or
     #: "float32" (half the resident matrix memory for large traces;
-    #: each value rounds once from the float64 block result).
+    #: each value rounds once from the float64 tile result).
     dtype: str = DTYPE_FLOAT64
     #: Value storage: "ram" (default) or "memmap" (values live in an
     #: unlinked temporary file, so cold pages are reclaimable and the
@@ -202,25 +147,6 @@ class MatrixBuildOptions:
     storage: str = STORAGE_RAM
 
     def __post_init__(self) -> None:
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown matrix kernel {self.kernel!r} (choices: {KERNELS})"
-            )
-        if self.parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {self.parallel_backend!r} "
-                f"(choices: {PARALLEL_BACKENDS})"
-            )
-        if (
-            self.parallel_backend == PARALLEL_THREADS
-            and self.kernel == KERNEL_PAIRWISE
-        ):
-            raise ValueError(
-                "the threaded backend requires the binned kernel: the "
-                "pairwise oracle is pure Python and holds the GIL, so it "
-                "parallelizes on processes only (parallel_backend="
-                "'processes' or 'auto')"
-            )
         if self.dtype not in DTYPES:
             raise ValueError(
                 f"unknown matrix dtype {self.dtype!r} (choices: {DTYPES})"
@@ -240,47 +166,12 @@ class MatrixBuildOptions:
 
         ``None`` resolves to ``os.cpu_count()``; ``0`` resolves to 1 —
         it *means* serial (the ``--workers 0`` convention shared by both
-        CLIs), and the build honors that because the parallel paths only
-        engage when the resolved count exceeds one.
+        CLIs), and the build honors that because the thread pool only
+        engages when the resolved count exceeds one.
         """
         if self.workers is None:
             return os.cpu_count() or 1
         return int(self.workers) or 1
-
-    def resolved_parallel_backend(self) -> str:
-        """The concrete parallel backend ("threads" or "processes").
-
-        "auto" resolves by kernel: the binned kernel's numpy gathers
-        release the GIL, so it threads; the per-pair oracle is
-        GIL-bound Python and keeps the process pool.
-        """
-        if self.parallel_backend != PARALLEL_AUTO:
-            return self.parallel_backend
-        return (
-            PARALLEL_THREADS if self.kernel == KERNEL_BINNED else PARALLEL_PROCESSES
-        )
-
-
-_DEFAULT_OPTIONS = MatrixBuildOptions()
-
-
-def get_default_build_options() -> MatrixBuildOptions:
-    """The process-wide options used when ``build(options=None)``."""
-    return _DEFAULT_OPTIONS
-
-
-def set_default_build_options(options: MatrixBuildOptions) -> MatrixBuildOptions:
-    """Replace the process-wide default options; returns the previous ones.
-
-    CLIs call this once from their flags so that every internal
-    ``DissimilarityMatrix.build`` call site (pipeline, figures, message
-    type similarity) picks up the same backend configuration without
-    threading options through every signature.
-    """
-    global _DEFAULT_OPTIONS
-    previous = _DEFAULT_OPTIONS
-    _DEFAULT_OPTIONS = options
-    return previous
 
 
 @dataclass
@@ -289,222 +180,228 @@ class BuildStats:
 
     unique_count: int = 0
     #: "serial", "parallel", "cache", or "append" — the path that
-    #: produced values (append = incremental growth of an existing
-    #: matrix; only the new cells were computed).
+    #: produced values (serial = tiles ran inline, parallel = on the
+    #: thread pool, append = incremental growth of an existing matrix;
+    #: only the new cells were computed).
     backend: str = "serial"
-    #: "threads" or "processes" when the backend is "parallel"; None on
-    #: the serial and cache paths.
-    parallel_backend: str | None = None
-    #: "binned" or "pairwise" — the per-bin compute kernel.
-    kernel: str = KERNEL_BINNED
     #: "float64" or "float32" — the stored value dtype.
     dtype: str = DTYPE_FLOAT64
     #: "ram" or "memmap" — where the values live.
     storage: str = STORAGE_RAM
     workers: int = 1
-    #: Independent work items (same-length + cross-length blocks).
+    #: Independent work items (same-length, eqcross and cross-length bins).
     task_count: int = 0
-    #: Scheduled tiles on the threaded backend (bins sub-tiled to the
-    #: kernel's temporary budget); 0 elsewhere.
+    #: Tiles scheduled on the thread pool (bins sub-tiled to the
+    #: kernel's temporary budget); 0 when the tiles ran inline.
     tile_count: int = 0
     #: Unique segment pairs computed by the vectorized (binned) kernel.
     pairs_vectorized: int = 0
     cache_hit: bool = False
     cache_key: str | None = None
-    #: Self-healing bookkeeping: blocks re-submitted to the pool after a
-    #: failure/timeout, blocks recomputed serially in-process, and how
-    #: often the pool itself was rebuilt.
-    block_retries: int = 0
-    serial_fallback_blocks: int = 0
-    pool_rebuilds: int = 0
     #: Per-stage wall-clock seconds: blocks/compute/cache_load/cache_store/total.
     seconds: dict[str, float] = field(default_factory=dict)
 
 
-def _segment_blocks(
-    segments: list[UniqueSegment], by_length: dict[int, list[int]]
-) -> dict[int, np.ndarray]:
-    """One (count, length) uint8 block per segment length.
+@dataclass(frozen=True, eq=False)
+class _BinTask:
+    """One independent work item: the cells between two segment groups.
 
-    Rows are decoded with ``np.frombuffer`` over the concatenated raw
-    bytes — no per-byte Python list round-trip.  Kept as raw uint8 so
-    the binned kernel can gather Canberra terms straight from the
-    byte-term lookup table; the pairwise reference kernel widens to
-    float64 itself.
+    *kind* is "same" (one equal-length group against itself; both sides
+    carry the same block and indices), "eqcross" (two disjoint groups of
+    one length — an append's new-vs-old rectangle) or "cross" (a shorter
+    length against a longer one).  The blocks are the groups' raw
+    ``(count, length)`` uint8 rows; *rows* and *cols* are the global
+    matrix indices they scatter to, so a task's row and column sets may
+    come from different segment generations.
     """
-    blocks = {}
+
+    kind: str
+    block_a: np.ndarray
+    block_b: np.ndarray
+    rows: list[int]
+    cols: list[int]
+
+    @property
+    def lengths(self) -> tuple[int, int]:
+        return self.block_a.shape[1], self.block_b.shape[1]
+
+
+def _length_bins(
+    segments: list[UniqueSegment], offset: int = 0
+) -> dict[int, tuple[list[int], np.ndarray]]:
+    """Per segment length: the global indices and one (count, length) block.
+
+    Segment *i* gets matrix index ``offset + i``.  Rows are decoded with
+    ``np.frombuffer`` over the concatenated raw bytes — no per-byte
+    Python list round-trip — and kept as raw uint8 so the binned kernel
+    can gather Canberra terms straight from the byte-term lookup table.
+    """
+    by_length: dict[int, list[int]] = {}
+    for index, segment in enumerate(segments):
+        by_length.setdefault(segment.length, []).append(index)
+    bins = {}
     for length, indices in by_length.items():
         raw = b"".join(segments[i].data for i in indices)
-        blocks[length] = np.frombuffer(raw, dtype=np.uint8).reshape(
-            len(indices), length
-        )
-    return blocks
+        block = np.frombuffer(raw, dtype=np.uint8).reshape(len(indices), length)
+        bins[length] = ([offset + i for i in indices], block)
+    return bins
 
 
-def _block_tasks(
-    lengths: list[int],
-    blocks: dict[int, np.ndarray],
-    penalty_factor: float,
-    kernel: str,
-    by_length: dict[int, list[int]],
-) -> list[tuple]:
-    """Independent work items: one per length pair (including li == lj).
+def _append_tasks(
+    old_bins: dict[int, tuple[list[int], np.ndarray]],
+    new_bins: dict[int, tuple[list[int], np.ndarray]],
+) -> list[_BinTask]:
+    """Work items covering exactly the cells with a new segment on a side.
 
-    Every task carries the global matrix indices its rows and columns
-    scatter to (elements 7 and 8), so the compute/scatter code never has
-    to reconstruct them from the length maps — which also lets the
-    append path emit rectangular tasks whose row and column index sets
-    come from *different* segment generations.
+    For every length pair over the union of old and new lengths, emit
+    only the blocks with at least one *new* segment on a side: the
+    new-vs-new diagonal ("same" triangles per length plus "cross"
+    rectangles between new lengths) and the new-vs-old rectangles
+    ("eqcross" when the lengths are equal, "cross" otherwise).
+    Old-vs-old cells already hold their final values and are never
+    touched, which is what keeps concurrent tile writes disjoint from
+    the live matrix view.  A batch build passes no old bins, so it is
+    the same list an append onto an empty matrix computes — every cell
+    goes through the same kernel reduction either way, which makes an
+    appended matrix bit-identical to a from-scratch build.
     """
+
+    def task(kind, side_a, side_b) -> _BinTask:
+        return _BinTask(kind, side_a[1], side_b[1], side_a[0], side_b[0])
+
     tasks = []
+    lengths = sorted(set(old_bins) | set(new_bins))
     for li, length_a in enumerate(lengths):
-        tasks.append(
-            (
-                "same",
-                length_a,
-                length_a,
-                blocks[length_a],
-                None,
-                penalty_factor,
-                kernel,
-                by_length[length_a],
-                by_length[length_a],
-            )
-        )
+        old_a = old_bins.get(length_a)
+        new_a = new_bins.get(length_a)
+        if new_a and len(new_a[0]) > 1:
+            tasks.append(task("same", new_a, new_a))
+        if new_a and old_a:
+            tasks.append(task("eqcross", new_a, old_a))
         for length_b in lengths[li + 1 :]:
-            tasks.append(
-                (
-                    "cross",
-                    length_a,
-                    length_b,
-                    blocks[length_a],
-                    blocks[length_b],
-                    penalty_factor,
-                    kernel,
-                    by_length[length_a],
-                    by_length[length_b],
-                )
-            )
+            old_b = old_bins.get(length_b)
+            new_b = new_bins.get(length_b)
+            if old_a and new_b:
+                tasks.append(task("cross", old_a, new_b))
+            if new_a and old_b:
+                tasks.append(task("cross", new_a, old_b))
+            if new_a and new_b:
+                tasks.append(task("cross", new_a, new_b))
     return tasks
 
 
-def _task_pair_count(task: tuple) -> int:
-    """Unique segment pairs one block task covers."""
-    kind, _, _, block_a, block_b = task[:5]
-    if kind == "same":
-        count = block_a.shape[0]
-        return count * (count - 1) // 2
-    # "cross" (different lengths) and "eqcross" (equal lengths, disjoint
-    # row/column index sets — the append path's new-vs-old rectangles)
-    # both cover every (row, column) pair once.
-    return block_a.shape[0] * block_b.shape[0]
-
-
-def _task_tiles(tasks: list[tuple]) -> list[tuple[int, int, int, int]]:
-    """The threaded scheduler's work queue: ``(task, row_start, row_stop, cost)``.
+def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
+    """The engine's work queue: ``(task, row_start, row_stop, cost)``.
 
     Each length bin is sub-tiled along its rows so one tile's gather
     stays inside the kernel's fixed temporary budget
     (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`, ~160 MB of float64
-    cells) — the same bound the serial kernel chunks under.  Boundaries
-    depend only on the bin shapes, never on the worker count, so the
-    queue is deterministic; *cost* estimates the tile's gather cells and
-    drives the longest-processing-time-first schedule.
+    cells).  Boundaries depend only on the bin shapes, never on the
+    worker count, so the queue is deterministic; *cost* estimates the
+    tile's gather cells and drives the threaded
+    longest-processing-time-first schedule.
     """
     tiles = []
-    for index, task in enumerate(tasks):
-        kind, length_a, _length_b, block_a, block_b = task[:5]
-        if kind == "same":
-            rows, length = block_a.shape
-            cells_per_row = max(1, rows * length)
-        elif kind == "eqcross":
-            rows, length = block_a.shape
-            cells_per_row = max(1, block_b.shape[0] * length)
-        else:
-            rows, m = block_a.shape
-            b, n = block_b.shape
+    for task in tasks:
+        rows, m = task.block_a.shape
+        b, n = task.block_b.shape
+        if task.kind == "cross":
             cells_per_row = max(1, b * (n - m + 1) * m)
+        else:
+            cells_per_row = max(1, b * m)
         tile_rows = max(1, CHUNK_CELL_BUDGET // cells_per_row)
         for start in range(0, rows, tile_rows):
             stop = min(rows, start + tile_rows)
-            if kind == "same":
+            if task.kind == "same":
                 # The tile only gathers the upper band (columns start:).
-                cost = (stop - start) * (rows - start) * length
+                cost = (stop - start) * (rows - start) * m
             else:
                 cost = (stop - start) * cells_per_row
-            tiles.append((index, start, stop, cost))
+            tiles.append((task, start, stop, cost))
     return tiles
 
 
-def _tile_pair_count(task: tuple, row_start: int, row_stop: int) -> int:
-    """Unique segment pairs one tile covers."""
-    kind, _, _, block_a, block_b = task[:5]
-    if kind == "same":
-        count = block_a.shape[0]
-        return sum(count - 1 - i for i in range(row_start, row_stop))
-    return (row_stop - row_start) * block_b.shape[0]
-
-
-def _task_indices(task: tuple) -> tuple[list[int], list[int]]:
-    """The global (row, column) matrix indices a task scatters to."""
-    return task[7], task[8]
+def _bin_attributes(task: _BinTask, row_start: int, row_stop: int) -> dict:
+    """The ``matrix.bin`` span attributes of one tile, inline or threaded."""
+    if task.kind == "same":
+        count = task.block_a.shape[0]
+        pairs = sum(count - 1 - i for i in range(row_start, row_stop))
+    else:
+        pairs = (row_stop - row_start) * task.block_b.shape[0]
+    len_a, len_b = task.lengths
+    return {
+        "kind": task.kind,
+        "len_a": len_a,
+        "len_b": len_b,
+        "pairs": pairs,
+        "tile": f"{row_start}:{row_stop}",
+    }
 
 
 def _compute_tile_into(
     values: np.ndarray,
-    by_length: dict[int, list[int]],
-    task: tuple,
+    task: _BinTask,
     row_start: int,
     row_stop: int,
+    penalty_factor: float,
     cells_budget: int,
 ) -> None:
     """Compute one tile and write it (plus its mirror) into *values*.
 
-    The thread worker's unit of work.  Tiles of one build cover
-    disjoint cells of *values* (an equal-length tile owns its upper
-    band rows and their transposes; a cross-length or eqcross tile owns
-    its rows and their transposes), so concurrent workers never write
-    the same cell — except the symmetric diagonal band *within* one
-    tile, which the same thread overwrites with bit-identical values.
-
-    Scatter targets come from the task's own index arrays
-    (:func:`_task_indices`); *by_length* is kept in the signature for
-    wrapper compatibility but no longer consulted.
+    The engine's unit of work, inline or on a worker thread.  Tiles of
+    one build cover disjoint cells of *values* (an equal-length tile
+    owns its upper band rows and their transposes; a cross-length or
+    eqcross tile owns its rows and their transposes), so concurrent
+    workers never write the same cell — except the symmetric diagonal
+    band *within* one tile, which the same thread overwrites with
+    bit-identical values.
     """
-    kind, _length_a, _length_b, block_a, block_b, penalty_factor, _kernel = task[:7]
-    task_rows, task_cols = _task_indices(task)
-    if kind == "same":
+    if task.kind == "same":
         tile = pairwise_equal_length_rows(
-            block_a, row_start, row_stop, cells_budget=cells_budget
+            task.block_a, row_start, row_stop, cells_budget=cells_budget
         )
-        rows = task_rows[row_start:row_stop]
-        cols = task_cols[row_start:]
-    elif kind == "eqcross":
+        cols = task.cols[row_start:]
+    elif task.kind == "eqcross":
         tile = equal_length_cross_rows(
-            block_a, block_b, row_start, row_stop, cells_budget=cells_budget
+            task.block_a,
+            task.block_b,
+            row_start,
+            row_stop,
+            cells_budget=cells_budget,
         )
-        rows = task_rows[row_start:row_stop]
-        cols = task_cols
+        cols = task.cols
     else:
         tile = cross_length_block_rows(
-            block_a,
-            block_b,
+            task.block_a,
+            task.block_b,
             row_start,
             row_stop,
             penalty_factor=penalty_factor,
             cells_budget=cells_budget,
         )
-        rows = task_rows[row_start:row_stop]
-        cols = task_cols
+        cols = task.cols
+    rows = task.rows[row_start:row_stop]
     values[np.ix_(rows, cols)] = tile
     values[np.ix_(cols, rows)] = tile.T
 
 
+def _bin_error(
+    tile: tuple[_BinTask, int, int, int], mode: str, drained: int, error: Exception
+) -> ComputeError:
+    """The one error a failed tile raises, naming its bin."""
+    task, row_start, row_stop, _ = tile
+    len_a, len_b = task.lengths
+    return ComputeError(
+        f"matrix bin ({len_a}, {len_b}) failed in the {mode} build "
+        f"(tile rows [{row_start}, {row_stop}), {drained} queued tiles "
+        f"drained): {error}"
+    )
+
+
 def _run_tile(
     values: np.ndarray,
-    by_length: dict[int, list[int]],
-    task: tuple,
-    tile: tuple[int, int, int, int],
+    tile: tuple[_BinTask, int, int, int],
+    penalty_factor: float,
     cells_budget: int,
     enqueued: float,
 ) -> dict:
@@ -516,10 +413,12 @@ def _run_tile(
     :mod:`contextvars`, which executor threads do not inherit, and
     neither is thread-safe).
     """
-    _, row_start, row_stop, _ = tile
+    task, row_start, row_stop, _ = tile
     started = time.perf_counter()
     started_unix = time.time()
-    _compute_tile_into(values, by_length, task, row_start, row_stop, cells_budget)
+    _compute_tile_into(
+        values, task, row_start, row_stop, penalty_factor, cells_budget
+    )
     return {
         "worker": threading.current_thread().name,
         "queue_seconds": started - enqueued,
@@ -528,14 +427,38 @@ def _run_tile(
     }
 
 
-def _compute_tiles_threaded(
-    tasks: list[tuple],
+def _run_inline(
+    tiles: list[tuple[_BinTask, int, int, int]],
     values: np.ndarray,
-    by_length: dict[int, list[int]],
-    options: MatrixBuildOptions,
-    stats: BuildStats,
-) -> bool:
-    """Run the bin tile queue on a thread pool, writing into *values*.
+    penalty_factor: float,
+) -> None:
+    """Run the tile queue in order on the calling thread.
+
+    Each tile gets a ``matrix.bin`` child span; a tile that raises
+    fails the build with the same :class:`ComputeError` the threaded
+    scheduler raises, and the tiles after it are never started.
+    """
+    tracer = get_tracer()
+    for position, tile in enumerate(tiles):
+        task, row_start, row_stop, _ = tile
+        with tracer.span("matrix.bin", **_bin_attributes(task, row_start, row_stop)):
+            try:
+                _compute_tile_into(
+                    values, task, row_start, row_stop, penalty_factor, CHUNK_CELL_BUDGET
+                )
+            except Exception as error:
+                _count_fault("bin_error")
+                drained = len(tiles) - position - 1
+                raise _bin_error(tile, "inline", drained, error) from error
+
+
+def _run_threaded(
+    tiles: list[tuple[_BinTask, int, int, int]],
+    values: np.ndarray,
+    penalty_factor: float,
+    workers: int,
+) -> None:
+    """Run the tile queue on a thread pool, writing into *values*.
 
     Tiles are submitted longest-processing-time-first (by estimated
     gather cells), so the big bins start immediately and the small ones
@@ -543,54 +466,42 @@ def _compute_tiles_threaded(
     optimal.  Workers share the uint8 blocks and the output matrix
     zero-copy; the kernel's temporary budget is divided across workers
     (:func:`repro.core.membound.divide_bound`) so aggregate peak memory
-    matches the serial path's.
+    matches the inline run's.
 
     A tile that raises fails the whole build with a
     :class:`ComputeError` naming its bin: threads cannot be killed, so
     the scheduler cancels every not-yet-started tile, drains the ones
-    already running, and only then raises.  Returns False when the
-    executor cannot be created, so the caller falls back to the serial
-    loop.
+    already running, and only then raises.
     """
-    workers = options.effective_workers()
-    try:
-        executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-matrix"
-        )
-    except (OSError, ValueError, RuntimeError) as error:
-        logger.debug("threaded build unavailable (%s); serial", error)
-        return False
-    tiles = _task_tiles(tasks)
     # LPT: largest estimated tile first, index as deterministic tie-break.
     order = sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))
     cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers)
-    stats.tile_count = len(tiles)
     tracer = get_tracer()
     metrics = get_metrics()
     queue_histogram = metrics.histogram(BIN_QUEUE_METRIC, help=_BIN_QUEUE_HELP)
     scheduled = metrics.counter(BINS_SCHEDULED_METRIC, help=_BINS_SCHEDULED_HELP)
     futures = {}
-    failure: tuple[tuple[int, int, int, int], BaseException] | None = None
+    failure: tuple[tuple[_BinTask, int, int, int], Exception] | None = None
     drained = 0
+    executor = ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-matrix"
+    )
     try:
         for i in order:
             tile = tiles[i]
-            task = tasks[tile[0]]
             futures[
                 executor.submit(
                     _run_tile,
                     values,
-                    by_length,
-                    task,
                     tile,
+                    penalty_factor,
                     cells_budget,
                     time.perf_counter(),
                 )
             ] = tile
-            scheduled.inc(kind=task[0])
+            scheduled.inc(kind=tile[0].kind)
         for future in as_completed(futures):
             tile = futures[future]
-            task = tasks[tile[0]]
             if future.cancelled():
                 # CancelledError is a BaseException; count the tile as
                 # drained instead of letting result() raise it.
@@ -612,194 +523,59 @@ def _compute_tiles_threaded(
                 "matrix.bin",
                 wall_seconds=record["wall_seconds"],
                 started_unix=record["started_unix"],
-                kind=task[0],
-                len_a=task[1],
-                len_b=task[2],
-                pairs=_tile_pair_count(task, tile[1], tile[2]),
-                kernel=options.kernel,
                 worker=record["worker"],
-                tile=f"{tile[1]}:{tile[2]}",
                 queue_seconds=round(record["queue_seconds"], 6),
+                **_bin_attributes(*tile[:3]),
             )
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
     if failure is not None:
         tile, error = failure
-        task = tasks[tile[0]]
-        raise ComputeError(
-            f"matrix bin ({task[1]}, {task[2]}) failed in the threaded build "
-            f"(tile rows [{tile[1]}, {tile[2]}), {drained} queued tiles "
-            f"drained): {error}"
-        ) from error
-    return True
+        raise _bin_error(tile, "threaded", drained, error) from error
 
 
-def _compute_block_task(task: tuple) -> tuple[int, int, np.ndarray]:
-    """Worker entry point: compute one same-/cross-length block.
-
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; also the
-    serial path's unit of work, keeping both paths bit-identical.  The
-    task's trailing element selects the kernel: the vectorized binned
-    batch functions, or their per-pair reference oracles.
-    """
-    kind, length_a, length_b, block_a, block_b, penalty_factor, kernel = task[:7]
-    if kind == "same":
-        compute = (
-            pairwise_equal_length_reference
-            if kernel == KERNEL_PAIRWISE
-            else pairwise_equal_length
-        )
-        return length_a, length_b, compute(block_a)
-    if kind == "eqcross":
-        compute = (
-            equal_length_cross_block_reference
-            if kernel == KERNEL_PAIRWISE
-            else equal_length_cross_block
-        )
-        return length_a, length_b, compute(block_a, block_b)
-    compute = (
-        cross_length_block_reference
-        if kernel == KERNEL_PAIRWISE
-        else cross_length_block
-    )
-    return (
-        length_a,
-        length_b,
-        compute(block_a, block_b, penalty_factor=penalty_factor),
-    )
-
-
-def _recover_serially(task: tuple) -> tuple[int, int, np.ndarray]:
-    """Last-resort in-process recomputation of one block.
-
-    Runs after the pool-level retry ladder is exhausted; an exception
-    here means the block itself is uncomputable, which is a genuine
-    defect, so it surfaces as :class:`ComputeError`.
-    """
-    try:
-        return _compute_block_task(task)
-    except Exception as error:
-        raise ComputeError(
-            f"block ({task[1]}, {task[2]}) failed even in serial fallback: {error}"
-        ) from error
-
-
-def _scatter_results(
+def _compute_new_cells(
     values: np.ndarray,
-    tasks: list[tuple],
-    results: list[tuple[int, int, np.ndarray]],
+    old_segments: list[UniqueSegment],
+    new_segments: list[UniqueSegment],
+    penalty_factor: float,
+    options: MatrixBuildOptions,
+    stats: BuildStats,
 ) -> None:
-    """Write block results into *values* at their tasks' global indices.
+    """Fill every cell of *values* with a new segment on at least one side.
 
-    "same" blocks are symmetric squares over one index set (a single
-    write covers both triangles); "cross" and "eqcross" rectangles also
-    write their transpose into the mirrored cells.
+    The single compute path behind :meth:`DissimilarityMatrix.build`
+    (no old segments) and :meth:`AppendableMatrix.append`.  The new
+    segments take the indices after the old ones.  The tile queue runs
+    on the thread pool when more than one worker is requested and the
+    grown matrix reaches :attr:`MatrixBuildOptions.parallel_threshold`
+    segments, inline otherwise; *stats* records which, with the
+    stage timings and work counts.
     """
-    for task, (_, _, block_values) in zip(tasks, results):
-        rows, cols = _task_indices(task)
-        values[np.ix_(rows, cols)] = block_values
-        if task[0] != "same":
-            values[np.ix_(cols, rows)] = block_values.T
+    old_count = len(old_segments)
+    count = old_count + len(new_segments)
+    blocks_started = time.perf_counter()
+    tasks = _append_tasks(
+        _length_bins(old_segments), _length_bins(new_segments, offset=old_count)
+    )
+    tiles = _task_tiles(tasks)
+    stats.seconds["blocks"] = time.perf_counter() - blocks_started
+    stats.task_count = len(tasks)
 
-
-def _compute_tasks_parallel(
-    tasks: list[tuple], options: MatrixBuildOptions, stats: BuildStats
-) -> list[tuple[int, int, np.ndarray]] | None:
-    """Run *tasks* on a process pool with block-level fault tolerance.
-
-    Every block is retried once in the pool after a failure or timeout,
-    then recomputed serially in-process; a broken pool (crashed worker)
-    or a hung worker triggers a pool rebuild, up to
-    :attr:`MatrixBuildOptions.max_retries` times, after which whatever
-    is left runs serially.  All recovery paths reuse
-    :func:`_compute_block_task`, so the result stays bit-identical to
-    the serial reference no matter which path produced each block.
-
-    Returns None when the pool cannot be created at all (restricted
-    environments without fork/semaphores) so the caller can fall back
-    to the plain serial loop.
-    """
+    compute_started = time.perf_counter()
     workers = options.effective_workers()
-    try:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError, RuntimeError) as error:
-        logger.debug("parallel build unavailable (%s); serial", error)
-        return None
-    results: dict[int, tuple[int, int, np.ndarray]] = {}
-    attempts: dict[int, int] = {}
-    rebuilds = 0
-    pending = list(range(len(tasks)))
-    try:
-        while pending:
-            futures = {}
-            pool_broken = False
-            for i in pending:
-                try:
-                    futures[i] = executor.submit(_compute_block_task, tasks[i])
-                except (BrokenExecutor, RuntimeError):
-                    pool_broken = True
-                    break
-            failed: list[int] = []
-            needs_rebuild = pool_broken
-            for i, future in futures.items():
-                if needs_rebuild and not future.done():
-                    # The pool is already known-bad (crash or hang):
-                    # don't wait on the remaining futures, just requeue.
-                    future.cancel()
-                    failed.append(i)
-                    continue
-                try:
-                    results[i] = future.result(timeout=options.block_timeout)
-                except (FuturesTimeoutError, TimeoutError):
-                    logger.warning(
-                        "matrix block %d timed out after %.3gs",
-                        i,
-                        options.block_timeout or 0.0,
-                    )
-                    needs_rebuild = True  # the worker is hung; abandon the pool
-                    failed.append(i)
-                except BrokenExecutor as error:
-                    logger.warning("matrix worker pool broke: %s", error)
-                    needs_rebuild = True
-                    failed.append(i)
-                except Exception as error:
-                    logger.warning("matrix block %d raised: %s", i, error)
-                    failed.append(i)
-            failed.extend(i for i in pending if i not in futures and i not in failed)
-            pending = []
-            for i in failed:
-                attempts[i] = attempts.get(i, 0) + 1
-                if attempts[i] <= 1:
-                    stats.block_retries += 1
-                    _count_fault("block_retry")
-                    pending.append(i)
-                else:
-                    results[i] = _recover_serially(tasks[i])
-                    stats.serial_fallback_blocks += 1
-                    _count_fault("serial_fallback")
-            if pending and needs_rebuild:
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = None
-                if rebuilds < options.max_retries:
-                    rebuilds += 1
-                    stats.pool_rebuilds += 1
-                    _count_fault("pool_rebuild")
-                    try:
-                        executor = ProcessPoolExecutor(max_workers=workers)
-                    except (OSError, ValueError, RuntimeError) as error:
-                        logger.warning("pool rebuild failed (%s); serial", error)
-                if executor is None:
-                    # Rebuild budget exhausted (or rebuild impossible):
-                    # finish everything that is left in-process.
-                    for i in pending:
-                        results[i] = _recover_serially(tasks[i])
-                        stats.serial_fallback_blocks += 1
-                        _count_fault("serial_fallback")
-                    pending = []
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-    return [results[i] for i in range(len(tasks))]
+    if workers > 1 and tiles and count >= options.parallel_threshold:
+        _run_threaded(tiles, values, penalty_factor, workers)
+        stats.workers = workers
+        stats.tile_count = len(tiles)
+    else:
+        _run_inline(tiles, values, penalty_factor)
+    # The tasks cover each pair with a new segment exactly once.
+    stats.pairs_vectorized = count * (count - 1) // 2 - old_count * (old_count - 1) // 2
+    get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
+        stats.pairs_vectorized
+    )
+    stats.seconds["compute"] = time.perf_counter() - compute_started
 
 
 def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
@@ -854,13 +630,11 @@ class DissimilarityMatrix:
     ) -> "DissimilarityMatrix":
         """Build D over *segments*, honoring the execution *options*.
 
-        With ``options=None`` the process-wide defaults apply (see
-        :func:`set_default_build_options`).  All execution paths return
-        values ``np.allclose``-equal (in fact bit-identical) to the
-        serial reference.
+        ``options=None`` means ``MatrixBuildOptions()``.  Inline and
+        threaded runs, and cache hits, return bit-identical values.
         """
         if options is None:
-            options = get_default_build_options()
+            options = MatrixBuildOptions()
         matrixcache.declare_cache_metrics()
         with get_tracer().span(
             "matrix.build", unique_segments=len(segments)
@@ -868,7 +642,6 @@ class DissimilarityMatrix:
             started = time.perf_counter()
             stats = BuildStats(
                 unique_count=len(segments),
-                kernel=options.kernel,
                 dtype=options.dtype,
                 storage=options.storage,
             )
@@ -878,7 +651,6 @@ class DissimilarityMatrix:
                 stats.cache_key, order = matrixcache.canonical_order_key(
                     [segment.data for segment in segments],
                     penalty_factor,
-                    kernel=options.kernel,
                     dtype=options.dtype,
                 )
                 load_started = time.perf_counter()
@@ -896,7 +668,9 @@ class DissimilarityMatrix:
                     cls._record_build(span, stats)
                     return cls(segments=segments, values=values, stats=stats)
 
-            values, stats = cls._compute(segments, penalty_factor, options, stats)
+            values = _allocate_values(len(segments), options.dtype, options.storage)
+            _compute_new_cells(values, [], segments, penalty_factor, options, stats)
+            stats.backend = "parallel" if stats.tile_count else "serial"
 
             if options.use_cache and stats.cache_key is not None and order is not None:
                 store_started = time.perf_counter()
@@ -913,7 +687,6 @@ class DissimilarityMatrix:
         """Mirror one build's :class:`BuildStats` into span + metrics."""
         span.set(
             backend=stats.backend,
-            kernel=stats.kernel,
             dtype=stats.dtype,
             storage=stats.storage,
             workers=stats.workers,
@@ -921,93 +694,11 @@ class DissimilarityMatrix:
             cache_hit=stats.cache_hit,
             cache_key=stats.cache_key,
         )
-        if stats.parallel_backend is not None:
-            span.set(parallel_backend=stats.parallel_backend)
         if stats.tile_count:
             span.set(tiles=stats.tile_count)
-        if stats.block_retries or stats.serial_fallback_blocks or stats.pool_rebuilds:
-            span.set(
-                block_retries=stats.block_retries,
-                serial_fallback_blocks=stats.serial_fallback_blocks,
-                pool_rebuilds=stats.pool_rebuilds,
-            )
         get_metrics().counter(
             BUILDS_METRIC, help="Dissimilarity-matrix builds by backend."
         ).inc(backend=stats.backend)
-
-    @classmethod
-    def _compute(
-        cls,
-        segments: list[UniqueSegment],
-        penalty_factor: float,
-        options: MatrixBuildOptions,
-        stats: BuildStats,
-    ) -> tuple[np.ndarray, BuildStats]:
-        count = len(segments)
-        values = _allocate_values(count, options.dtype, options.storage)
-        blocks_started = time.perf_counter()
-        by_length: dict[int, list[int]] = {}
-        for index, segment in enumerate(segments):
-            by_length.setdefault(segment.length, []).append(index)
-        blocks = _segment_blocks(segments, by_length)
-        lengths = sorted(by_length)
-        tasks = _block_tasks(lengths, blocks, penalty_factor, options.kernel, by_length)
-        stats.seconds["blocks"] = time.perf_counter() - blocks_started
-        stats.task_count = len(tasks)
-
-        workers = options.effective_workers()
-        parallel = workers > 1 and count >= options.parallel_threshold
-        compute_started = time.perf_counter()
-        results = None
-        in_place = False
-        if (
-            parallel
-            and tasks
-            and options.resolved_parallel_backend() == PARALLEL_THREADS
-        ):
-            # Threaded bin scheduler: workers write their disjoint
-            # tiles straight into ``values`` — nothing to scatter.
-            in_place = _compute_tiles_threaded(
-                tasks, values, by_length, options, stats
-            )
-            if in_place:
-                stats.backend = "parallel"
-                stats.parallel_backend = PARALLEL_THREADS
-                stats.workers = workers
-        elif parallel and len(tasks) > 1:
-            # The process pool's unit of work is a whole block, so a
-            # single-bin build has nothing to distribute.
-            results = _compute_tasks_parallel(tasks, options, stats)
-            if results is not None:
-                stats.backend = "parallel"
-                stats.parallel_backend = PARALLEL_PROCESSES
-                stats.workers = workers
-        if not in_place and results is None:
-            # Restricted environments (no fork, no semaphores) fall
-            # back to the serial reference rather than failing.  Each
-            # bin gets a child span here (process-pool bins run in
-            # worker processes, outside the parent tracer's reach).
-            tracer = get_tracer()
-            results = []
-            for task in tasks:
-                with tracer.span(
-                    "matrix.bin",
-                    kind=task[0],
-                    len_a=task[1],
-                    len_b=task[2],
-                    pairs=_task_pair_count(task),
-                    kernel=options.kernel,
-                ):
-                    results.append(_compute_block_task(task))
-        if options.kernel == KERNEL_BINNED:
-            stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
-            get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
-                stats.pairs_vectorized
-            )
-        if results is not None:
-            _scatter_results(values, tasks, results)
-        stats.seconds["compute"] = time.perf_counter() - compute_started
-        return values, stats
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -1101,108 +792,6 @@ class DissimilarityMatrix:
         return self.values[iu]
 
 
-def _append_tasks(
-    old_by_length: dict[int, list[int]],
-    new_by_length: dict[int, list[int]],
-    old_blocks: dict[int, np.ndarray],
-    new_blocks: dict[int, np.ndarray],
-    penalty_factor: float,
-    kernel: str,
-) -> list[tuple]:
-    """Work items covering exactly the cells an append adds.
-
-    For every length pair over the union of old and new lengths, emit
-    only the blocks with at least one *new* segment on a side: the
-    new-vs-new diagonal ("same" triangles per length plus "cross"
-    rectangles between new lengths) and the new-vs-old rectangles
-    ("eqcross" when the lengths are equal, "cross" otherwise).
-    Old-vs-old cells already hold their final values and are never
-    touched, which is what keeps concurrent tile writes disjoint from
-    the live matrix view.  Each cell goes through the same kernel
-    reduction as a batch build over the union, so the appended matrix
-    is bit-identical to a from-scratch build.
-    """
-    tasks = []
-    lengths = sorted(set(old_by_length) | set(new_by_length))
-    for li, length_a in enumerate(lengths):
-        old_a = old_by_length.get(length_a)
-        new_a = new_by_length.get(length_a)
-        if new_a and len(new_a) > 1:
-            tasks.append(
-                (
-                    "same",
-                    length_a,
-                    length_a,
-                    new_blocks[length_a],
-                    None,
-                    penalty_factor,
-                    kernel,
-                    new_a,
-                    new_a,
-                )
-            )
-        if new_a and old_a:
-            tasks.append(
-                (
-                    "eqcross",
-                    length_a,
-                    length_a,
-                    new_blocks[length_a],
-                    old_blocks[length_a],
-                    penalty_factor,
-                    kernel,
-                    new_a,
-                    old_a,
-                )
-            )
-        for length_b in lengths[li + 1 :]:
-            old_b = old_by_length.get(length_b)
-            new_b = new_by_length.get(length_b)
-            if old_a and new_b:
-                tasks.append(
-                    (
-                        "cross",
-                        length_a,
-                        length_b,
-                        old_blocks[length_a],
-                        new_blocks[length_b],
-                        penalty_factor,
-                        kernel,
-                        old_a,
-                        new_b,
-                    )
-                )
-            if new_a and old_b:
-                tasks.append(
-                    (
-                        "cross",
-                        length_a,
-                        length_b,
-                        new_blocks[length_a],
-                        old_blocks[length_b],
-                        penalty_factor,
-                        kernel,
-                        new_a,
-                        old_b,
-                    )
-                )
-            if new_a and new_b:
-                tasks.append(
-                    (
-                        "cross",
-                        length_a,
-                        length_b,
-                        new_blocks[length_a],
-                        new_blocks[length_b],
-                        penalty_factor,
-                        kernel,
-                        new_a,
-                        new_b,
-                    )
-                )
-    return tasks
-
-
 class AppendableMatrix:
     """A dissimilarity matrix that grows in place as segments arrive.
 
@@ -1210,10 +799,11 @@ class AppendableMatrix:
     storage (geometric over-allocation, so repeated appends amortize
     the O(n²) copy) and an :meth:`append` that computes only the
     new-vs-old rectangles and the new-vs-new diagonal — through the
-    same binned kernel and threaded tile queue as a batch build, so the
-    grown matrix is bit-identical to ``DissimilarityMatrix.build`` over
-    the union of segments.  The cached k-NN columns are folded forward
-    with a rank-k merge instead of re-partitioning every old row.
+    same row-tile engine as a batch build (itself an append onto an
+    empty matrix), so the grown matrix is bit-identical to
+    ``DissimilarityMatrix.build`` over the union of segments.  The
+    cached k-NN columns are folded forward with a rank-k merge instead
+    of re-partitioning every old row.
 
     The live view is :attr:`matrix`; views handed out before an append
     stay valid (their old-vs-old cells are never rewritten), so a
@@ -1228,7 +818,7 @@ class AppendableMatrix:
         reserve_factor: float = 1.5,
     ) -> None:
         if options is None:
-            options = get_default_build_options()
+            options = MatrixBuildOptions()
         if reserve_factor < 1.0:
             raise ValueError(f"reserve_factor must be >= 1, got {reserve_factor}")
         self.options = options
@@ -1298,69 +888,13 @@ class AppendableMatrix:
             stats = BuildStats(
                 unique_count=count,
                 backend="append",
-                kernel=options.kernel,
                 dtype=options.dtype,
                 storage=options.storage,
             )
-
-            blocks_started = time.perf_counter()
             old_segments = self._matrix.segments
-            old_by_length: dict[int, list[int]] = {}
-            for index, segment in enumerate(old_segments):
-                old_by_length.setdefault(segment.length, []).append(index)
-            new_local: dict[int, list[int]] = {}
-            for offset, segment in enumerate(new_segments):
-                new_local.setdefault(segment.length, []).append(offset)
-            old_blocks = _segment_blocks(old_segments, old_by_length)
-            new_blocks = _segment_blocks(new_segments, new_local)
-            new_by_length = {
-                length: [old_count + offset for offset in offsets]
-                for length, offsets in new_local.items()
-            }
-            tasks = _append_tasks(
-                old_by_length,
-                new_by_length,
-                old_blocks,
-                new_blocks,
-                self.penalty_factor,
-                options.kernel,
+            _compute_new_cells(
+                values, old_segments, new_segments, self.penalty_factor, options, stats
             )
-            stats.seconds["blocks"] = time.perf_counter() - blocks_started
-            stats.task_count = len(tasks)
-
-            compute_started = time.perf_counter()
-            workers = options.effective_workers()
-            in_place = False
-            if (
-                workers > 1
-                and tasks
-                and count >= options.parallel_threshold
-                and options.resolved_parallel_backend() == PARALLEL_THREADS
-            ):
-                in_place = _compute_tiles_threaded(tasks, values, {}, options, stats)
-                if in_place:
-                    stats.parallel_backend = PARALLEL_THREADS
-                    stats.workers = workers
-            if not in_place:
-                tracer = get_tracer()
-                results = []
-                for task in tasks:
-                    with tracer.span(
-                        "matrix.bin",
-                        kind=task[0],
-                        len_a=task[1],
-                        len_b=task[2],
-                        pairs=_task_pair_count(task),
-                        kernel=options.kernel,
-                    ):
-                        results.append(_compute_block_task(task))
-                _scatter_results(values, tasks, results)
-            if options.kernel == KERNEL_BINNED:
-                stats.pairs_vectorized = sum(_task_pair_count(task) for task in tasks)
-                get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
-                    stats.pairs_vectorized
-                )
-            stats.seconds["compute"] = time.perf_counter() - compute_started
 
             merged_knn = self._merged_knn_columns(values, old_count, count)
             stats.seconds["total"] = time.perf_counter() - started
@@ -1452,7 +986,6 @@ class AppendableMatrix:
         key, order = matrixcache.canonical_order_key(
             datas,
             self.penalty_factor,
-            kernel=self.options.kernel,
             dtype=self.options.dtype,
         )
         canonical = np.ascontiguousarray(self._matrix.values[np.ix_(order, order)])

@@ -41,7 +41,7 @@ def divide_bound(bound: int, workers: int) -> int:
     The threaded matrix scheduler divides the kernel's temporary budget
     (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`) by the worker count
     so that N concurrent tiles together stay inside the same bound one
-    serial chunk used to.  Generic over the budget's unit (bytes,
+    inline chunk uses.  Generic over the budget's unit (bytes,
     cells); every worker gets at least 1.
     """
     return max(1, int(bound) // max(1, int(workers)))

@@ -63,9 +63,8 @@ class ClusteringConfig:
     #: frequent values over-densify their neighborhoods and chain types
     #: together; kept as an ablation knob.
     weighted_density: bool = False
-    #: Matrix execution backend (workers / on-disk cache); None uses the
-    #: process-wide defaults (see
-    #: :func:`repro.core.matrix.set_default_build_options`).
+    #: Matrix execution backend (workers / on-disk cache / dtype /
+    #: storage); None means ``MatrixBuildOptions()``.
     matrix_options: MatrixBuildOptions | None = None
     #: DBSCAN epsilon-neighborhood backend ("csr" blockwise scan or the
     #: "dense" n×n boolean reference); both yield identical labels.
@@ -86,13 +85,11 @@ class ClusteringConfig:
         """Build a config from the shared CLI flags (:mod:`repro.cliopts`).
 
         Reads ``args.workers`` / ``args.no_cache`` / ``args.cache_dir``
-        / ``args.kernel`` / ``args.parallel_backend`` /
-        ``args.matrix_dtype`` / ``args.matrix_memmap``
-        into explicit :attr:`matrix_options`, plus ``args.neighborhoods``
-        and ``args.memory_bound_mb`` into the post-matrix stage knobs, so
-        CLI runs configure the backend per-config instead of mutating the
-        process-wide defaults.  *overrides* are forwarded to the
-        constructor.
+        / ``args.matrix_dtype`` / ``args.matrix_memmap`` into explicit
+        :attr:`matrix_options`, plus ``args.neighborhoods`` and
+        ``args.memory_bound_mb`` into the post-matrix stage knobs, so
+        every CLI run carries its backend in one config.  *overrides*
+        are forwarded to the constructor.
         """
         from repro.core.matrix import STORAGE_MEMMAP, STORAGE_RAM
 
@@ -100,8 +97,6 @@ class ClusteringConfig:
             workers=getattr(args, "workers", None),
             use_cache=not getattr(args, "no_cache", False),
             cache_dir=getattr(args, "cache_dir", None),
-            kernel=getattr(args, "kernel", None) or "binned",
-            parallel_backend=getattr(args, "parallel_backend", None) or "auto",
             dtype=getattr(args, "matrix_dtype", None) or "float64",
             storage=(
                 STORAGE_MEMMAP

@@ -9,8 +9,9 @@ degradation domain:
   :class:`ValueError` because the historical reader exception,
   :class:`repro.net.pcap.PcapError`, did; existing ``except PcapError``
   / ``except ValueError`` call sites keep working unchanged.
-- :class:`ComputeError` — a worker-pool computation that could not be
-  completed even after the retry/serial-fallback ladder.
+- :class:`ComputeError` — a matrix tile that failed, inline or on a
+  worker thread; the message names the bin.  There is no retry: the
+  build fails loudly.
 - :class:`CacheError` — an on-disk cache entry that failed validation
   (bad checksum, wrong payload schema).  Cache consumers treat it as a
   miss; it never propagates out of :mod:`repro.core.matrixcache`.
@@ -48,7 +49,7 @@ class IngestError(ReproError, ValueError):
 
 
 class ComputeError(ReproError, RuntimeError):
-    """A computation failed permanently despite retry and fallback."""
+    """A computation failed; a matrix build raises it naming the failed bin."""
 
 
 class CacheError(ReproError):

@@ -16,8 +16,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.cliopts import backend_parent, emit_observability, matrix_options_from_args
-from repro.core.matrix import set_default_build_options
+from repro.cliopts import backend_parent, emit_observability
+from repro.core.pipeline import ClusteringConfig
 from repro.eval.checkpoint import SweepCheckpoint, sweep_fingerprint
 from repro.eval.coverage_experiment import run_coverage_comparison
 from repro.eval.export import table1_records, table2_records, to_csv, to_json
@@ -124,11 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.checkpoint
         else None
     )
-    # Experiments build matrices from deep call sites (tables, figures,
-    # message-type similarity), so the eval path still configures the
-    # process-wide backend defaults; the analyze path threads explicit
-    # per-config options instead.
-    set_default_build_options(matrix_options_from_args(args))
+    # One config from the shared backend flags, passed to every artefact.
+    config = ClusteringConfig.from_args(args)
     tracer = Tracer()
     metrics = MetricsRegistry()
 
@@ -138,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
             table = run_table1(
                 seed=args.seed,
                 rows=_rows(args.quick),
+                config=config,
                 checkpoint=checkpoint,
                 resume=args.resume,
             )
@@ -147,6 +145,7 @@ def main(argv: list[str] | None = None) -> int:
             table2 = run_table2(
                 seed=args.seed,
                 rows=_rows(args.quick),
+                config=config,
                 checkpoint=checkpoint,
                 resume=args.resume,
             )
@@ -168,6 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                 refinements=tuple(
                     r.strip() for r in args.refinements.split(",") if r.strip()
                 ),
+                config=config,
                 checkpoint=checkpoint,
                 resume=args.resume,
                 statemachine=args.statemachine,
@@ -179,28 +179,35 @@ def main(argv: list[str] | None = None) -> int:
             table1 = run_table1(
                 seed=args.seed,
                 rows=_rows(args.quick),
+                config=config,
                 checkpoint=checkpoint,
                 resume=args.resume,
             )
             table2 = run_table2(
                 seed=args.seed,
                 rows=_rows(args.quick),
+                config=config,
                 checkpoint=checkpoint,
                 resume=args.resume,
             )
             outputs.append(build_scorecard(table1, table2).render())
         if args.artefact in ("fig2", "all"):
             count = 100 if args.quick else 1000
-            outputs.append(run_figure2(message_count=count, seed=args.seed).render())
+            outputs.append(
+                run_figure2(message_count=count, seed=args.seed, config=config).render()
+            )
         if args.artefact in ("fig3", "all"):
             outputs.append(run_figure3(seed=args.seed).render())
         if args.artefact in ("coverage", "all"):
             rows = SMALL_TRACE_ROWS if args.quick else None
-            outputs.append(run_coverage_comparison(seed=args.seed, rows=rows).render())
+            outputs.append(
+                run_coverage_comparison(seed=args.seed, rows=rows, config=config).render()
+            )
     emit_observability(
         args,
         tracer,
         metrics,
+        config,
         meta={"command": "eval", "artefact": args.artefact, "seed": args.seed},
     )
     try:

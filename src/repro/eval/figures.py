@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.autoconf import configure
 from repro.core.ecdf import Ecdf
 from repro.core.matrix import DissimilarityMatrix
+from repro.core.pipeline import ClusteringConfig
 from repro.core.segments import segments_from_fields, unique_segments
 from repro.eval.reporting import ascii_plot
 from repro.eval.runner import DEFAULT_SEED, prepare_trace
@@ -49,9 +50,18 @@ class Figure2:
 
 
 def run_figure2(
-    protocol: str = "ntp", message_count: int = 1000, seed: int = DEFAULT_SEED
+    protocol: str = "ntp",
+    message_count: int = 1000,
+    seed: int = DEFAULT_SEED,
+    config: ClusteringConfig | None = None,
 ) -> Figure2:
-    """Compute Figure 2's ECDF + knee for one protocol trace."""
+    """Compute Figure 2's ECDF + knee for one protocol trace.
+
+    *config* supplies the penalty factor, the Kneedle sensitivity and
+    smoothness, and the matrix build options (default:
+    ``ClusteringConfig()``).
+    """
+    config = config or ClusteringConfig()
     model, trace = prepare_trace(protocol, message_count, seed)
     segments = []
     for index, message in enumerate(trace):
@@ -59,8 +69,12 @@ def run_figure2(
             segments_from_fields(index, message.data, model.dissect(message.data))
         )
     uniq = unique_segments(segments)
-    matrix = DissimilarityMatrix.build(uniq)
-    auto = configure(matrix)
+    matrix = DissimilarityMatrix.build(
+        uniq, penalty_factor=config.penalty_factor, options=config.matrix_options
+    )
+    auto = configure(
+        matrix, sensitivity=config.sensitivity, smoothness=config.smoothness
+    )
     raw = Ecdf.from_samples(matrix.knn_distances(auto.k))
     ecdf_x, ecdf_y = raw.step_points
     return Figure2(

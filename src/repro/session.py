@@ -5,7 +5,7 @@
 :meth:`~AnalysisSession.append`, and the session grows its dissimilarity
 matrix in place (:class:`~repro.core.matrix.AppendableMatrix` computes
 only the new-vs-old rectangles and the new-vs-new diagonal through the
-same binned kernel and threaded tile queue as a batch build), folds the
+same row-tile engine as a batch build), folds the
 new columns into the cached k-NN partition with a rank-k merge, and
 re-runs the post-matrix stages (autoconf → DBSCAN → refinement) only
 when a **drift gate** trips:

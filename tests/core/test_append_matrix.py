@@ -5,9 +5,9 @@ matrix segment-batch by segment-batch yields *exactly* the bytes a
 batch :meth:`~repro.core.matrix.DissimilarityMatrix.build` over the
 union produces — every cell depends only on its two segments' bytes and
 goes through the same binned kernel.  These tests pin that promise
-(hypothesis over arbitrary splits, plus the threaded backend), the
-rectangular equal-length kernel the appends run on, and the rank-k
-k-NN column merge.
+(hypothesis over arbitrary splits, including an empty start, plus the
+threaded tile queue), the rectangular equal-length kernel the appends
+run on, and the rank-k k-NN column merge.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canberra import (
-    equal_length_cross_block,
     equal_length_cross_block_reference,
     equal_length_cross_rows,
 )
@@ -45,9 +44,7 @@ def distinct_segments(datas: list[bytes]) -> list[UniqueSegment]:
 
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
-THREADED = MatrixBuildOptions(
-    workers=4, parallel_threshold=0, parallel_backend="threads", use_cache=False
-)
+THREADED = MatrixBuildOptions(workers=4, parallel_threshold=0, use_cache=False)
 
 datas_strategy = st.lists(
     st.binary(min_size=2, max_size=12), min_size=2, max_size=24, unique=True
@@ -69,7 +66,7 @@ class TestEqualLengthCrossKernel:
         block_b = np.frombuffer(
             bytes(rng.randrange(256) for _ in range(b * length)), dtype=np.uint8
         ).reshape(b, length)
-        fast = equal_length_cross_block(block_a, block_b)
+        fast = equal_length_cross_rows(block_a, block_b, 0, a)
         reference = equal_length_cross_block_reference(block_a, block_b)
         np.testing.assert_array_equal(fast, reference)
 
@@ -77,7 +74,7 @@ class TestEqualLengthCrossKernel:
         rng = np.random.default_rng(5)
         block_a = rng.integers(0, 256, size=(7, 9), dtype=np.uint8)
         block_b = rng.integers(0, 256, size=(5, 9), dtype=np.uint8)
-        whole = equal_length_cross_block(block_a, block_b)
+        whole = equal_length_cross_rows(block_a, block_b, 0, 7)
         tiled = np.vstack(
             [
                 equal_length_cross_rows(block_a, block_b, r, min(r + 2, 7))
@@ -94,7 +91,9 @@ class TestAppendBitIdentity:
     @settings(max_examples=40, deadline=None)
     def test_any_split_matches_batch(self, datas, data):
         segments = distinct_segments(datas)
-        split = data.draw(st.integers(1, len(segments)))
+        # split == 0 grows an empty matrix by one append: the batch
+        # build's own construction.
+        split = data.draw(st.integers(0, len(segments)))
         batch = DissimilarityMatrix.build(segments, options=SERIAL)
         appendable = AppendableMatrix(segments[:split], options=SERIAL)
         if split < len(segments):

@@ -1,11 +1,12 @@
-"""Parity contracts of the binned kernel against the pairwise oracle.
+"""Parity contracts of the binned kernel against the per-pair oracle.
 
 The vectorized length-binned kernel (byte-term LUT gather, triangle
 mirroring, all-offsets sliding minimum) is a pure optimization: on every
 input it must agree with the per-pair reference oracle — one
-``canberra_distance`` / ``canberra_dissimilarity`` call per pair —
-within 1e-12 absolute (in practice bit-identically).  Violations here
-mean the kernel rewrite changed the numerics and every downstream stage
+``canberra_distance`` / ``canberra_dissimilarity`` call per pair, via
+the ``*_reference`` functions of :mod:`repro.core.canberra` — within
+1e-12 absolute (in practice bit-identically).  Violations here mean the
+kernel rewrite changed the numerics and every downstream stage
 (autoconf, DBSCAN, refinement) silently drifts.
 """
 
@@ -17,12 +18,13 @@ from hypothesis import strategies as st
 from repro.core.canberra import (
     byte_term_lut,
     canberra_dissimilarity,
-    cross_length_block,
     cross_length_block_reference,
-    pairwise_equal_length,
+    cross_length_block_rows,
+    dissimilarity_matrix_reference,
     pairwise_equal_length_reference,
+    pairwise_equal_length_rows,
 )
-from repro.core.matrix import KERNELS, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, unique_segments
 
 PARITY_ATOL = 1e-12
@@ -35,11 +37,19 @@ def as_unique_segments(datas):
     )
 
 
-def build(datas, kernel, workers=1, **kwargs):
-    options = MatrixBuildOptions(
-        workers=workers, use_cache=False, kernel=kernel, **kwargs
-    )
+def build(datas, workers=1, **kwargs):
+    options = MatrixBuildOptions(workers=workers, use_cache=False, **kwargs)
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
+
+
+def reference(datas):
+    """The per-pair oracle over the segments :func:`build` sees, in order."""
+    return dissimilarity_matrix_reference([s.data for s in as_unique_segments(datas)])
+
+
+def whole_bin(block):
+    """An equal-length bin over its full row range."""
+    return pairwise_equal_length_rows(block, 0, block.shape[0])
 
 
 def uint8_block(rng, count, length):
@@ -60,7 +70,7 @@ class TestByteTermLut:
 class TestEqualLengthKernelParity:
     def test_uint8_fast_path_matches_reference(self):
         block = uint8_block(np.random.default_rng(1), 37, 8)
-        fast = pairwise_equal_length(block)
+        fast = whole_bin(block)
         oracle = pairwise_equal_length_reference(block)
         assert np.abs(fast - oracle).max() <= PARITY_ATOL
         assert np.array_equal(fast, fast.T)
@@ -68,23 +78,23 @@ class TestEqualLengthKernelParity:
     def test_uint8_and_float_paths_agree(self):
         block = uint8_block(np.random.default_rng(2), 23, 5)
         assert np.abs(
-            pairwise_equal_length(block)
-            - pairwise_equal_length(block.astype(np.float64))
+            whole_bin(block) - whole_bin(block.astype(np.float64))
         ).max() <= PARITY_ATOL
 
     def test_degenerate_shapes(self):
-        assert pairwise_equal_length(np.zeros((0, 4), dtype=np.uint8)).shape == (0, 0)
-        assert pairwise_equal_length(np.zeros((1, 4), dtype=np.uint8))[0, 0] == 0.0
+        assert whole_bin(np.zeros((0, 4), dtype=np.uint8)).shape == (0, 0)
+        assert whole_bin(np.zeros((1, 4), dtype=np.uint8))[0, 0] == 0.0
         assert np.array_equal(
-            pairwise_equal_length(np.zeros((3, 0), dtype=np.uint8)), np.zeros((3, 3))
+            whole_bin(np.zeros((3, 0), dtype=np.uint8)), np.zeros((3, 3))
         )
 
     def test_chunked_mirroring_is_consistent(self, monkeypatch):
         # Force many tiny row chunks so the triangle band spans chunks.
         monkeypatch.setattr("repro.core.canberra._CHUNK_CELL_BUDGET", 64)
         block = uint8_block(np.random.default_rng(3), 19, 6)
-        fast = pairwise_equal_length(block)
+        fast = whole_bin(block)
         assert np.abs(fast - pairwise_equal_length_reference(block)).max() <= PARITY_ATOL
+        assert np.array_equal(fast, fast.T)
 
 
 class TestCrossLengthKernelParity:
@@ -92,7 +102,7 @@ class TestCrossLengthKernelParity:
         rng = np.random.default_rng(4)
         short = uint8_block(rng, 11, 3)
         long = uint8_block(rng, 9, 10)
-        fast = cross_length_block(short, long)
+        fast = cross_length_block_rows(short, long, 0, len(short))
         oracle = cross_length_block_reference(short, long)
         assert np.abs(fast - oracle).max() <= PARITY_ATOL
 
@@ -100,14 +110,14 @@ class TestCrossLengthKernelParity:
         rng = np.random.default_rng(5)
         short = uint8_block(rng, 7, 2)
         long = uint8_block(rng, 8, 5)
-        fast = cross_length_block(short, long, penalty_factor=0.25)
+        fast = cross_length_block_rows(short, long, 0, len(short), penalty_factor=0.25)
         oracle = cross_length_block_reference(short, long, penalty_factor=0.25)
         assert np.abs(fast - oracle).max() <= PARITY_ATOL
 
     def test_rejects_equal_or_longer_short_block(self):
         block = uint8_block(np.random.default_rng(6), 4, 4)
         with pytest.raises(ValueError):
-            cross_length_block(block, block)
+            cross_length_block_rows(block, block, 0, len(block))
         with pytest.raises(ValueError):
             cross_length_block_reference(block, block)
 
@@ -116,7 +126,7 @@ class TestCrossLengthKernelParity:
         rng = np.random.default_rng(7)
         short = uint8_block(rng, 13, 4)
         long = uint8_block(rng, 6, 9)
-        fast = cross_length_block(short, long)
+        fast = cross_length_block_rows(short, long, 0, len(short))
         assert np.abs(fast - cross_length_block_reference(short, long)).max() <= PARITY_ATOL
 
 
@@ -131,18 +141,14 @@ class TestKernelPropertyParity:
     @settings(max_examples=60, deadline=None)
     @given(datas=ragged_segment_sets)
     def test_binned_equals_pairwise_on_ragged_sets(self, datas):
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        assert np.abs(build(datas).values - reference(datas)).max() <= PARITY_ATOL
 
     @settings(max_examples=30, deadline=None)
     @given(
         datas=st.lists(st.binary(min_size=6, max_size=6), min_size=2, max_size=12, unique=True)
     )
     def test_all_equal_lengths(self, datas):
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        assert np.abs(build(datas).values - reference(datas)).max() <= PARITY_ATOL
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -152,13 +158,11 @@ class TestKernelPropertyParity:
             bytes(rng.integers(0, 256, length).tolist())
             for length in rng.permutation(np.arange(1, 11))
         ]
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        assert np.abs(build(datas).values - reference(datas)).max() <= PARITY_ATOL
 
     def test_duplicate_values_collapse_identically(self):
-        # Duplicate occurrences collapse to one unique segment; both
-        # kernels must see the identical deduplicated set.
+        # Duplicate occurrences collapse to one unique segment; the
+        # kernel and the oracle must see the identical deduplicated set.
         datas = [b"\x01\x02\x03", b"\x01\x02\x03", b"\xff\x00", b"\xff\x00", b"\x04"]
         segments = [
             Segment(message_index=i, offset=0, data=d) for i, d in enumerate(datas)
@@ -168,18 +172,15 @@ class TestKernelPropertyParity:
         binned = DissimilarityMatrix.build(
             unique, options=MatrixBuildOptions(workers=1, use_cache=False)
         )
-        pairwise = DissimilarityMatrix.build(
-            unique,
-            options=MatrixBuildOptions(workers=1, use_cache=False, kernel="pairwise"),
-        )
-        assert np.abs(binned.values - pairwise.values).max() <= PARITY_ATOL
+        oracle = dissimilarity_matrix_reference([u.data for u in unique])
+        assert np.abs(binned.values - oracle).max() <= PARITY_ATOL
 
     @settings(max_examples=40, deadline=None)
     @given(datas=ragged_segment_sets)
     def test_matrix_matches_per_pair_definition(self, datas):
         """The built matrix equals the documented per-pair function."""
         segments = as_unique_segments(datas)
-        matrix = build([s.data for s in segments], "binned")
+        matrix = build([s.data for s in segments])
         for i, a in enumerate(segments):
             for j, b in enumerate(segments):
                 assert matrix.values[i, j] == pytest.approx(
@@ -197,36 +198,20 @@ def make_ragged_datas(count, seed=17, max_length=12):
 
 
 class TestBuildPathParity:
-    """binned == pairwise through the full ``DissimilarityMatrix.build``."""
+    """The full ``DissimilarityMatrix.build`` == the per-pair oracle."""
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_build_parity_across_worker_counts(self, workers):
         datas = make_ragged_datas(90)
-        results = {}
-        for kernel in KERNELS:
-            matrix = build(datas, kernel, workers=workers, parallel_threshold=0)
-            assert matrix.stats.kernel == kernel
-            results[kernel] = matrix.values
-        assert np.abs(results["binned"] - results["pairwise"]).max() <= PARITY_ATOL
+        matrix = build(datas, workers=workers, parallel_threshold=0)
+        assert np.abs(matrix.values - reference(datas)).max() <= PARITY_ATOL
 
     def test_parallel_binned_matches_serial_pairwise(self):
         datas = make_ragged_datas(120, seed=23)
-        serial_oracle = build(datas, "pairwise", workers=1)
-        parallel_binned = build(datas, "binned", workers=2, parallel_threshold=0)
-        assert (
-            np.abs(serial_oracle.values - parallel_binned.values).max() <= PARITY_ATOL
-        )
+        parallel_binned = build(datas, workers=2, parallel_threshold=0)
+        assert np.abs(reference(datas) - parallel_binned.values).max() <= PARITY_ATOL
 
-    def test_stats_record_kernel_and_vectorized_pairs(self):
+    def test_stats_record_vectorized_pairs(self):
         datas = make_ragged_datas(40, seed=29)
-        binned = build(datas, "binned")
-        pairwise = build(datas, "pairwise")
         count = len(datas)
-        assert binned.stats.pairs_vectorized == count * (count - 1) // 2
-        assert pairwise.stats.pairs_vectorized == 0
-        assert binned.stats.kernel == "binned"
-        assert pairwise.stats.kernel == "pairwise"
-
-    def test_unknown_kernel_is_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixBuildOptions(kernel="simd")
+        assert build(datas).stats.pairs_vectorized == count * (count - 1) // 2

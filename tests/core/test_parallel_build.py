@@ -1,10 +1,10 @@
 """Parallelism parity: the threaded bin scheduler is a pure optimization.
 
-The threaded backend writes disjoint tiles of the shared output matrix
-from a thread pool.  Its contract is *bit identity*: for any segment
-set, worker count, value dtype, and storage mode, the produced bytes
-are exactly the serial reference's — not close, identical.  The tests
-here pin that contract:
+The threaded run of the row-tile queue writes disjoint tiles of the
+shared output matrix from a thread pool.  Its contract is *bit
+identity*: for any segment set, worker count, value dtype, and storage
+mode, the produced bytes are exactly the inline run's — not close,
+identical.  The tests here pin that contract:
 
 - hypothesis property tests over ragged/equal/duplicate-length segment
   sets, workers in {1, 2, 4};
@@ -20,7 +20,7 @@ here pin that contract:
   counter).
 
 The golden-trace corpus rides through the threaded backend in
-``tests/golden/test_golden_traces.py::test_golden_trace_threaded``.
+``tests/golden/test_golden_traces.py::test_golden_trace_worker_stability``.
 """
 
 import argparse
@@ -31,15 +31,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cliopts import backend_parent, matrix_options_from_args
+from repro.cliopts import backend_parent
 from repro.core import matrix as matrix_mod
 from repro.core.matrix import (
     DTYPE_FLOAT32,
     DTYPE_FLOAT64,
-    KERNEL_PAIRWISE,
-    PARALLEL_AUTO,
-    PARALLEL_PROCESSES,
-    PARALLEL_THREADS,
     STORAGE_MEMMAP,
     STORAGE_RAM,
     DissimilarityMatrix,
@@ -69,11 +65,7 @@ def serial_build(datas, **kwargs):
 
 def threaded_build(datas, workers, **kwargs):
     options = MatrixBuildOptions(
-        workers=workers,
-        use_cache=False,
-        parallel_threshold=0,
-        parallel_backend=PARALLEL_THREADS,
-        **kwargs,
+        workers=workers, use_cache=False, parallel_threshold=0, **kwargs
     )
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
 
@@ -123,7 +115,7 @@ class TestThreadedParity:
         reference = serial_build(datas, dtype=dtype)
         built = threaded_build(datas, workers, dtype=dtype, storage=storage)
         assert built.stats.backend == "parallel"
-        assert built.stats.parallel_backend == PARALLEL_THREADS
+        assert built.stats.tile_count > 0
         assert built.stats.workers == workers
         assert np.asarray(built.values).tobytes() == reference.values.tobytes()
 
@@ -158,33 +150,6 @@ class TestThreadedParity:
             fingerprints.add(built.values.tobytes())
         assert fingerprints == {reference.values.tobytes()}
 
-    def test_auto_backend_resolves_to_threads_for_binned(self):
-        datas = make_ragged_datas(count=40, seed=37)
-        built = DissimilarityMatrix.build(
-            as_unique_segments(datas),
-            options=MatrixBuildOptions(
-                workers=2, use_cache=False, parallel_threshold=0
-            ),
-        )
-        assert built.stats.backend == "parallel"
-        assert built.stats.parallel_backend == PARALLEL_THREADS
-
-    def test_processes_backend_still_available_and_identical(self):
-        datas = make_ragged_datas(count=40, seed=41)
-        reference = serial_build(datas)
-        built = DissimilarityMatrix.build(
-            as_unique_segments(datas),
-            options=MatrixBuildOptions(
-                workers=2,
-                use_cache=False,
-                parallel_threshold=0,
-                parallel_backend=PARALLEL_PROCESSES,
-            ),
-        )
-        if built.stats.backend == "parallel":  # pool may be unavailable
-            assert built.stats.parallel_backend == PARALLEL_PROCESSES
-        assert built.values.tobytes() == reference.values.tobytes()
-
 
 class TestWorkersConvention:
     """None ⇒ all cores, 0 ⇒ serial, N ⇒ exactly N — everywhere."""
@@ -210,28 +175,7 @@ class TestWorkersConvention:
             ),
         )
         assert built.stats.backend == "serial"
-        assert built.stats.parallel_backend is None
-
-    def test_threads_plus_pairwise_rejected(self):
-        with pytest.raises(ValueError, match="binned kernel"):
-            MatrixBuildOptions(
-                kernel=KERNEL_PAIRWISE, parallel_backend=PARALLEL_THREADS
-            )
-
-    def test_auto_resolution_by_kernel(self):
-        assert (
-            MatrixBuildOptions().resolved_parallel_backend() == PARALLEL_THREADS
-        )
-        assert (
-            MatrixBuildOptions(kernel=KERNEL_PAIRWISE).resolved_parallel_backend()
-            == PARALLEL_PROCESSES
-        )
-        assert (
-            MatrixBuildOptions(
-                parallel_backend=PARALLEL_PROCESSES
-            ).resolved_parallel_backend()
-            == PARALLEL_PROCESSES
-        )
+        assert built.stats.tile_count == 0
 
     def _parse(self, *argv):
         parser = argparse.ArgumentParser(parents=[backend_parent()])
@@ -239,25 +183,15 @@ class TestWorkersConvention:
 
     def test_cli_workers_zero_means_serial(self):
         args = self._parse("--workers", "0")
-        options = matrix_options_from_args(args)
-        assert options.workers == 0
-        assert options.effective_workers() == 1
         config = ClusteringConfig.from_args(args)
         assert config.matrix_options.workers == 0
         assert config.matrix_options.effective_workers() == 1
 
     def test_cli_workers_default_means_all_cores(self):
         args = self._parse()
-        options = matrix_options_from_args(args)
+        options = ClusteringConfig.from_args(args).matrix_options
         assert options.workers is None
         assert options.effective_workers() == (os.cpu_count() or 1)
-        assert options.parallel_backend == PARALLEL_AUTO
-
-    def test_cli_parallel_backend_flag(self):
-        args = self._parse("--parallel-backend", "processes")
-        assert matrix_options_from_args(args).parallel_backend == PARALLEL_PROCESSES
-        config = ClusteringConfig.from_args(args)
-        assert config.matrix_options.parallel_backend == PARALLEL_PROCESSES
 
 
 class TestThreadedObservability:
@@ -290,7 +224,7 @@ class TestThreadedObservability:
         builds = tracer.find("matrix.build")
         assert len(builds) == 1
         attributes = builds[0].attributes
-        assert attributes["parallel_backend"] == PARALLEL_THREADS
+        assert attributes["workers"] == 2
         assert attributes["tiles"] == built.stats.tile_count
         assert attributes["backend"] == "parallel"
 

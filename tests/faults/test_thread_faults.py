@@ -1,19 +1,17 @@
-"""Fault injection, threaded matrix builds: fail loudly, drain cleanly.
+"""Fault injection, matrix builds: fail loudly, drain cleanly.
 
-The threaded bin scheduler has no retry ladder — worker threads share
-the output matrix, so a failed tile means the build's invariants are
-gone and the only honest outcome is a :class:`ComputeError` naming the
-bin.  Threads also cannot be killed: the scheduler must cancel every
-not-yet-started tile, let the in-flight ones finish, and only then
-raise.  These tests pin that contract, and pin the fault accounting:
-a threaded bin failure counts as ``kind="bin_error"`` on
-``repro_matrix_faults_total`` and never leaks into the process pool's
-retry-ladder kinds (``block_retry`` / ``serial_fallback`` /
-``pool_rebuild``).
+The row-tile engine has no retry ladder — worker threads share the
+output matrix, so a failed tile means the build's invariants are gone
+and the only honest outcome is a :class:`ComputeError` naming the bin,
+whether the tiles run inline or on threads.  Threads also cannot be
+killed: the scheduler must cancel every not-yet-started tile, let the
+in-flight ones finish, and only then raise.  These tests pin that
+contract, and pin the fault accounting: a bin failure counts once as
+``kind="bin_error"`` on ``repro_matrix_faults_total``.
 
 Faults are injected by monkeypatching
-:func:`repro.core.matrix._compute_tile_into` — the thread worker's
-unit of work; same process, so no sentinel files are needed.
+:func:`repro.core.matrix._compute_tile_into` — the engine's unit of
+work; same process, so no sentinel files are needed.
 """
 
 import re
@@ -39,12 +37,7 @@ def _segments():
 
 
 def _options(**overrides):
-    defaults = dict(
-        workers=2,
-        parallel_threshold=2,
-        parallel_backend="threads",
-        use_cache=False,
-    )
+    defaults = dict(workers=2, parallel_threshold=2, use_cache=False)
     defaults.update(overrides)
     return MatrixBuildOptions(**defaults)
 
@@ -59,25 +52,31 @@ def _fail_first_tile(monkeypatch):
     """Patch the tile worker to raise on its first invocation only."""
     calls = {"count": 0}
 
-    def flaky(values, by_length, task, row_start, row_stop, cells_budget):
+    def flaky(values, task, row_start, row_stop, penalty_factor, cells_budget):
         calls["count"] += 1
         if calls["count"] == 1:
             raise RuntimeError("injected tile fault")
-        return _REAL_TILE(values, by_length, task, row_start, row_stop, cells_budget)
+        return _REAL_TILE(
+            values, task, row_start, row_stop, penalty_factor, cells_budget
+        )
 
     monkeypatch.setattr(matrix_mod, "_compute_tile_into", flaky)
     return calls
 
 
 class TestThreadedTileFaults:
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_bin_raises_compute_error_naming_the_bin(
-        self, monkeypatch, many_tiles
+        self, monkeypatch, many_tiles, workers
     ):
+        # One worker runs the tiles inline, two on the thread pool:
+        # both raise the same typed error.
         _fail_first_tile(monkeypatch)
         with pytest.raises(ComputeError) as exc:
-            DissimilarityMatrix.build(_segments(), options=_options())
+            DissimilarityMatrix.build(_segments(), options=_options(workers=workers))
         message = str(exc.value)
-        assert "failed in the threaded build" in message
+        mode = "threaded" if workers > 1 else "inline"
+        assert f"failed in the {mode} build" in message
         assert re.search(r"matrix bin \(\d+, \d+\)", message)
         assert "injected tile fault" in message
 
@@ -116,11 +115,6 @@ class TestThreadedTileFaults:
                 DissimilarityMatrix.build(_segments(), options=_options())
             counter = registry.counter(matrix_mod.FAULTS_METRIC)
             assert counter.value(kind="bin_error") == 1
-            # The threaded path must not touch the process-pool ladder
-            # counters — no double accounting across backends.
-            assert counter.value(kind="block_retry") == 0
-            assert counter.value(kind="serial_fallback") == 0
-            assert counter.value(kind="pool_rebuild") == 0
 
     def test_healthy_rebuild_after_a_failed_build(self, monkeypatch, many_tiles):
         # A failed threaded build leaves no poisoned global state: the

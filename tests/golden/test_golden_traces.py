@@ -194,7 +194,6 @@ def test_golden_trace_worker_stability(protocol, workers, request):
         matrix_options=MatrixBuildOptions(
             workers=workers,
             parallel_threshold=0,
-            parallel_backend="threads",
             use_cache=False,
         ),
     )

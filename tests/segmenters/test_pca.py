@@ -40,7 +40,6 @@ def refined_nemesys(workers: int = 1) -> RefinedSegmenter:
         matrix_options=MatrixBuildOptions(
             workers=workers,
             parallel_threshold=0,
-            parallel_backend="threads",
             use_cache=False,
         )
     )

@@ -70,3 +70,30 @@ class TestEvalCli:
         assert eval_main(["fig2", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "knee" in out
+
+    def test_backend_flags_reach_the_artefact_config(self, monkeypatch, capsys):
+        # --neighborhoods and --memory-bound-mb come from the shared
+        # backend flag group, so every artefact must receive them.
+        import repro.eval.__main__ as eval_cli
+
+        captured = {}
+
+        class Table:
+            def render(self):
+                return "table1"
+
+        def fake_table1(**kwargs):
+            captured.update(kwargs)
+            return Table()
+
+        monkeypatch.setattr(eval_cli, "run_table1", fake_table1)
+        monkeypatch.setattr(eval_cli, "table1_records", lambda table: [])
+        argv = [
+            "table1", "--quick", "--workers", "0",
+            "--neighborhoods", "dense", "--memory-bound-mb", "1",
+        ]
+        assert eval_main(argv) == 0
+        config = captured["config"]
+        assert config.neighborhoods == "dense"
+        assert config.memory_bound_bytes == 1024 * 1024
+        assert config.matrix_options.workers == 0
