@@ -8,6 +8,12 @@ continuous segment similarity must recover the true message kinds with
 precision >= 0.6 on every benchmarked protocol, validating the shared
 Canberra machinery end-to-end from the message side.
 
+Every case also times the per-pair Needleman–Wunsch oracle
+(``alignment_dissimilarities_reference``) beside the batched kernel,
+asserts that both return the same bytes, and asserts the kernel's
+speed-up over the oracle: at least 5x on every case and 10x at AWDL
+n=200.
+
 Usage::
 
     python benchmarks/bench_msgtypes.py                  # full grid, rewrite JSON
@@ -38,13 +44,14 @@ from repro.core.segments import unique_segments  # noqa: E402
 from repro.metrics import score_clustering  # noqa: E402
 from repro.msgtypes.similarity import (  # noqa: E402
     alignment_dissimilarities,
+    alignment_dissimilarities_reference,
     indexed_sequences,
 )
 from repro.protocols import get_model  # noqa: E402
 from repro.segmenters import GroundTruthSegmenter  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_msgtypes.json"
-SCHEMA = "repro.bench-msgtypes/v1"
+SCHEMA = "repro.bench-msgtypes/v2"
 
 PROTOCOLS = ("ntp", "dns", "smb", "awdl")
 DEFAULT_SIZES = (100, 200)
@@ -54,6 +61,10 @@ SEED = 42
 MIN_PRECISION = 0.6
 #: --check fails when a stage is slower than baseline by more than this.
 CHECK_REGRESSION_FACTOR = 2.0
+#: Least speed-up of the batched similarity kernel over the per-pair
+#: oracle, on every case; the ROADMAP target case must reach its own.
+MIN_SPEEDUP = 5.0
+TARGET_SPEEDUP = {("awdl", 200): 10.0}
 
 
 def timed(fn, *args, **kwargs):
@@ -79,6 +90,10 @@ def bench_case(protocol: str, n: int) -> dict:
     distances, similarity_seconds = timed(
         alignment_dissimilarities, indexed, matrix.values
     )
+    oracle, reference_seconds = timed(
+        alignment_dissimilarities_reference, indexed, matrix.values
+    )
+    speedup = reference_seconds / similarity_seconds
 
     def cluster_stage():
         auto = configure(
@@ -109,12 +124,23 @@ def bench_case(protocol: str, n: int) -> dict:
             "similarity": round(similarity_seconds, 4),
             "cluster": round(cluster_seconds, 4),
         },
+        "similarity_reference": round(reference_seconds, 4),
+        "similarity_speedup": round(speedup, 1),
     }
     print(
-        f"[bench] {protocol} n={n}: similarity={similarity_seconds:.2f}s "
+        f"[bench] {protocol} n={n}: similarity={similarity_seconds:.3f}s "
+        f"(reference {reference_seconds:.2f}s, {speedup:.1f}x) "
         f"cluster={cluster_seconds:.3f}s types={record['types']} "
         f"(true {record['true_kinds']}) P={record['precision']:.2f}",
         flush=True,
+    )
+    assert distances.tobytes() == oracle.tobytes(), (
+        f"{protocol} n={n}: batched similarity differs from the per-pair oracle"
+    )
+    floor = TARGET_SPEEDUP.get((protocol, n), MIN_SPEEDUP)
+    assert speedup >= floor, (
+        f"{protocol} n={n}: similarity only {speedup:.1f}x faster than the "
+        f"per-pair oracle (floor {floor}x)"
     )
     assert score.precision >= MIN_PRECISION, (
         f"{protocol} n={n}: message-type precision {score.precision:.2f} "

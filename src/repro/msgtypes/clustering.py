@@ -28,11 +28,7 @@ from repro.core.dbscan import DbscanResult, dbscan
 from repro.core.kneedle import DEFAULT_SENSITIVITY
 from repro.core.matrix import DissimilarityMatrix
 from repro.core.segments import Segment, unique_segments
-from repro.msgtypes.similarity import (
-    GAP_PENALTY,
-    alignment_dissimilarities,
-    indexed_sequences,
-)
+from repro.msgtypes.similarity import GAP_PENALTY, indexed_sequences, score_alignments
 from repro.net.trace import Trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -125,11 +121,14 @@ def cluster_message_types(
             matrix = DissimilarityMatrix.build(uniques)
         index_of = {u.data: i for i, u in enumerate(matrix.segments)}
         indexed = indexed_sequences(segments, message_count, index_of)
-        distances = alignment_dissimilarities(
-            indexed, matrix.values, gap_penalty
-        )
+        distances, work = score_alignments(indexed, matrix.values, gap_penalty)
         elapsed = time.perf_counter() - started
-        similarity_span.set(unique_segments=len(matrix))
+        similarity_span.set(
+            unique_segments=len(matrix),
+            pairs=work.pairs,
+            cells=work.cells,
+            padded_cells=work.padded_cells,
+        )
     with tracer.span("msgtypes.cluster", messages=message_count) as cluster_span:
         # Algorithm 1 over the message distances: the message matrix is
         # wrapped as a DissimilarityMatrix (configure only reads counts,

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.segments import Segment
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
+from repro.core.segments import Segment, unique_segments
+from repro.msgtypes import similarity
 from repro.msgtypes.similarity import (
+    alignment_dissimilarities,
+    alignment_dissimilarities_reference,
+    indexed_sequences,
     message_dissimilarity_matrix,
     segment_sequences,
 )
+from repro.protocols import get_model
+from repro.segmenters import GroundTruthSegmenter
 
 
 def seg(data, msg, offset=0):
@@ -81,3 +90,93 @@ class TestMessageDissimilarity:
         # self-score 3.0 -> dissimilarity 0.6.
         matrix = message_dissimilarity_matrix(segments, 2)
         assert 0.0 < matrix[0, 1] <= 0.6 + 1e-9
+
+    def test_excluded_only_sequences_maximally_distant(self):
+        # Identical sequences of excluded segments self-score 0, so the
+        # normalization has nothing to divide by: d = 1, not 0.
+        distances = np.zeros((1, 1))
+        matrix = alignment_dissimilarities([[-1, -1], [-1, -1]], distances)
+        assert matrix[0, 1] == 1.0
+
+
+def assert_matches_oracle(indexed, distances, gap_penalty=similarity.GAP_PENALTY):
+    kernel = alignment_dissimilarities(indexed, distances, gap_penalty)
+    oracle = alignment_dissimilarities_reference(indexed, distances, gap_penalty)
+    assert kernel.dtype == oracle.dtype
+    assert kernel.shape == oracle.shape
+    assert kernel.tobytes() == oracle.tobytes()
+
+
+@st.composite
+def alignment_inputs(draw):
+    """Index sequences over a random table, plus a gap penalty."""
+    size = draw(st.integers(0, 6))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    cell = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    table = np.array(
+        draw(st.lists(cell, min_size=size * size, max_size=size * size)),
+        dtype=dtype,
+    ).reshape(size, size)
+    index = st.integers(-1, size - 1)
+    lengths = st.one_of(st.integers(0, 4), st.integers(0, 40))
+    count = draw(st.integers(0, 5))
+    indexed = [
+        draw(st.lists(index, min_size=length, max_size=length))
+        for length in draw(st.lists(lengths, min_size=count, max_size=count))
+    ]
+    gap_penalty = draw(st.floats(0.0, 2.0))
+    return indexed, table, gap_penalty
+
+
+class TestKernelMatchesOracle:
+    """The batched kernel returns the per-pair DP's exact bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(alignment_inputs())
+    @example(([], np.zeros((0, 0)), 0.8))
+    @example(([[], [], []], np.zeros((2, 2)), 0.8))
+    @example(([[-1, -1], [-1, -1], [-1]], np.zeros((0, 0)), 0.8))
+    @example(([[0], [1], [-1], [0]], np.array([[0.0, 1.0], [1.0, 0.0]]), 0.8))
+    @example(([[0, 1, 0], [1], []], np.ones((2, 2), dtype=np.float32), 0.0))
+    # Borders are products: six subtractions of 0.1 round differently
+    # from -0.1 * 6, and both pairs start with six gaps on a border.
+    @example(([[-1] * 6 + [0], [0]], np.zeros((1, 1)), 0.1))
+    @example(([[0], [-1] * 6 + [0]], np.zeros((1, 1)), 0.1))
+    def test_property(self, inputs):
+        indexed, table, gap_penalty = inputs
+        assert_matches_oracle(indexed, table, gap_penalty)
+
+    def test_many_batches(self, monkeypatch):
+        # A tiny cell budget cuts 45 mixed-length alignments into many
+        # batches; no batch boundary may change a byte.
+        rng = np.random.default_rng(5)
+        table = rng.random((20, 20))
+        indexed = [
+            rng.integers(-1, 20, size=length).tolist()
+            for length in (1, 7, 3, 12, 0, 5, 9, 2, 12, 4)
+        ]
+        monkeypatch.setattr(similarity, "ALIGN_CELL_BUDGET", 40)
+        batches = []
+        sweep = similarity._sweep
+
+        def counting_sweep(*args):
+            batches.append(len(args[1]))
+            return sweep(*args)
+
+        monkeypatch.setattr(similarity, "_sweep", counting_sweep)
+        assert_matches_oracle(indexed, table)
+        assert sum(batches) == 45
+        assert len(batches) > 5
+
+    def test_memmap_matrix_values(self):
+        model = get_model("dns")
+        trace = model.generate(30, seed=4).preprocess()
+        segments = GroundTruthSegmenter(model).segment(trace)
+        matrix = DissimilarityMatrix.build(
+            unique_segments(segments, min_length=2),
+            options=MatrixBuildOptions(storage="memmap", use_cache=False),
+        )
+        assert isinstance(matrix.values, np.memmap)
+        index_of = {u.data: i for i, u in enumerate(matrix.segments)}
+        indexed = indexed_sequences(segments, len(trace), index_of)
+        assert_matches_oracle(indexed, matrix.values)

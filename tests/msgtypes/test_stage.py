@@ -13,6 +13,7 @@ from repro import AnalysisSession, api
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.pipeline import ClusteringConfig, FieldTypeClusterer
 from repro.msgtypes import cluster_message_types
+from repro.obs.tracer import Tracer, use_tracer
 from repro.protocols import get_model
 from repro.report import AnalysisReport
 from repro.segmenters.groundtruth import GroundTruthSegmenter
@@ -140,3 +141,18 @@ class TestReport:
         assert restored.msgtype_sizes == report.msgtype_sizes
         assert restored.msgtype_noise == report.msgtype_noise
         assert restored.msgtype_epsilon == report.msgtype_epsilon
+
+
+class TestObservability:
+    def test_similarity_span_counts_alignment_work(self):
+        model, trace = make_trace()
+        segments = GroundTruthSegmenter(model).segment(trace)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            cluster_message_types(segments, len(trace))
+        (span,) = tracer.find("msgtypes.similarity")
+        attributes = span.attributes
+        # Every message has segments: all i < j pairs plus one
+        # self-alignment per message.
+        assert attributes["pairs"] == MESSAGES * (MESSAGES + 1) // 2
+        assert 0 < attributes["cells"] <= attributes["padded_cells"]
