@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.membound import rows_per_block
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
 NOISE = -1
@@ -46,13 +45,6 @@ UNVISITED = -2
 NEIGHBORHOODS_DENSE = "dense"
 NEIGHBORHOODS_CSR = "csr"
 NEIGHBORHOOD_MODES = (NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE)
-
-ROWS_SCANNED_METRIC = "repro_dbscan_rows_scanned_total"
-
-_ROWS_HELP = (
-    "Matrix rows scanned while building DBSCAN epsilon-neighborhoods "
-    "(mode: csr/dense)."
-)
 
 
 @dataclass(frozen=True)
@@ -182,10 +174,6 @@ def dbscan(
 
             def row(i: int) -> np.ndarray:
                 return np.nonzero(within[i])[0]
-
-    get_metrics().counter(ROWS_SCANNED_METRIC, help=_ROWS_HELP).inc(
-        count, mode=neighborhoods
-    )
 
     is_core = neighbor_counts >= min_samples
     labels = np.full(count, UNVISITED, dtype=np.int64)

@@ -34,8 +34,11 @@ whether the matrix was built at once or grown by appends.
 A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
 short-circuits the whole computation for a previously seen segment set
 + penalty factor.  :class:`BuildStats` on the returned matrix records
-which path ran and how long each stage took, so speedups stay
-observable.
+which path ran and how much work it did; how long it took is the
+``matrix.build`` / ``matrix.append`` span's, like every other layer's.
+Worker threads are the one place that times its own work: a thread
+cannot reach the caller's tracer, so each tile measures itself and the
+main thread attaches it as a ``matrix.bin`` span.
 """
 
 from __future__ import annotations
@@ -67,12 +70,7 @@ from repro.obs.tracer import get_tracer
 
 logger = logging.getLogger(__name__)
 
-BUILDS_METRIC = "repro_matrix_builds_total"
 FAULTS_METRIC = "repro_matrix_faults_total"
-PAIRS_VECTORIZED_METRIC = "repro_matrix_pairs_vectorized_total"
-KNN_PARTITION_METRIC = "repro_knn_partition_seconds"
-BIN_QUEUE_METRIC = "repro_matrix_bin_queue_seconds"
-BINS_SCHEDULED_METRIC = "repro_matrix_bins_scheduled_total"
 
 #: Matrix value dtypes (``MatrixBuildOptions.dtype``): float64 is the
 #: bit-exact reference; float32 halves resident memory for large n at
@@ -88,27 +86,9 @@ STORAGE_RAM = "ram"
 STORAGE_MEMMAP = "memmap"
 STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
 
-_KNN_HELP = (
-    "Seconds per all-k nearest-neighbor column extraction "
-    "(one np.partition pass over the dissimilarity matrix)."
-)
-
-_PAIRS_HELP = (
-    "Unique segment pairs computed by the vectorized (binned) kernel."
-)
-
 _FAULTS_HELP = (
     "Failed matrix tiles (kind: bin_error).  There is no retry: a tile "
     "failure fails the build with a ComputeError naming its bin."
-)
-
-_BIN_QUEUE_HELP = (
-    "Seconds a matrix tile waited in the threaded scheduler's queue "
-    "between submission and execution start."
-)
-
-_BINS_SCHEDULED_HELP = (
-    "Tiles enqueued by the threaded matrix scheduler (kind: same/eqcross/cross)."
 )
 
 
@@ -198,8 +178,6 @@ class BuildStats:
     pairs_vectorized: int = 0
     cache_hit: bool = False
     cache_key: str | None = None
-    #: Per-stage wall-clock seconds: blocks/compute/cache_load/cache_store/total.
-    seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,10 +386,9 @@ def _run_tile(
     """Thread worker wrapper: compute + measure one tile.
 
     Returns the observability record the main thread turns into a
-    ``matrix.bin`` span and queue-wait histogram sample — workers never
-    touch the tracer or metrics registry themselves (both are bound via
-    :mod:`contextvars`, which executor threads do not inherit, and
-    neither is thread-safe).
+    ``matrix.bin`` span — workers never touch the tracer or metrics
+    registry themselves (both are bound via :mod:`contextvars`, which
+    executor threads do not inherit, and neither is thread-safe).
     """
     task, row_start, row_stop, _ = tile
     started = time.perf_counter()
@@ -477,9 +454,6 @@ def _run_threaded(
     order = sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))
     cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers)
     tracer = get_tracer()
-    metrics = get_metrics()
-    queue_histogram = metrics.histogram(BIN_QUEUE_METRIC, help=_BIN_QUEUE_HELP)
-    scheduled = metrics.counter(BINS_SCHEDULED_METRIC, help=_BINS_SCHEDULED_HELP)
     futures = {}
     failure: tuple[tuple[_BinTask, int, int, int], Exception] | None = None
     drained = 0
@@ -499,7 +473,6 @@ def _run_threaded(
                     time.perf_counter(),
                 )
             ] = tile
-            scheduled.inc(kind=tile[0].kind)
         for future in as_completed(futures):
             tile = futures[future]
             if future.cancelled():
@@ -518,7 +491,6 @@ def _run_threaded(
                     for pending in futures:
                         pending.cancel()
                 continue
-            queue_histogram.observe(record["queue_seconds"])
             tracer.record(
                 "matrix.bin",
                 wall_seconds=record["wall_seconds"],
@@ -549,20 +521,17 @@ def _compute_new_cells(
     segments take the indices after the old ones.  The tile queue runs
     on the thread pool when more than one worker is requested and the
     grown matrix reaches :attr:`MatrixBuildOptions.parallel_threshold`
-    segments, inline otherwise; *stats* records which, with the
-    stage timings and work counts.
+    segments, inline otherwise; *stats* records which, with the work
+    counts.
     """
     old_count = len(old_segments)
     count = old_count + len(new_segments)
-    blocks_started = time.perf_counter()
     tasks = _append_tasks(
         _length_bins(old_segments), _length_bins(new_segments, offset=old_count)
     )
     tiles = _task_tiles(tasks)
-    stats.seconds["blocks"] = time.perf_counter() - blocks_started
     stats.task_count = len(tasks)
 
-    compute_started = time.perf_counter()
     workers = options.effective_workers()
     if workers > 1 and tiles and count >= options.parallel_threshold:
         _run_threaded(tiles, values, penalty_factor, workers)
@@ -572,10 +541,6 @@ def _compute_new_cells(
         _run_inline(tiles, values, penalty_factor)
     # The tasks cover each pair with a new segment exactly once.
     stats.pairs_vectorized = count * (count - 1) // 2 - old_count * (old_count - 1) // 2
-    get_metrics().counter(PAIRS_VECTORIZED_METRIC, help=_PAIRS_HELP).inc(
-        stats.pairs_vectorized
-    )
-    stats.seconds["compute"] = time.perf_counter() - compute_started
 
 
 def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
@@ -639,7 +604,6 @@ class DissimilarityMatrix:
         with get_tracer().span(
             "matrix.build", unique_segments=len(segments)
         ) as span:
-            started = time.perf_counter()
             stats = BuildStats(
                 unique_count=len(segments),
                 dtype=options.dtype,
@@ -653,9 +617,7 @@ class DissimilarityMatrix:
                     penalty_factor,
                     dtype=options.dtype,
                 )
-                load_started = time.perf_counter()
                 canonical = matrixcache.load_matrix(stats.cache_key, options.cache_dir)
-                stats.seconds["cache_load"] = time.perf_counter() - load_started
                 if canonical is not None and canonical.shape[0] == len(segments):
                     # Stored in canonical (byte-sorted) order; permute back
                     # to the caller's segment order.
@@ -664,7 +626,6 @@ class DissimilarityMatrix:
                     values = np.ascontiguousarray(canonical[np.ix_(rank, rank)])
                     stats.backend = "cache"
                     stats.cache_hit = True
-                    stats.seconds["total"] = time.perf_counter() - started
                     cls._record_build(span, stats)
                     return cls(segments=segments, values=values, stats=stats)
 
@@ -673,32 +634,27 @@ class DissimilarityMatrix:
             stats.backend = "parallel" if stats.tile_count else "serial"
 
             if options.use_cache and stats.cache_key is not None and order is not None:
-                store_started = time.perf_counter()
                 canonical = np.ascontiguousarray(values[np.ix_(order, order)])
                 matrixcache.store_matrix(stats.cache_key, canonical, options.cache_dir)
-                stats.seconds["cache_store"] = time.perf_counter() - store_started
 
-            stats.seconds["total"] = time.perf_counter() - started
             cls._record_build(span, stats)
             return cls(segments=segments, values=values, stats=stats)
 
     @staticmethod
     def _record_build(span, stats: BuildStats) -> None:
-        """Mirror one build's :class:`BuildStats` into span + metrics."""
+        """Mirror one build's :class:`BuildStats` into its span."""
         span.set(
             backend=stats.backend,
             dtype=stats.dtype,
             storage=stats.storage,
             workers=stats.workers,
             tasks=stats.task_count,
+            pairs=stats.pairs_vectorized,
             cache_hit=stats.cache_hit,
             cache_key=stats.cache_key,
         )
         if stats.tile_count:
             span.set(tiles=stats.tile_count)
-        get_metrics().counter(
-            BUILDS_METRIC, help="Dissimilarity-matrix builds by backend."
-        ).inc(backend=stats.backend)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -712,9 +668,12 @@ class DissimilarityMatrix:
         Neighbors exclude the segment itself (k=1 is the closest other
         segment).  Requires ``k < len(self)``.
 
-        This is the full-sort reference implementation; hot paths that
-        need several k values at once use :meth:`knn_distances_all`,
-        which returns the identical columns from one partition pass.
+        This is the full-sort reference implementation, with no runtime
+        caller: tests pin :meth:`knn_distances_all`'s columns against
+        it, and ``benchmarks/bench_pipeline.py`` gates the one-pass
+        extraction at >=5x faster than it.  Runtime code reads
+        :meth:`knn_distances_all`, which returns the identical columns
+        from one partition pass and caches them on the matrix.
         """
         count = len(self)
         if not 1 <= k < count:
@@ -753,7 +712,6 @@ class DissimilarityMatrix:
         with get_tracer().span(
             "matrix.knn", k_max=k_max, rows=count
         ) as span:
-            started = time.perf_counter()
             kth = np.arange(1, k_max + 1)
             columns = np.empty((count, k_max), dtype=self.values.dtype)
             # One row costs its matrix row plus the partition's copy of it.
@@ -769,9 +727,7 @@ class DissimilarityMatrix:
                 # (diagonal zero); columns 1..k_max are the k nearest
                 # other segments, exactly as in :meth:`knn_distances`.
                 columns[start:stop] = part[:, 1 : k_max + 1]
-            elapsed = time.perf_counter() - started
-            span.set(seconds=round(elapsed, 6), block_rows=block)
-        get_metrics().histogram(KNN_PARTITION_METRIC, help=_KNN_HELP).observe(elapsed)
+            span.set(block_rows=block)
         self._knn_columns = columns
         return columns
 
@@ -882,7 +838,6 @@ class AppendableMatrix:
         with get_tracer().span(
             "matrix.append", old_segments=old_count, new_segments=added
         ) as span:
-            started = time.perf_counter()
             self._ensure_capacity(count)
             values = self._backing[:count, :count]
             stats = BuildStats(
@@ -897,7 +852,6 @@ class AppendableMatrix:
             )
 
             merged_knn = self._merged_knn_columns(values, old_count, count)
-            stats.seconds["total"] = time.perf_counter() - started
             DissimilarityMatrix._record_build(span, stats)
             matrix = DissimilarityMatrix(
                 segments=old_segments + new_segments, values=values, stats=stats
@@ -927,8 +881,7 @@ class AppendableMatrix:
         k = min(cached.shape[1], count - 1)
         if k < 1:
             return None
-        with get_tracer().span("matrix.knn_merge", k_max=k, rows=count) as span:
-            started = time.perf_counter()
+        with get_tracer().span("matrix.knn_merge", k_max=k, rows=count):
             old_merged = np.partition(
                 np.concatenate(
                     [cached[:, :k], values[:old_count, old_count:count]], axis=1
@@ -942,9 +895,6 @@ class AppendableMatrix:
                 values[old_count:count, :count], np.arange(1, k + 1), axis=1
             )
             columns = np.concatenate([old_merged, new_part[:, 1 : k + 1]], axis=0)
-            elapsed = time.perf_counter() - started
-            span.set(seconds=round(elapsed, 6))
-        get_metrics().histogram(KNN_PARTITION_METRIC, help=_KNN_HELP).observe(elapsed)
         return columns
 
     def replace_segments(self, segments: list[UniqueSegment]) -> DissimilarityMatrix:

@@ -131,10 +131,6 @@ class ClusteringResult:
     retrims: int = 0
     #: Unique segments excluded before clustering (shorter than minimum).
     excluded: list[UniqueSegment] = field(default_factory=list)
-    #: Wall-clock seconds per pipeline stage (matrix/autoconf/dbscan/
-    #: refine/total), read off the stage spans; the matrix backend's own
-    #: breakdown and cache hit/miss live on ``matrix.stats``.
-    timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def epsilon(self) -> float:
@@ -179,8 +175,8 @@ class FieldTypeClusterer:
 
         Each stage runs inside a span on the active tracer (``matrix``,
         ``autoconf``, ``dbscan``, ``refine`` under one ``pipeline``
-        root) and reports its outcome to the active metrics registry;
-        ``ClusteringResult.timings`` is a flat view over the same spans.
+        root); the spans carry the stage durations and outcomes, and the
+        cluster-size distribution goes to the active metrics registry.
         """
         config = self.config
         tracer = get_tracer()
@@ -200,29 +196,7 @@ class FieldTypeClusterer:
                         backend=matrix.stats.backend,
                         cache_hit=matrix.stats.cache_hit,
                     )
-            auto, result, refined, noise, retrims, stage_spans = self._post_matrix(
-                matrix, analyzable, tracer
-            )
-            pipeline_span.set(clusters=len(refined), noise=len(noise))
-        timings = {
-            "matrix": matrix_span.wall_seconds,
-            "autoconf": stage_spans["autoconf"].wall_seconds,
-            "dbscan": stage_spans["dbscan"].wall_seconds,
-            "refine": stage_spans["refine"].wall_seconds,
-            "total": pipeline_span.wall_seconds,
-        }
-        self._record_metrics(timings, analyzable, refined, noise, retrims)
-        return ClusteringResult(
-            segments=analyzable,
-            clusters=refined,
-            noise=noise,
-            autoconfig=auto,
-            matrix=matrix,
-            dbscan_result=result,
-            retrims=retrims,
-            excluded=excluded,
-            timings=timings,
-        )
+            return self._post_matrix(matrix, excluded, tracer, pipeline_span)
 
     def cluster_matrix(
         self,
@@ -251,30 +225,7 @@ class FieldTypeClusterer:
             pipeline_span.set(
                 unique_segments=len(analyzable), excluded=len(excluded)
             )
-            auto, result, refined, noise, retrims, stage_spans = self._post_matrix(
-                matrix, analyzable, tracer
-            )
-            pipeline_span.set(clusters=len(refined), noise=len(noise))
-        timings = {
-            # The matrix came prebuilt; its cost lives on matrix.stats.
-            "matrix": 0.0,
-            "autoconf": stage_spans["autoconf"].wall_seconds,
-            "dbscan": stage_spans["dbscan"].wall_seconds,
-            "refine": stage_spans["refine"].wall_seconds,
-            "total": pipeline_span.wall_seconds,
-        }
-        self._record_metrics(timings, analyzable, refined, noise, retrims)
-        return ClusteringResult(
-            segments=analyzable,
-            clusters=refined,
-            noise=noise,
-            autoconfig=auto,
-            matrix=matrix,
-            dbscan_result=result,
-            retrims=retrims,
-            excluded=excluded,
-            timings=timings,
-        )
+            return self._post_matrix(matrix, excluded, tracer, pipeline_span)
 
     def _partition_unique(
         self, segments: list[Segment]
@@ -292,9 +243,10 @@ class FieldTypeClusterer:
             )
         return analyzable, excluded
 
-    def _post_matrix(self, matrix, analyzable, tracer):
+    def _post_matrix(self, matrix, excluded, tracer, pipeline_span) -> ClusteringResult:
         """Autoconf → DBSCAN (+ fallback) → refinement over *matrix*."""
         config = self.config
+        analyzable = matrix.segments
         weights = (
             np.array([u.count for u in analyzable], dtype=np.float64)
             if config.weighted_density
@@ -397,45 +349,24 @@ class FieldTypeClusterer:
             np.concatenate(refined) if refined else np.array([], dtype=np.int64)
         )
         noise = np.setdiff1d(np.arange(len(analyzable)), clustered)
-        return auto, result, refined, noise, retrims, {
-            "autoconf": autoconf_span,
-            "dbscan": dbscan_span,
-            "refine": refine_span,
-        }
-
-    @staticmethod
-    def _record_metrics(timings, analyzable, refined, noise, retrims) -> None:
-        """Report one run's outcome to the active metrics registry."""
-        metrics = get_metrics()
-        metrics.counter(
-            "repro_pipeline_runs_total", help="Completed clustering pipeline runs."
-        ).inc()
-        metrics.counter(
-            "repro_knee_retries_total",
-            help="Epsilon knee-retry (trim-and-retry fallback) iterations.",
-        ).inc(retrims)
-        metrics.gauge(
-            "repro_unique_segments", help="Unique segments in the last run."
-        ).set(len(analyzable))
-        metrics.gauge(
-            "repro_clusters", help="Pseudo-data-type clusters in the last run."
-        ).set(len(refined))
-        metrics.gauge(
-            "repro_noise_segments", help="Noise segments in the last run."
-        ).set(len(noise))
-        size_histogram = metrics.histogram(
+        pipeline_span.set(clusters=len(refined), noise=len(noise))
+        size_histogram = get_metrics().histogram(
             "repro_cluster_size",
             help="Distribution of cluster sizes (unique segments per cluster).",
             buckets=CLUSTER_SIZE_BUCKETS,
         )
         for members in refined:
             size_histogram.observe(len(members))
-        stage_histogram = metrics.histogram(
-            "repro_stage_seconds", help="Wall-clock seconds per pipeline stage."
+        return ClusteringResult(
+            segments=analyzable,
+            clusters=refined,
+            noise=noise,
+            autoconfig=auto,
+            matrix=matrix,
+            dbscan_result=result,
+            retrims=retrims,
+            excluded=excluded,
         )
-        for name, value in timings.items():
-            if name != "total":
-                stage_histogram.observe(value, stage=name)
 
     def _configure(self, matrix: DissimilarityMatrix, trim_at: float | None) -> AutoConfig:
         config = self.config

@@ -75,7 +75,7 @@ def run_figure2(
     auto = configure(
         matrix, sensitivity=config.sensitivity, smoothness=config.smoothness
     )
-    raw = Ecdf.from_samples(matrix.knn_distances(auto.k))
+    raw = Ecdf.from_samples(matrix.knn_distances_all(auto.k)[:, auto.k - 1])
     ecdf_x, ecdf_y = raw.step_points
     return Figure2(
         protocol=protocol,

@@ -7,7 +7,6 @@ benchmark harness and the CLI regenerate identical numbers.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from repro.api import cluster_segments
@@ -223,7 +222,8 @@ def run_cell(
     """Run segmentation + clustering + scoring for one table cell.
 
     The whole cell runs inside one ``eval.cell`` span, so eval run
-    manifests attribute segmentation/pipeline time to their table cell.
+    manifests attribute segmentation/pipeline time to their table cell;
+    the cell's ``runtime_seconds`` is that span's wall time.
     Any exception raised while evaluating the cell — not just the
     segmenter resource guard — is recorded as a *failed* cell (error
     class + message land in the span and hence the run manifest) so a
@@ -245,7 +245,7 @@ def run_cell(
     segmenter = make_segmenter(segmenter_name, model)
     if refinement != "none":
         segmenter = resolve_segmenter(segmenter, refinement=refinement, config=config)
-    started = time.perf_counter()
+    failure: tuple[str, str] | None = None
     with get_tracer().span(
         "eval.cell",
         protocol=protocol,
@@ -253,20 +253,6 @@ def run_cell(
         segmenter=segmenter_name,
         refinement=refinement,
     ) as span:
-        def failed_cell(error: Exception, failure_class: str) -> ExperimentCell:
-            span.set(failed=True, error_class=failure_class, reason=str(error))
-            count_cell("failed")
-            return ExperimentCell(
-                protocol=protocol,
-                message_count=message_count,
-                segmenter=segmenter_name,
-                failed=True,
-                failure_class=failure_class,
-                failure_reason=str(error),
-                runtime_seconds=time.perf_counter() - started,
-                refinement=refinement,
-            )
-
         try:
             raw_trace = model.generate(message_count, seed=seed)
             trace = raw_trace.preprocess()
@@ -312,23 +298,38 @@ def run_cell(
                     model, raw_trace, trace, types, sm_result
                 )
         except SegmenterResourceError as error:
-            return failed_cell(error, "SegmenterResourceError")
+            failure = ("SegmenterResourceError", str(error))
         except Exception as error:  # the per-cell exception barrier
-            return failed_cell(error, type(error).__name__)
-        span.set(
-            fscore=round(score.fscore, 4),
-            clusters=result.cluster_count,
-            epsilon=result.epsilon,
-        )
-        if refinement != "none":
-            span.set(boundaries_moved=boundaries_moved)
-        if types is not None:
-            span.set(msgtype_count=types.type_count, msgtype_noise=types.noise_count)
-        if sm_result is not None:
+            failure = (type(error).__name__, str(error))
+        if failure is not None:
+            span.set(failed=True, error_class=failure[0], reason=failure[1])
+        else:
             span.set(
-                sm_states=sm_result.state_count,
-                sm_transitions=sm_result.transition_count,
+                fscore=round(score.fscore, 4),
+                clusters=result.cluster_count,
+                epsilon=result.epsilon,
             )
+            if refinement != "none":
+                span.set(boundaries_moved=boundaries_moved)
+            if types is not None:
+                span.set(msgtype_count=types.type_count, msgtype_noise=types.noise_count)
+            if sm_result is not None:
+                span.set(
+                    sm_states=sm_result.state_count,
+                    sm_transitions=sm_result.transition_count,
+                )
+    if failure is not None:
+        count_cell("failed")
+        return ExperimentCell(
+            protocol=protocol,
+            message_count=message_count,
+            segmenter=segmenter_name,
+            failed=True,
+            failure_class=failure[0],
+            failure_reason=failure[1],
+            runtime_seconds=span.wall_seconds,
+            refinement=refinement,
+        )
     count_cell("ok")
     return ExperimentCell(
         protocol=protocol,
@@ -338,7 +339,7 @@ def run_cell(
         coverage=coverage,
         epsilon=result.epsilon,
         unique_segments=len(result.segments),
-        runtime_seconds=time.perf_counter() - started,
+        runtime_seconds=span.wall_seconds,
         refinement=refinement,
         boundaries_moved=boundaries_moved,
         msgtype_count=types.type_count if types is not None else None,

@@ -18,7 +18,6 @@ matrix itself.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,18 +29,8 @@ from repro.core.matrix import DissimilarityMatrix
 from repro.core.segments import Segment, unique_segments
 from repro.msgtypes.similarity import GAP_PENALTY, indexed_sequences, score_alignments
 from repro.net.trace import Trace
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.segmenters.base import Segmenter
-
-RUNS_METRIC = "repro_msgtypes_runs_total"
-_RUNS_HELP = "Completed message-type clustering stage runs."
-CLUSTERS_METRIC = "repro_msgtypes_clusters"
-_CLUSTERS_HELP = "Inferred message types in the last run."
-NOISE_METRIC = "repro_msgtypes_noise_messages"
-_NOISE_HELP = "Messages left unassigned (noise) in the last run."
-SIMILARITY_SECONDS_METRIC = "repro_msgtypes_similarity_seconds"
-_SIMILARITY_HELP = "Wall-clock seconds building the message similarity matrix."
 
 
 @dataclass
@@ -107,22 +96,21 @@ def cluster_message_types(
     *matrix* is the unique-segment dissimilarity matrix the alignment
     scores segment pairs against; pass the field-type pipeline's
     ``result.matrix`` to type messages from the exact state the field
-    stage computed (built from scratch when None).  Runs inside
-    ``msgtypes.similarity`` and ``msgtypes.cluster`` spans and reports
-    ``repro_msgtypes_*`` metrics.
+    stage computed (built from scratch when None).  Runs inside a
+    ``msgtypes.similarity`` span (the alignment work) and a
+    ``msgtypes.cluster`` span (epsilon, types, noise): the record of
+    what the stage did and how long it took.
     """
     tracer = get_tracer()
     with tracer.span(
         "msgtypes.similarity", messages=message_count, segments=len(segments)
     ) as similarity_span:
-        started = time.perf_counter()
         if matrix is None:
             uniques = unique_segments(segments, min_length=min_segment_length)
             matrix = DissimilarityMatrix.build(uniques)
         index_of = {u.data: i for i, u in enumerate(matrix.segments)}
         indexed = indexed_sequences(segments, message_count, index_of)
         distances, work = score_alignments(indexed, matrix.values, gap_penalty)
-        elapsed = time.perf_counter() - started
         similarity_span.set(
             unique_segments=len(matrix),
             pairs=work.pairs,
@@ -145,13 +133,6 @@ def cluster_message_types(
             types=result.cluster_count,
             noise=len(result.noise),
         )
-    metrics = get_metrics()
-    metrics.counter(RUNS_METRIC, help=_RUNS_HELP).inc()
-    metrics.gauge(CLUSTERS_METRIC, help=_CLUSTERS_HELP).set(result.cluster_count)
-    metrics.gauge(NOISE_METRIC, help=_NOISE_HELP).set(len(result.noise))
-    metrics.histogram(SIMILARITY_SECONDS_METRIC, help=_SIMILARITY_HELP).observe(
-        elapsed
-    )
     return MessageTypeResult(
         trace=trace,
         distances=distances,

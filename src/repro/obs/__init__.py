@@ -4,11 +4,14 @@ Every pipeline stage (segment → matrix → autoconf → dbscan → refine)
 reports into this package:
 
 - :mod:`repro.obs.tracer` — nestable spans recording wall clock, CPU
-  time, and peak RSS per stage, bound to the current context via
-  :func:`use_tracer` / :func:`get_tracer`;
+  time, peak RSS and size/outcome attributes per stage, bound to the
+  current context via :func:`use_tracer` / :func:`get_tracer`.  Spans
+  are the one record of what a layer did and how long it took: every
+  closed span also lands in the ``repro_span_seconds{span, status}``
+  histogram;
 - :mod:`repro.obs.metrics` — a Prometheus-convention registry of
-  counters, gauges, and histograms (segment counts, matrix cache
-  hits/misses, knee retries, cluster/noise sizes);
+  counters, gauges, and histograms for what no span holds (matrix cache
+  hits/misses, cluster sizes, ingest, session and service counters);
 - :mod:`repro.obs.export` — the versioned JSON *run manifest* (span
   tree + metrics snapshot + config fingerprint) and the Prometheus
   text dump behind the CLIs' ``--trace-out`` / ``--metrics-out``.

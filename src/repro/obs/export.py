@@ -253,6 +253,15 @@ _SAMPLE_LINE = re.compile(
     r"\s+(?P<value>[^\s]+)\s*$"
 )
 _LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+_LABEL_ESCAPE = re.compile(r"\\(.)")
+_UNESCAPED = {"n": "\n", '"': '"', "\\": "\\"}
+
+
+def _unescape_label(value: str) -> str:
+    """Decode each ``\\\\``, ``\\"`` and ``\\n`` escape once, left to right."""
+    return _LABEL_ESCAPE.sub(
+        lambda match: _UNESCAPED.get(match.group(1), match.group(0)), value
+    )
 
 
 def parse_prometheus_text(text: str) -> dict[tuple[str, tuple], float]:
@@ -272,7 +281,7 @@ def parse_prometheus_text(text: str) -> dict[tuple[str, tuple], float]:
         labels_text = match.group("labels") or ""
         labels = tuple(
             sorted(
-                (name, value.replace('\\"', '"').replace("\\n", "\n").replace("\\\\", "\\"))
+                (name, _unescape_label(value))
                 for name, value in _LABEL_PAIR.findall(labels_text)
             )
         )

@@ -12,14 +12,19 @@ tree via a reentrant context manager::
             ...
             span.set(backend="parallel")
 
-Spans always *measure*, even on a disabled tracer, so cheap views like
-the pipeline's ``timings`` dict work without any tracer plumbing; a
-disabled tracer simply retains nothing (``roots`` stays empty), which
-keeps long-lived library processes from accumulating span trees.  The
-active tracer is a :mod:`contextvars` binding — :func:`get_tracer`
-inside the pipeline picks up whatever :func:`use_tracer` scope the
-caller (CLI, :mod:`repro.api`, a test) established, with a process-wide
-disabled tracer as the default.
+Spans are the one record of what a layer did and how long it took.
+Every span that closes — including the already-measured ones attached
+with :meth:`Tracer.record` — adds its wall seconds to one histogram,
+``repro_span_seconds{span, status}``, in the active metrics registry,
+so a Prometheus dump carries every layer's duration without any
+per-layer timer.  Spans always *measure* and always feed that
+histogram, even on a disabled tracer (the ``repro serve`` service binds
+none); a disabled tracer simply retains nothing (``roots`` stays
+empty), which keeps long-lived library processes from accumulating
+span trees.  The active tracer is a :mod:`contextvars` binding —
+:func:`get_tracer` inside the pipeline picks up whatever
+:func:`use_tracer` scope the caller (CLI, :mod:`repro.api`, a test)
+established, with a process-wide disabled tracer as the default.
 
 Exception safety: a span whose body raises is marked ``status="error"``
 with the exception summary recorded, then closed normally; the
@@ -35,10 +40,15 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from repro.obs.metrics import get_metrics
+
 try:  # pragma: no cover - absent only on non-unix platforms
     import resource as _resource
 except ImportError:  # pragma: no cover
     _resource = None
+
+SPAN_SECONDS_METRIC = "repro_span_seconds"
+_SPAN_SECONDS_HELP = "Wall-clock seconds per closed span (span: name, status: ok/error)."
 
 
 def peak_rss_kib() -> int | None:
@@ -49,6 +59,13 @@ def peak_rss_kib() -> int | None:
     if sys.platform == "darwin":  # ru_maxrss is bytes on macOS, KiB on Linux
         peak //= 1024
     return int(peak)
+
+
+def _observe(span: "Span") -> None:
+    """Add a closed span's wall time to ``repro_span_seconds``."""
+    get_metrics().histogram(SPAN_SECONDS_METRIC, help=_SPAN_SECONDS_HELP).observe(
+        span.wall_seconds, span=span.name, status=span.status
+    )
 
 
 @dataclass
@@ -81,10 +98,12 @@ class Span:
         self._cpu_anchor = time.process_time()
 
     def end(self) -> None:
-        """Close the span's clocks (called by :meth:`Tracer.span`)."""
+        """Close the span's clocks and add it to ``repro_span_seconds``
+        (called by :meth:`Tracer.span`)."""
         self.wall_seconds = time.perf_counter() - self._wall_anchor
         self.cpu_seconds = time.process_time() - self._cpu_anchor
         self.peak_rss_kib = peak_rss_kib()
+        _observe(self)
 
     def walk(self) -> Iterator["Span"]:
         """Depth-first iteration over this span and its descendants."""
@@ -180,11 +199,13 @@ class Tracer:
         thread records them after each completion.  The span is created
         closed, with the caller-supplied wall clock; CPU seconds and
         peak RSS are process-wide quantities that per-thread tiles
-        cannot attribute, so they stay zero/None.
+        cannot attribute, so they stay zero/None.  Like a span closed
+        by :meth:`span`, it feeds ``repro_span_seconds``.
         """
         span = Span(name=name, attributes=dict(attributes))
         span.started_unix = time.time() if started_unix is None else started_unix
         span.wall_seconds = float(wall_seconds)
+        _observe(span)
         if self.enabled:
             if self._stack:
                 self._stack[-1].children.append(span)

@@ -14,7 +14,6 @@ import abc
 
 from repro.core.segments import Segment
 from repro.net.trace import Trace
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 
 
@@ -27,9 +26,10 @@ class Segmenter(abc.ABC):
 
     :meth:`segment` is the public entry point; it wraps the actual
     segmentation (:meth:`segment_trace`, the subclass override point)
-    in one ``segment`` span on the active tracer and counts the emitted
-    field candidates, so every pipeline run records its segmentation
-    stage uniformly across heuristics.
+    in one ``segment`` span on the active tracer, tagged with the
+    segmenter and the count of emitted field candidates, so every
+    pipeline run records its segmentation stage uniformly across
+    heuristics.
     """
 
     #: short identifier used in tables ("nemesys", "netzob", "csp", ...)
@@ -54,10 +54,6 @@ class Segmenter(abc.ABC):
         ) as span:
             segments = self.segment_trace(trace)
             span.set(segments=len(segments))
-        get_metrics().counter(
-            "repro_segments_total",
-            help="Field-candidate segments emitted by segmenters.",
-        ).inc(len(segments), segmenter=self.name)
         return segments
 
     def segment_trace(self, trace: Trace) -> list[Segment]:

@@ -48,20 +48,11 @@ import numpy as np
 
 from repro.core.segments import Segment, UniqueSegment
 from repro.net.trace import Trace
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.segmenters.base import Segmenter, boundaries_to_segments
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.pipeline import ClusteringConfig
-
-MOVED_METRIC = "repro_refine_boundaries_moved_total"
-_MOVED_HELP = (
-    "Segment boundaries relocated by the PCA refinement pass "
-    "(decision: shift/merge/split)."
-)
-RUNS_METRIC = "repro_refine_runs_total"
-_RUNS_HELP = "Completed PCA boundary-refinement passes."
 
 #: A cluster contributes to refinement only when at least this many
 #: distinct values share the modal length — fewer rows make the column
@@ -204,9 +195,9 @@ class PcaRefiner:
     def refine(self, trace: Trace, segments: list[Segment]) -> list[Segment]:
         """Refine *segments* of *trace*; returns the new flat list.
 
-        Runs inside one ``refine.pca`` span and reports the decision
-        counts to ``repro_refine_boundaries_moved_total``.  Returns the
-        input list unchanged (same object) when nothing moves.
+        Runs inside one ``refine.pca`` span, which carries the decision
+        counts (``shifted``/``merged``/``split``).  Returns the input
+        list unchanged (same object) when nothing moves.
         """
         stats = RefinementStats()
         self.last_stats = stats
@@ -223,16 +214,6 @@ class PcaRefiner:
                 split=stats.split,
                 messages_rebuilt=stats.messages_rebuilt,
             )
-        metrics = get_metrics()
-        metrics.counter(RUNS_METRIC, help=_RUNS_HELP).inc()
-        moved = metrics.counter(MOVED_METRIC, help=_MOVED_HELP)
-        for decision, count in (
-            ("shift", stats.shifted),
-            ("merge", stats.merged),
-            ("split", stats.split),
-        ):
-            if count:
-                moved.inc(count, decision=decision)
         return refined
 
     def _collect_proposals(

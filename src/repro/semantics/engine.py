@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 from repro.core.pipeline import ClusteringResult
 from repro.net.trace import Trace
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.semantics.detectors import DEFAULT_DETECTORS, Detector
 from repro.semantics.features import ClusterView
@@ -97,10 +96,5 @@ def deduce_semantics(
                     hypotheses=hypotheses,
                 )
             )
-        hypothesis_count = sum(len(s.hypotheses) for s in out)
-        span.set(hypotheses=hypothesis_count)
-    get_metrics().counter(
-        "repro_semantic_hypotheses_total",
-        help="Semantic hypotheses that passed their confidence threshold.",
-    ).inc(hypothesis_count)
+        span.set(hypotheses=sum(len(s.hypotheses) for s in out))
     return out

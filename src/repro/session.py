@@ -995,7 +995,6 @@ class AnalysisSession:
                     )
                 if self._dirty or self._result is None:
                     self._recluster("snapshot")
-                started = time.perf_counter()
                 result = self._result
                 trace = Trace(
                     messages=list(self._messages), protocol=self.protocol
@@ -1024,10 +1023,7 @@ class AnalysisSession:
                 )
                 if self._appendable.options.use_cache:
                     self._appendable.persist()
-                span.set(
-                    clusters=result.cluster_count,
-                    seconds=round(time.perf_counter() - started, 6),
-                )
+                span.set(clusters=result.cluster_count)
         return AnalysisRun(
             trace=trace,
             segments=list(self._segments),

@@ -15,32 +15,18 @@ symbol sequences; their count is reported on the result.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.msgtypes.clustering import MessageTypeResult
 from repro.net.flows import DEFAULT_IDLE_TIMEOUT, Session, sessions_from_trace
 from repro.net.trace import Trace, TraceMessage
-from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.statemachine.inference import (
     DEFAULT_HISTORY,
     StateMachine,
     infer_state_machine,
 )
-
-RUNS_METRIC = "repro_statemachine_runs_total"
-STATES_METRIC = "repro_statemachine_states"
-TRANSITIONS_METRIC = "repro_statemachine_transitions"
-SESSIONS_METRIC = "repro_statemachine_sessions"
-SECONDS_METRIC = "repro_statemachine_seconds"
-
-_RUNS_HELP = "State-machine inference stage executions."
-_STATES_HELP = "States in the most recently inferred automaton."
-_TRANSITIONS_HELP = "Transitions in the most recently inferred automaton."
-_SESSIONS_HELP = "Sessions feeding the most recent state-machine inference."
-_SECONDS_HELP = "Wall-clock seconds spent inferring the state machine."
 
 
 @dataclass
@@ -157,7 +143,6 @@ def infer_session_machine(
         messages=len(trace),
         history=history,
     ) as span:
-        started = time.perf_counter()
         labels = label_map(labeled_trace, msgtypes)
 
         def symbol_of(message: TraceMessage) -> str | None:
@@ -169,7 +154,6 @@ def infer_session_machine(
         sessions = sessions_from_trace(trace, idle_timeout=idle_timeout)
         sequences, dropped = session_symbol_sequences(sessions, symbol_of)
         machine = infer_state_machine(sequences, history=history)
-        elapsed = time.perf_counter() - started
         result = StateMachineResult(
             machine=machine,
             session_count=len(sessions),
@@ -184,14 +168,5 @@ def infer_session_machine(
             dropped=result.dropped_messages,
             states=machine.num_states,
             transitions=machine.num_transitions,
-            seconds=round(elapsed, 6),
         )
-    metrics = get_metrics()
-    metrics.counter(RUNS_METRIC, help=_RUNS_HELP).inc()
-    metrics.gauge(STATES_METRIC, help=_STATES_HELP).set(machine.num_states)
-    metrics.gauge(TRANSITIONS_METRIC, help=_TRANSITIONS_HELP).set(
-        machine.num_transitions
-    )
-    metrics.gauge(SESSIONS_METRIC, help=_SESSIONS_HELP).set(result.session_count)
-    metrics.histogram(SECONDS_METRIC, help=_SECONDS_HELP).observe(elapsed)
     return result

@@ -154,4 +154,3 @@ class TestDefaultOptions:
         assert stats is not None
         assert stats.unique_count == len(segments)
         assert stats.task_count >= 1
-        assert stats.seconds["total"] >= stats.seconds["compute"] >= 0

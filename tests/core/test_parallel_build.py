@@ -16,8 +16,8 @@ identical.  The tests here pin that contract:
   (``None`` ⇒ all cores, ``0`` ⇒ serial, ``N >= 1`` ⇒ exactly N,
   negative ⇒ rejected);
 - the threaded build's observability surface (``matrix.bin`` spans
-  with worker/tile tags, queue-wait histogram, scheduled-tiles
-  counter).
+  with worker/tile/queue-wait tags, one ``repro_span_seconds`` sample
+  per tile).
 
 The golden-trace corpus rides through the threaded backend in
 ``tests/golden/test_golden_traces.py::test_golden_trace_worker_stability``.
@@ -44,7 +44,7 @@ from repro.core.matrix import (
 from repro.core.pipeline import ClusteringConfig
 from repro.core.segments import Segment, unique_segments
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.tracer import SPAN_SECONDS_METRIC, Tracer, use_tracer
 
 
 def as_unique_segments(datas):
@@ -213,13 +213,13 @@ class TestThreadedObservability:
             assert span.attributes["queue_seconds"] >= 0.0
             assert span.attributes["kind"] in ("same", "cross")
 
-        queue = registry.histogram(matrix_mod.BIN_QUEUE_METRIC)
-        assert queue.snapshot()["count"] == built.stats.tile_count
-        scheduled = registry.counter(matrix_mod.BINS_SCHEDULED_METRIC)
-        total = sum(
-            scheduled.value(**dict(labels)) for labels in scheduled.label_sets()
+        durations = registry.histogram(SPAN_SECONDS_METRIC).snapshot(
+            span="matrix.bin", status="ok"
         )
-        assert total == built.stats.tile_count
+        assert durations["count"] == built.stats.tile_count
+        assert durations["sum"] == pytest.approx(
+            sum(span.wall_seconds for span in bins), abs=1e-9
+        )
 
         builds = tracer.find("matrix.build")
         assert len(builds) == 1
@@ -235,8 +235,10 @@ class TestThreadedObservability:
         with use_tracer(tracer), use_metrics(registry):
             built = serial_build(datas)
         assert built.stats.tile_count == 0
-        for span in tracer.find("matrix.bin"):
+        bins = tracer.find("matrix.bin")
+        assert bins
+        for span in bins:
             assert "worker" not in span.attributes
-        assert registry.histogram(matrix_mod.BIN_QUEUE_METRIC).snapshot()[
-            "count"
-        ] == 0
+            assert "queue_seconds" not in span.attributes
+        (build,) = tracer.find("matrix.build")
+        assert "tiles" not in build.attributes

@@ -1,7 +1,11 @@
 import numpy as np
 
+from repro.core.ecdf import Ecdf
+from repro.core.matrix import DissimilarityMatrix
+from repro.core.segments import segments_from_fields, unique_segments
 from repro.eval.coverage_experiment import run_coverage_comparison
 from repro.eval.figures import run_figure2, run_figure3
+from repro.eval.runner import prepare_trace
 from repro.eval.reporting import ascii_plot, fmt, fmt_pct, render_table
 from repro.eval.tables import PAPER_TABLE1, PAPER_TABLE2, run_table1, run_table2
 
@@ -68,6 +72,19 @@ class TestFigures:
         assert np.all(np.diff(fig.smooth_y) >= 0)
         assert fig.epsilon > 0
         assert "Figure 2" in fig.render()
+        # The ECDF samples are the full-sort reference's k-NN column.
+        model, trace = prepare_trace("ntp", 80, 4)
+        segments = [
+            segment
+            for index, message in enumerate(trace)
+            for segment in segments_from_fields(
+                index, message.data, model.dissect(message.data)
+            )
+        ]
+        matrix = DissimilarityMatrix.build(unique_segments(segments))
+        reference_x, reference_y = Ecdf.from_samples(matrix.knn_distances(fig.k)).step_points
+        assert fig.ecdf_x.tobytes() == reference_x.tobytes()
+        assert fig.ecdf_y.tobytes() == reference_y.tobytes()
 
     def test_figure3_finds_split_timestamps(self):
         fig = run_figure3(message_count=60, seed=4)

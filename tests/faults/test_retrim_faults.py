@@ -3,9 +3,9 @@
 Acceptance path: when the Section III-E trim-and-retry fallback hits
 the degenerate case (every k-NN distribution empties under the trim,
 surfacing as ValueError from ``configure``), ``cluster()`` must keep
-the clustering found before the retrim — and the
-``repro_knee_retries_total`` counter must report only retrims that
-actually happened, not the abandoned attempt.
+the clustering found before the retrim — and the ``dbscan`` span's
+``retrims`` attribute must report only retrims that actually happened,
+not the abandoned attempt.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from repro.core.ecdf import Ecdf
 from repro.core.pipeline import FieldTypeClusterer
 from repro.core.segments import Segment
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.tracer import Tracer, use_tracer
 
 pytestmark = pytest.mark.faults
 
@@ -35,22 +35,24 @@ def _retrim_prone_segments():
 
 class TestRetrimFaults:
     def test_healthy_retrim_counts_retries(self):
-        metrics = MetricsRegistry()
-        with use_metrics(metrics):
+        tracer = Tracer()
+        with use_tracer(tracer):
             result = FieldTypeClusterer().cluster(_retrim_prone_segments())
         assert result.retrims >= 1
-        assert metrics.counter("repro_knee_retries_total").value() == result.retrims
+        (dbscan_span,) = tracer.find("dbscan")
+        assert dbscan_span.attributes["retrims"] == result.retrims
 
     def test_degenerate_trim_reports_zero_retries(self, monkeypatch):
         def degenerate_trim(self, threshold):
             raise ValueError(f"no samples below {threshold}")
 
         monkeypatch.setattr(Ecdf, "trim_below", degenerate_trim)
-        metrics = MetricsRegistry()
-        with use_metrics(metrics):
+        tracer = Tracer()
+        with use_tracer(tracer):
             result = FieldTypeClusterer().cluster(_retrim_prone_segments())
-        # The abandoned fallback is not a retry: the counter and the
+        # The abandoned fallback is not a retry: the span and the
         # result agree that no retrim took effect.
         assert result.retrims == 0
-        assert metrics.counter("repro_knee_retries_total").value() == 0
+        (dbscan_span,) = tracer.find("dbscan")
+        assert dbscan_span.attributes["retrims"] == 0
         assert result.cluster_count >= 1

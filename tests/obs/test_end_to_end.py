@@ -5,10 +5,15 @@ import json
 from repro import analyze, cluster_segments, run_analysis
 from repro.obs.export import parse_prometheus_text, validate_manifest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import SPAN_SECONDS_METRIC, Tracer
 from repro.protocols import get_model
 
 PIPELINE_STAGES = ("matrix", "autoconf", "dbscan", "refine")
+
+
+def span_count_sample(name):
+    """Prometheus sample key of one span's ``repro_span_seconds`` count."""
+    return (f"{SPAN_SECONDS_METRIC}_count", (("span", name), ("status", "ok")))
 
 
 def ntp_trace(count=60):
@@ -76,11 +81,11 @@ class TestSpansPerStage:
     def test_metrics_recorded_into_callers_registry(self):
         metrics = MetricsRegistry()
         analyze(ntp_trace(), metrics=metrics)
-        assert metrics.counter("repro_pipeline_runs_total").value() == 1
-        assert metrics.gauge("repro_clusters").value() >= 1
-        assert (
-            metrics.counter("repro_segments_total").value(segmenter="nemesys") > 0
-        )
+        # No tracer is bound, yet every span still lands in the registry.
+        durations = metrics.histogram(SPAN_SECONDS_METRIC)
+        for name in ("segment", "pipeline", *PIPELINE_STAGES):
+            assert durations.snapshot(span=name, status="ok")["count"] == 1
+        assert metrics.histogram("repro_cluster_size").snapshot()["count"] >= 1
         snapshot = metrics.snapshot()
         assert "repro_matrix_cache_hits_total" in snapshot
         assert "repro_matrix_cache_misses_total" in snapshot
@@ -134,15 +139,19 @@ class TestCliArtefacts:
         assert manifest["config"]["matrix_options"]["use_cache"] is True
 
     def test_prometheus_file_parses(self, tmp_path, monkeypatch):
-        _, metrics_path = self.run_analyze(tmp_path, monkeypatch)
+        manifest_path, metrics_path = self.run_analyze(tmp_path, monkeypatch)
         samples = parse_prometheus_text(metrics_path.read_text())
-        assert samples[("repro_pipeline_runs_total", ())] == 1
+        assert samples[span_count_sample("pipeline")] == 1
         assert samples[("repro_matrix_cache_misses_total", ())] == 1
-        assert ("repro_unique_segments", ()) in samples
-        bucket_samples = [
-            key for key in samples if key[0] == "repro_stage_seconds_bucket"
-        ]
-        assert bucket_samples, "stage-seconds histogram missing"
+        for stage in PIPELINE_STAGES:
+            assert samples[span_count_sample(stage)] == 1
+            assert (
+                f"{SPAN_SECONDS_METRIC}_bucket",
+                (("le", "+Inf"), ("span", stage), ("status", "ok")),
+            ) in samples
+        manifest = json.loads(manifest_path.read_text())
+        (pipeline,) = [root for root in manifest["spans"] if root["name"] == "pipeline"]
+        assert pipeline["attributes"]["unique_segments"] > 0
 
     def test_second_run_hits_matrix_cache(self, tmp_path, monkeypatch):
         self.run_analyze(tmp_path, monkeypatch)
@@ -187,4 +196,6 @@ class TestCliArtefacts:
         assert manifest["meta"]["artefact"] == "table1"
         assert any(root["name"] == "eval.cell" for root in manifest["spans"])
         samples = parse_prometheus_text(metrics_path.read_text())
-        assert samples[("repro_pipeline_runs_total", ())] >= 1
+        cells = [root for root in manifest["spans"] if root["name"] == "eval.cell"]
+        assert samples[span_count_sample("eval.cell")] == len(cells)
+        assert samples[span_count_sample("pipeline")] >= 1

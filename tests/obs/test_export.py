@@ -118,6 +118,21 @@ class TestPrometheus:
         samples = parse_prometheus_text(prometheus_text(registry))
         assert samples[("repro_c_total", (("path", 'a"b\\c'),))] == 1
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "a\\nb",  # a, backslash, n, b: not a newline escape
+            'say \\"hi\\"',
+            "C:\\\\share\\\\n",
+            "two\nlines",
+        ],
+    )
+    def test_escape_sequences_decode_once(self, value):
+        registry = MetricsRegistry()
+        registry.counter("repro_c_total").inc(1, path=value)
+        samples = parse_prometheus_text(prometheus_text(registry))
+        assert samples == {("repro_c_total", (("path", value),)): 1}
+
     def test_empty_registry_serializes_to_empty_text(self):
         assert prometheus_text(MetricsRegistry()) == ""
         assert parse_prometheus_text("") == {}

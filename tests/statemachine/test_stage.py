@@ -11,7 +11,7 @@ from repro.core.matrix import MatrixBuildOptions
 from repro.core.pipeline import ClusteringConfig
 from repro.net.trace import Trace, TraceMessage
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.obs.tracer import Tracer, use_tracer
+from repro.obs.tracer import SPAN_SECONDS_METRIC, Tracer, use_tracer
 from repro.protocols import get_model
 from repro.report import AnalysisReport
 from repro.segmenters.groundtruth import GroundTruthSegmenter
@@ -24,13 +24,7 @@ from repro.statemachine import (
     to_json,
     type_symbol,
 )
-from repro.statemachine.stage import (
-    RUNS_METRIC,
-    SESSIONS_METRIC,
-    STATES_METRIC,
-    StateMachineResult,
-    TRANSITIONS_METRIC,
-)
+from repro.statemachine.stage import StateMachineResult
 
 
 def serial_config() -> ClusteringConfig:
@@ -127,16 +121,13 @@ class TestInferSessionMachine:
         (span,) = tracer.find("statemachine.infer")
         assert span.attributes["states"] == run.statemachine.state_count
         assert span.attributes["transitions"] == run.statemachine.transition_count
-        assert registry.counter(RUNS_METRIC).value() >= 1
-        assert registry.gauge(STATES_METRIC).value() == run.statemachine.state_count
-        assert (
-            registry.gauge(TRANSITIONS_METRIC).value()
-            == run.statemachine.transition_count
+        assert span.attributes["sessions"] == run.statemachine.session_count
+        assert "seconds" not in span.attributes
+        durations = registry.histogram(SPAN_SECONDS_METRIC).snapshot(
+            span="statemachine.infer", status="ok"
         )
-        assert (
-            registry.gauge(SESSIONS_METRIC).value()
-            == run.statemachine.session_count
-        )
+        assert durations["count"] == 1
+        assert durations["sum"] == span.wall_seconds
 
 
 class TestWiring:
