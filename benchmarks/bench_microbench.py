@@ -3,7 +3,8 @@
 Unlike the experiment benchmarks (single deterministic runs), these are
 true repeated-timing benchmarks of the hot paths: Canberra dissimilarity
 matrix construction (binned kernel serial vs threaded, against the
-serial per-pair reference oracle — the grid is persisted to
+serial per-pair reference oracle, on random segments and on the
+cross-length-heavy segments of an SMB capture — both persisted to
 ``BENCH_matrix.json`` as the perf trajectory baseline), k-NN
 extraction, DBSCAN, and the NEMESYS segmenter.
 """
@@ -24,6 +25,7 @@ from repro.core.dbscan import dbscan
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import cache_counters
 from repro.core.segments import Segment, unique_segments
+from repro.obs.tracer import Tracer, use_tracer
 from repro.protocols import get_model
 from repro.segmenters import CspSegmenter, NemesysSegmenter
 
@@ -37,6 +39,21 @@ KERNEL_GRID_SIZES = (200, 1000)
 
 #: Acceptance floor: binned must beat the per-pair oracle single-core.
 MIN_SINGLE_CORE_SPEEDUP = 5.0
+
+#: Floor on how many times fewer LUT cells the window tables gather than
+#: one gather per (short row, long window) would on the SMB segments.
+MIN_CROSS_GATHER_REDUCTION = 3.0
+
+
+def write_bench_matrix(**sections) -> None:
+    """Update *sections* of ``BENCH_matrix.json``, keeping the others."""
+    payload = {}
+    if BENCH_MATRIX_PATH.exists():
+        payload = json.loads(BENCH_MATRIX_PATH.read_text())
+    if payload.get("schema") != "repro.bench-matrix/v4":
+        payload = {"schema": "repro.bench-matrix/v4"}
+    payload.update(sections)
+    BENCH_MATRIX_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def synthetic_unique_segments(count: int, seed: int = 5) -> list:
@@ -113,8 +130,8 @@ MIN_PARALLEL_SPEEDUP_2CORE = 1.2
 def test_matrix_kernel_grid(benchmark):
     """binned serial vs parallel vs the per-pair oracle at n ∈ {200, 1000}.
 
-    The whole grid must agree within 1e-12 (the kernel and the oracle
-    are numerically interchangeable), the binned kernel must beat the
+    The whole grid must equal the oracle's bytes (the kernel sums the
+    same terms in the same order), the binned kernel must beat the
     per-pair oracle by ≥5× single-core, and the measured grid is written
     to ``BENCH_matrix.json`` so future PRs have a perf trajectory.  The
     oracle is timed serially through
@@ -164,8 +181,9 @@ def test_matrix_kernel_grid(benchmark):
             matrix = DissimilarityMatrix.build(segments, options=options)
             elapsed = time.perf_counter() - started
             seconds[backend] = elapsed
-            drift = float(np.abs(reference - matrix.values).max())
-            assert drift <= 1e-12, f"kernel grid drift {drift} at n={n} binned/{backend}"
+            assert matrix.values.tobytes() == reference.tobytes(), (
+                f"kernel grid bytes differ from the oracle at n={n} binned/{backend}"
+            )
             if backend == "parallel":
                 # The baseline must not lie: a row labelled
                 # "parallel" that ran serially (gate regression) fails
@@ -212,19 +230,101 @@ def test_matrix_kernel_grid(benchmark):
                 )
         benchmark.extra_info[f"speedup_serial_n{n}"] = round(single_core, 1)
         benchmark.extra_info[f"scaling_parallel_n{n}"] = round(parallel_scaling, 2)
-    payload = {
-        "schema": "repro.bench-matrix/v3",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "cpus": os.cpu_count(),
-        "cpus_available": cpus,
-        "grid_workers": GRID_WORKERS,
-        "cases": cases,
-        "speedups": speedups,
-    }
-    BENCH_MATRIX_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_matrix(
+        python=platform.python_version(),
+        numpy=np.__version__,
+        cpus=os.cpu_count(),
+        cpus_available=cpus,
+        grid_workers=GRID_WORKERS,
+        cases=cases,
+        speedups=speedups,
+    )
     # Register one timed binned serial build in the benchmark report.
     segments = synthetic_unique_segments(KERNEL_GRID_SIZES[0], seed=3)
+    matrix = benchmark.pedantic(
+        DissimilarityMatrix.build,
+        args=(segments,),
+        kwargs={"options": SERIAL},
+        rounds=1,
+        iterations=1,
+    )
+    attach_matrix_stats(benchmark, matrix)
+
+
+def gathered_cells(tracer: Tracer) -> tuple[int, int]:
+    """LUT cells of the cross tiles: one per (row, window) vs per distinct window."""
+    every = distinct = 0
+    for span in tracer.find("matrix.bin"):
+        attributes = span.attributes
+        if attributes["kind"] != "cross":
+            continue
+        start, _, stop = attributes["tile"].partition(":")
+        rows_by_m = (int(stop) - int(start)) * attributes["len_a"]
+        every += rows_by_m * attributes["windows"]
+        distinct += rows_by_m * attributes["unique_windows"]
+    return every, distinct
+
+
+def test_matrix_cross_heavy(benchmark):
+    """The window tables on the cross-length-heavy segments of real SMB.
+
+    The NEMESYS unique segments of a 240-message SMB trace (the shape of
+    the end-to-end benchmark's SMB capture: ~1900 segments over ~50
+    lengths) spend nearly all their matrix time in cross-length tiles,
+    and their longer segments repeat windows.  The build must return the
+    oracle's bytes on a row subsample, gather at least
+    ``MIN_CROSS_GATHER_REDUCTION`` times fewer LUT cells than one gather
+    per window occurrence (a deterministic count read from the
+    ``matrix.bin`` spans), and its serial and threaded seconds are
+    recorded in ``BENCH_matrix.json``.
+    """
+    trace = get_model("smb").generate(240, seed=3).preprocess()
+    segments = unique_segments(NemesysSegmenter().segment(trace))
+    seconds = {}
+    for backend, options in (
+        ("serial", MatrixBuildOptions(workers=1, use_cache=False)),
+        (
+            "parallel",
+            MatrixBuildOptions(
+                workers=GRID_WORKERS, use_cache=False, parallel_threshold=0
+            ),
+        ),
+    ):
+        tracer = Tracer()
+        started = time.perf_counter()
+        with use_tracer(tracer):
+            matrix = DissimilarityMatrix.build(segments, options=options)
+        seconds[backend] = time.perf_counter() - started
+        assert matrix.stats.backend == backend
+        every, distinct = gathered_cells(tracer)
+
+    sample = np.random.default_rng(0).choice(len(segments), size=160, replace=False)
+    sample.sort()
+    reference = dissimilarity_matrix_reference([segments[i].data for i in sample])
+    assert matrix.values[np.ix_(sample, sample)].tobytes() == reference.tobytes()
+
+    reduction = every / distinct
+    assert reduction >= MIN_CROSS_GATHER_REDUCTION, (
+        f"window tables gather only {reduction:.2f}x fewer LUT cells "
+        f"({distinct} vs {every}; floor {MIN_CROSS_GATHER_REDUCTION}x)"
+    )
+    lengths = len({segment.length for segment in segments})
+    write_bench_matrix(
+        cross_heavy={
+            "trace": "smb n=240 seed=3, nemesys",
+            "n": len(segments),
+            "lengths": lengths,
+            "cross_cells_every_window": every,
+            "cross_cells_distinct_windows": distinct,
+            "cross_gather_reduction": round(reduction, 2),
+            "serial_seconds": round(seconds["serial"], 4),
+            "parallel_seconds": round(seconds["parallel"], 4),
+            "parallel_workers": GRID_WORKERS,
+        }
+    )
+    benchmark.extra_info["cross_gather_reduction"] = round(reduction, 2)
+    benchmark.extra_info["serial_seconds"] = round(seconds["serial"], 4)
+    benchmark.extra_info["parallel_seconds"] = round(seconds["parallel"], 4)
     matrix = benchmark.pedantic(
         DissimilarityMatrix.build,
         args=(segments,),

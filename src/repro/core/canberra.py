@@ -22,16 +22,21 @@ On top of the per-pair functions sit the **batch kernels** the matrix
 builder uses, plus their reference oracles:
 
 - *binned* (:func:`pairwise_equal_length_rows`,
-  :func:`equal_length_cross_rows`, :func:`cross_length_block_rows`) —
-  row ranges of whole ``(len_a, len_b)`` bins at once.  Because byte
-  values live in ``[0, 255]``, every Canberra term is one of 256×256
-  possible values; uint8 blocks are resolved through a precomputed
-  512 KB lookup table (:func:`byte_term_lut`), replacing the
-  abs/add/divide/where chain by a single gather.  Equal-length bins
-  compute only their upper band (the terms are exactly symmetric, so
-  the matrix builder mirrors it); unequal-length bins evaluate all
-  sliding offsets simultaneously.  Work is chunked to a fixed temporary
-  budget so peak memory stays bounded.
+  :func:`equal_length_cross_rows`, :func:`cross_length_rows`) — row
+  ranges of whole blocks at once.  Because byte values live in
+  ``[0, 255]``, every Canberra term is one of 256×256 possible values;
+  uint8 blocks are resolved through a precomputed 512 KB lookup table
+  (:func:`byte_term_lut`), replacing the abs/add/divide/where chain by a
+  single gather.  Equal-length bins compute only their upper band (the
+  terms are exactly symmetric, so the matrix builder mirrors it).
+  Unequal lengths go through a *window table* (:func:`window_table`):
+  the distinct width-``m`` windows of a group of longer segments, each
+  stored once, plus every segment's window indices.  A short row's mean
+  term against each distinct window is computed once and each long
+  segment takes the minimum over its own indices, so a window that
+  recurs across offsets, segments or lengths costs one mean, not one
+  per occurrence.  Work is chunked to a fixed temporary budget so peak
+  memory stays bounded.
 - *reference* (:func:`pairwise_equal_length_reference`,
   :func:`equal_length_cross_block_reference`,
   :func:`cross_length_block_reference`, and the whole-matrix
@@ -43,6 +48,8 @@ builder uses, plus their reference oracles:
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,18 +126,14 @@ def _as_vector(data) -> np.ndarray:
 #: temporaries stay inside the budget an inline run chunks under.
 CHUNK_CELL_BUDGET = 20_000_000
 
-#: Private runtime knob (and the pre-threading name): the chunked
-#: kernels read this one when no explicit ``cells_budget`` is passed, so
-#: tests can monkeypatch it to force tiny chunks without touching the
-#: public constant the scheduler derives its tile sizes from.
-_CHUNK_CELL_BUDGET = CHUNK_CELL_BUDGET
-
 _BYTE_TERM_LUT: np.ndarray | None = None
 
+#: Odd 64-bit multiplier folding a window's 8-byte words into one sort key.
+_WORD_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
-def _chunk_rows_for(cells_per_row: int, cells_budget: int | None = None) -> int:
-    budget = _CHUNK_CELL_BUDGET if cells_budget is None else cells_budget
-    return max(1, budget // max(1, cells_per_row))
+
+def _chunk_rows_for(cells_per_row: int, cells_budget: int) -> int:
+    return max(1, cells_budget // max(1, cells_per_row))
 
 
 def byte_term_lut() -> np.ndarray:
@@ -163,7 +166,7 @@ def pairwise_equal_length_rows(
     row_stop: int,
     *,
     out: np.ndarray | None = None,
-    cells_budget: int | None = None,
+    cells_budget: int = CHUNK_CELL_BUDGET,
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of one equal-length bin, upper band.
 
@@ -211,63 +214,131 @@ def pairwise_equal_length_rows(
     return out
 
 
-def cross_length_block_rows(
+@dataclass(frozen=True)
+class WindowTable:
+    """The distinct width-``m`` windows of a group of longer segments.
+
+    The segments are the rows of a sequence of ``(count, n)`` blocks,
+    block after block; *shapes* records each block's ``(count, n)``.
+    *windows* holds every distinct window once, ``(unique, m)`` uint8, in
+    no particular order.  *index* lists, segment by segment and offset by
+    offset, the row of *windows* that each window of each segment equals,
+    so a block's ``count * (n - m + 1)`` entries follow its
+    predecessors'.  Built by :func:`window_table`.
+    """
+
+    windows: np.ndarray
+    index: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
+
+
+def window_table(long_blocks, m: int) -> WindowTable:
+    """The :class:`WindowTable` of width *m* over the rows of *long_blocks*.
+
+    *long_blocks* is a sequence of ``(count, n)`` uint8 blocks with every
+    ``n > m``.  Windows are deduplicated exactly: each is keyed by its
+    8-byte words folded into one uint64, the keys are sorted, and a new
+    distinct window starts wherever a window's bytes differ from its
+    sorted predecessor's.  A key collision can therefore only leave a
+    window stored twice, never merge two different ones.
+    """
+    blocks = [np.asarray(block) for block in long_blocks]
+    if m < 1:
+        raise ValueError(f"window width must be >= 1, got {m}")
+    for block in blocks:
+        if block.dtype != np.uint8:
+            raise ValueError(f"window tables take uint8 blocks, got {block.dtype}")
+        if block.shape[1] <= m:
+            raise ValueError(f"long block must be longer: {block.shape[1]} <= {m}")
+    flat = np.concatenate(
+        [
+            np.lib.stride_tricks.sliding_window_view(block, m, axis=1).reshape(-1, m)
+            for block in blocks
+        ]
+    )
+    words = -(-m // 8)
+    padded = np.zeros((flat.shape[0], 8 * words), dtype=np.uint8)
+    padded[:, 8 * words - m :] = flat
+    keys = padded.view(">u8").astype(np.uint64)
+    key = keys[:, 0]
+    for word in range(1, words):
+        key = key * _WORD_FOLD + keys[:, word]
+    order = np.argsort(key)
+    ordered = flat[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty(order.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    shapes = tuple((block.shape[0], block.shape[1]) for block in blocks)
+    return WindowTable(ordered[first], index, shapes)
+
+
+def cross_length_rows(
     short_block: np.ndarray,
-    long_block: np.ndarray,
+    table: WindowTable,
     row_start: int,
     row_stop: int,
     penalty_factor: float = DEFAULT_PENALTY_FACTOR,
     *,
-    out: np.ndarray | None = None,
-    cells_budget: int | None = None,
+    cells_budget: int = CHUNK_CELL_BUDGET,
 ) -> np.ndarray:
-    """Rows ``[row_start, row_stop)`` of one cross-length bin.
+    """Rows ``[row_start, row_stop)`` of short segments against a window table.
 
-    *short_block* is (a, m), *long_block* is (b, n) with m < n.  Returns
-    (or fills *out* with) the ``(row_stop - row_start, b)`` matrix of
-    length-tolerant Canberra dissimilarities between the given rows of
-    the short block and every long segment.  The sliding-overlap
-    minimum is evaluated across all offsets of all pairs at once, and
-    each pair only reads its own windows, so the values are
-    bit-identical however the rows are tiled.  *cells_budget* bounds the
-    per-chunk temporary exactly as in :func:`pairwise_equal_length_rows`.
+    *short_block* is ``(a, m)`` uint8 and *table* is the
+    :func:`window_table` of width ``m`` over the longer segments.  Returns
+    the ``(row_stop - row_start, segments)`` matrix of length-tolerant
+    Canberra dissimilarities.  The mean term of each distinct window
+    against each short row is the LUT gather reduced over the window's
+    ``m`` terms in order — the same sum the per-pair definition takes —
+    and each long segment's sliding minimum gathers those means at its
+    own window indices, so the values are bit-identical to
+    :func:`cross_length_block_reference` however rows are tiled or
+    windows shared.  *cells_budget* bounds the per-chunk temporaries
+    (means and the min-gather) exactly as in
+    :func:`pairwise_equal_length_rows`.
     """
     short_block = np.asarray(short_block)
-    long_block = np.asarray(long_block)
-    binned = short_block.dtype == np.uint8 and long_block.dtype == np.uint8
-    if not binned:
-        short_block = np.asarray(short_block, dtype=np.float64)
-        long_block = np.asarray(long_block, dtype=np.float64)
+    if short_block.dtype != np.uint8:
+        raise ValueError(
+            f"cross-length rows take uint8 blocks, got {short_block.dtype}"
+        )
     a, m = short_block.shape
-    b, n = long_block.shape
-    if m >= n:
-        raise ValueError(f"short block must be shorter: {m} >= {n}")
+    if table.windows.shape[1] != m:
+        raise ValueError(
+            f"window table of width {table.windows.shape[1]} for short length {m}"
+        )
     if not 0 <= row_start <= row_stop <= a:
         raise ValueError(
             f"tile rows [{row_start}, {row_stop}) outside block of {a} rows"
         )
-    rows = row_stop - row_start
-    if out is None:
-        out = np.empty((rows, b), dtype=np.float64)
-    elif out.shape != (rows, b):
-        raise ValueError(f"out shape {out.shape} != {(rows, b)}")
-    windows = np.lib.stride_tricks.sliding_window_view(long_block, m, axis=1)
-    offsets = windows.shape[1]
-    chunk_rows = _chunk_rows_for(b * offsets * m, cells_budget)
-    lut = byte_term_lut() if binned else None
+    segments = sum(count for count, _ in table.shapes)
+    out = np.empty((row_stop - row_start, segments), dtype=np.float64)
+    lengths = np.concatenate(
+        [np.full(count, n, dtype=np.int64) for count, n in table.shapes]
+    )[:, np.newaxis]
+    unique = table.windows.shape[0]
+    chunk_rows = _chunk_rows_for(max(unique * m, table.index.size), cells_budget)
+    lut = byte_term_lut()
+    left = table.windows[:, np.newaxis, :]
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        left = short_block[start:stop, np.newaxis, np.newaxis, :]
-        right = windows[np.newaxis, :, :, :]
-        if binned:
-            means = lut[left, right].mean(axis=3)
-        else:
-            means = _terms_mean_float(left, right)
-        d_min = means.min(axis=2)
+        # (unique, rows): one row of means per distinct window, so each
+        # long segment's minimum runs over contiguous gathered rows.
+        means = lut[left, short_block[np.newaxis, start:stop, :]].mean(axis=2)
+        d_min = np.empty((segments, stop - start), dtype=np.float64)
+        segment = position = 0
+        for count, n in table.shapes:
+            offsets = n - m + 1
+            block_index = table.index[position : position + count * offsets]
+            np.take(means, block_index, axis=0).reshape(
+                count, offsets, stop - start
+            ).min(axis=1, out=d_min[segment : segment + count])
+            segment += count
+            position += count * offsets
         penalty = penalty_factor + (1.0 - penalty_factor) * d_min
         out[start - row_start : stop - row_start] = (
-            m * d_min + (n - m) * penalty
-        ) / n
+            (m * d_min + (lengths - m) * penalty) / lengths
+        ).T
     return out
 
 
@@ -278,7 +349,7 @@ def equal_length_cross_rows(
     row_stop: int,
     *,
     out: np.ndarray | None = None,
-    cells_budget: int | None = None,
+    cells_budget: int = CHUNK_CELL_BUDGET,
 ) -> np.ndarray:
     """Rows ``[row_start, row_stop)`` of an equal-length *rectangular* bin.
 
@@ -381,7 +452,7 @@ def cross_length_block_reference(
     long_block: np.ndarray,
     penalty_factor: float = DEFAULT_PENALTY_FACTOR,
 ) -> np.ndarray:
-    """Per-pair oracle for :func:`cross_length_block_rows`.
+    """Per-pair oracle for :func:`cross_length_rows`.
 
     One :func:`canberra_dissimilarity` call per (short, long) pair,
     including its Python-level sliding-window minimum.

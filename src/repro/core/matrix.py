@@ -6,21 +6,26 @@ epsilon auto-configuration.  Computation is grouped by segment length so
 that equal-length pairs use the plain normalized Canberra distance and
 unequal-length pairs use the sliding/penalty extension.
 
-Every per-length-pair bin is filled by the vectorized **binned** kernel
-(see :mod:`repro.core.canberra`): Canberra terms are gathered from a
+Every cell is filled by the vectorized **binned** kernel (see
+:mod:`repro.core.canberra`): Canberra terms are gathered from a
 byte-term lookup table, equal-length bins compute only their upper band
-and mirror it, and unequal-length bins take the sliding minimum over
-all offsets at once.  The per-pair reference oracle
-(:func:`repro.core.canberra.dissimilarity_matrix_reference`) is not a
-runtime option: parity tests and the kernel-grid microbenchmark call it
-directly to pin the kernel's numerics (agreement within 1e-12 absolute,
-in practice bit-identical).
+and mirror it, and unequal lengths run through window tables — the
+distinct width-``m`` windows of the longer segments, each one's mean
+against a short row computed once, with every long segment's sliding
+minimum gathered from its own window indices.  The per-pair reference
+oracle (:func:`repro.core.canberra.dissimilarity_matrix_reference`) is
+not a runtime option: parity tests and the kernel microbenchmarks call
+it directly to pin the kernel to its exact bytes.
 
 One engine computes cells, the **row-tile queue**.  A build lists the
-bins holding at least one new segment (:func:`_append_tasks`; a batch
-build is an append onto an empty matrix), sub-tiles every bin along its
-rows to the kernel's ~160 MB temporary budget, and runs the tiles
-either inline — one worker, or fewer segments than
+tasks covering the cells with at least one new segment
+(:func:`_append_tasks`; a batch build is an append onto an empty
+matrix): per length an equal-length triangle and rectangle, and one
+cross-length task per short length, row side and window-table group,
+whose longer segments are capped at ``CHUNK_CELL_BUDGET // 4`` window
+bytes so each tile can build its table itself.  It sub-tiles every
+task along its rows to the kernel's ~160 MB temporary budget, and runs
+the tiles either inline — one worker, or fewer segments than
 :attr:`MatrixBuildOptions.parallel_threshold` — or longest-processing-
 time-first on a :class:`concurrent.futures.ThreadPoolExecutor`.  The
 numpy LUT gathers release the GIL, so worker threads share the uint8
@@ -58,9 +63,10 @@ from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
-    cross_length_block_rows,
+    cross_length_rows,
     equal_length_cross_rows,
     pairwise_equal_length_rows,
+    window_table,
 )
 from repro.core.membound import divide_bound, rows_per_block
 from repro.core.segments import UniqueSegment
@@ -85,6 +91,13 @@ DTYPES = (DTYPE_FLOAT64, DTYPE_FLOAT32)
 STORAGE_RAM = "ram"
 STORAGE_MEMMAP = "memmap"
 STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
+
+#: Most short rows in one "cross" tile.  A cross task spans every longer
+#: length of its short length, so its rows are split into tiles the
+#: threaded schedule can balance.  Each tile rebuilds the task's window
+#: table (~100 ns a window) and then gathers at least one cell per
+#: window and row, so tiles this tall keep the rebuilds a small share.
+CROSS_TILE_ROWS = 128
 
 _FAULTS_HELP = (
     "Failed matrix tiles (kind: bin_error).  There is no retry: a tile "
@@ -169,7 +182,10 @@ class BuildStats:
     #: "ram" or "memmap" — where the values live.
     storage: str = STORAGE_RAM
     workers: int = 1
-    #: Independent work items (same-length, eqcross and cross-length bins).
+    #: Independent work items: one "same" bin per new length, one
+    #: "eqcross" rectangle per length with old and new segments, and one
+    #: "cross" task per short length, row side and window-table group
+    #: (see :func:`_append_tasks`).
     task_count: int = 0
     #: Tiles scheduled on the thread pool (bins sub-tiled to the
     #: kernel's temporary budget); 0 when the tiles ran inline.
@@ -186,22 +202,34 @@ class _BinTask:
 
     *kind* is "same" (one equal-length group against itself; both sides
     carry the same block and indices), "eqcross" (two disjoint groups of
-    one length — an append's new-vs-old rectangle) or "cross" (a shorter
-    length against a longer one).  The blocks are the groups' raw
-    ``(count, length)`` uint8 rows; *rows* and *cols* are the global
-    matrix indices they scatter to, so a task's row and column sets may
-    come from different segment generations.
+    one length — an append's new-vs-old rectangle) or "cross" (segments
+    of one short length against a group of longer segments, whose
+    window table each of the task's tiles builds).  The blocks are the
+    groups' raw ``(count, length)`` uint8 rows — *blocks_b* holds one
+    block per long length for "cross", the one column block otherwise;
+    *rows* and *cols* are the global matrix indices they scatter to, so
+    a task's row and column sets may come from different segment
+    generations.
     """
 
     kind: str
     block_a: np.ndarray
-    block_b: np.ndarray
+    blocks_b: tuple[np.ndarray, ...]
     rows: list[int]
     cols: list[int]
 
     @property
     def lengths(self) -> tuple[int, int]:
-        return self.block_a.shape[1], self.block_b.shape[1]
+        """The row length and the longest column length."""
+        return self.block_a.shape[1], max(block.shape[1] for block in self.blocks_b)
+
+    @property
+    def window_cells(self) -> int:
+        """Bytes of the width-``len_a`` windows of every column segment."""
+        m = self.block_a.shape[1]
+        return sum(
+            block.shape[0] * (block.shape[1] - m + 1) * m for block in self.blocks_b
+        )
 
 
 def _length_bins(
@@ -225,69 +253,104 @@ def _length_bins(
     return bins
 
 
+def _cross_tasks(
+    short: tuple[list[int], np.ndarray],
+    longs: list[tuple[list[int], np.ndarray]],
+) -> list[_BinTask]:
+    """"cross" tasks of one short side against the longer sides *longs*.
+
+    The longer segments are cut, in order, into consecutive groups of at
+    most ``CHUNK_CELL_BUDGET // 4`` window bytes (a segment whose own
+    windows exceed that forms a group alone), one task each: a tile
+    builds its task's window table, so the cap bounds every table
+    whatever the trace's length spread.
+    """
+    m = short[1].shape[1]
+    cap = CHUNK_CELL_BUDGET // 4
+    tasks = []
+    blocks: list[np.ndarray] = []
+    cols: list[int] = []
+    cells = 0
+    for indices, block in longs:
+        per_segment = (block.shape[1] - m + 1) * m
+        start = 0
+        while start < len(indices):
+            if blocks and cells + per_segment > cap:
+                tasks.append(_BinTask("cross", short[1], tuple(blocks), short[0], cols))
+                blocks, cols, cells = [], [], 0
+            stop = min(len(indices), start + max(1, (cap - cells) // per_segment))
+            blocks.append(block[start:stop])
+            cols.extend(indices[start:stop])
+            cells += (stop - start) * per_segment
+            start = stop
+    if blocks:
+        tasks.append(_BinTask("cross", short[1], tuple(blocks), short[0], cols))
+    return tasks
+
+
 def _append_tasks(
     old_bins: dict[int, tuple[list[int], np.ndarray]],
     new_bins: dict[int, tuple[list[int], np.ndarray]],
 ) -> list[_BinTask]:
     """Work items covering exactly the cells with a new segment on a side.
 
-    For every length pair over the union of old and new lengths, emit
-    only the blocks with at least one *new* segment on a side: the
-    new-vs-new diagonal ("same" triangles per length plus "cross"
-    rectangles between new lengths) and the new-vs-old rectangles
-    ("eqcross" when the lengths are equal, "cross" otherwise).
-    Old-vs-old cells already hold their final values and are never
-    touched, which is what keeps concurrent tile writes disjoint from
-    the live matrix view.  A batch build passes no old bins, so it is
-    the same list an append onto an empty matrix computes — every cell
-    goes through the same kernel reduction either way, which makes an
-    appended matrix bit-identical to a from-scratch build.
+    Per length over the union of old and new lengths, emit only the
+    blocks with at least one *new* segment on a side: the new-vs-new
+    "same" triangle, the new-vs-old "eqcross" rectangle, and two
+    "cross" sides against the longer lengths — the new short rows
+    against every longer segment, old and new, and the old short rows
+    against the new longer ones (:func:`_cross_tasks`).  Old-vs-old
+    cells already hold their final values and are never touched, which
+    is what keeps concurrent tile writes disjoint from the live matrix
+    view.  A batch build passes no old bins, so it is the same list an
+    append onto an empty matrix computes — every cell goes through the
+    same kernel reduction either way, which makes an appended matrix
+    bit-identical to a from-scratch build.
     """
-
-    def task(kind, side_a, side_b) -> _BinTask:
-        return _BinTask(kind, side_a[1], side_b[1], side_a[0], side_b[0])
-
     tasks = []
     lengths = sorted(set(old_bins) | set(new_bins))
-    for li, length_a in enumerate(lengths):
-        old_a = old_bins.get(length_a)
-        new_a = new_bins.get(length_a)
-        if new_a and len(new_a[0]) > 1:
-            tasks.append(task("same", new_a, new_a))
-        if new_a and old_a:
-            tasks.append(task("eqcross", new_a, old_a))
-        for length_b in lengths[li + 1 :]:
-            old_b = old_bins.get(length_b)
-            new_b = new_bins.get(length_b)
-            if old_a and new_b:
-                tasks.append(task("cross", old_a, new_b))
-            if new_a and old_b:
-                tasks.append(task("cross", new_a, old_b))
-            if new_a and new_b:
-                tasks.append(task("cross", new_a, new_b))
+    for li, length in enumerate(lengths):
+        old = old_bins.get(length)
+        new = new_bins.get(length)
+        longer = lengths[li + 1 :]
+        if new and len(new[0]) > 1:
+            tasks.append(_BinTask("same", new[1], (new[1],), new[0], new[0]))
+        if new and old:
+            tasks.append(_BinTask("eqcross", new[1], (old[1],), new[0], old[0]))
+        if new:
+            every_longer = [
+                bins[n] for n in longer for bins in (old_bins, new_bins) if n in bins
+            ]
+            tasks.extend(_cross_tasks(new, every_longer))
+        if old:
+            new_longer = [new_bins[n] for n in longer if n in new_bins]
+            tasks.extend(_cross_tasks(old, new_longer))
     return tasks
 
 
 def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
     """The engine's work queue: ``(task, row_start, row_stop, cost)``.
 
-    Each length bin is sub-tiled along its rows so one tile's gather
-    stays inside the kernel's fixed temporary budget
+    Each task is sub-tiled along its rows so one tile's gather stays
+    inside the kernel's fixed temporary budget
     (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`, ~160 MB of float64
-    cells).  Boundaries depend only on the bin shapes, never on the
-    worker count, so the queue is deterministic; *cost* estimates the
-    tile's gather cells and drives the threaded
+    cells; a "cross" row costs its group's window bytes), and a "cross"
+    tile takes at most :data:`CROSS_TILE_ROWS` rows.  Boundaries depend
+    only on the task shapes, never on the worker count, so the queue is
+    deterministic; *cost* estimates the tile's gather cells (for
+    "cross", as if no window repeated) and drives the threaded
     longest-processing-time-first schedule.
     """
     tiles = []
     for task in tasks:
         rows, m = task.block_a.shape
-        b, n = task.block_b.shape
         if task.kind == "cross":
-            cells_per_row = max(1, b * (n - m + 1) * m)
+            cells_per_row = max(1, task.window_cells)
         else:
-            cells_per_row = max(1, b * m)
+            cells_per_row = max(1, len(task.cols) * m)
         tile_rows = max(1, CHUNK_CELL_BUDGET // cells_per_row)
+        if task.kind == "cross":
+            tile_rows = min(tile_rows, CROSS_TILE_ROWS)
         for start in range(0, rows, tile_rows):
             stop = min(rows, start + tile_rows)
             if task.kind == "same":
@@ -300,12 +363,12 @@ def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
 
 
 def _bin_attributes(task: _BinTask, row_start: int, row_stop: int) -> dict:
-    """The ``matrix.bin`` span attributes of one tile, inline or threaded."""
+    """The ``matrix.bin`` span attributes of one tile known before it runs."""
     if task.kind == "same":
         count = task.block_a.shape[0]
         pairs = sum(count - 1 - i for i in range(row_start, row_stop))
     else:
-        pairs = (row_stop - row_start) * task.block_b.shape[0]
+        pairs = (row_stop - row_start) * len(task.cols)
     len_a, len_b = task.lengths
     return {
         "kind": task.kind,
@@ -323,7 +386,7 @@ def _compute_tile_into(
     row_stop: int,
     penalty_factor: float,
     cells_budget: int,
-) -> None:
+) -> dict:
     """Compute one tile and write it (plus its mirror) into *values*.
 
     The engine's unit of work, inline or on a worker thread.  Tiles of
@@ -332,8 +395,12 @@ def _compute_tile_into(
     eqcross tile owns its rows and their transposes), so concurrent
     workers never write the same cell — except the symmetric diagonal
     band *within* one tile, which the same thread overwrites with
-    bit-identical values.
+    bit-identical values.  A "cross" tile builds its task's window
+    table itself, so only in-flight tiles hold one; it returns the
+    table's ``windows`` and ``unique_windows`` counts for its
+    ``matrix.bin`` span (other kinds return no counts).
     """
+    table_counts = {}
     if task.kind == "same":
         tile = pairwise_equal_length_rows(
             task.block_a, row_start, row_stop, cells_budget=cells_budget
@@ -342,25 +409,31 @@ def _compute_tile_into(
     elif task.kind == "eqcross":
         tile = equal_length_cross_rows(
             task.block_a,
-            task.block_b,
+            task.blocks_b[0],
             row_start,
             row_stop,
             cells_budget=cells_budget,
         )
         cols = task.cols
     else:
-        tile = cross_length_block_rows(
+        table = window_table(task.blocks_b, task.block_a.shape[1])
+        tile = cross_length_rows(
             task.block_a,
-            task.block_b,
+            table,
             row_start,
             row_stop,
             penalty_factor=penalty_factor,
             cells_budget=cells_budget,
         )
         cols = task.cols
+        table_counts = {
+            "windows": table.index.size,
+            "unique_windows": table.windows.shape[0],
+        }
     rows = task.rows[row_start:row_stop]
     values[np.ix_(rows, cols)] = tile
     values[np.ix_(cols, rows)] = tile.T
+    return table_counts
 
 
 def _bin_error(
@@ -393,7 +466,7 @@ def _run_tile(
     task, row_start, row_stop, _ = tile
     started = time.perf_counter()
     started_unix = time.time()
-    _compute_tile_into(
+    table_counts = _compute_tile_into(
         values, task, row_start, row_stop, penalty_factor, cells_budget
     )
     return {
@@ -401,6 +474,7 @@ def _run_tile(
         "queue_seconds": started - enqueued,
         "wall_seconds": time.perf_counter() - started,
         "started_unix": started_unix,
+        "table_counts": table_counts,
     }
 
 
@@ -418,15 +492,16 @@ def _run_inline(
     tracer = get_tracer()
     for position, tile in enumerate(tiles):
         task, row_start, row_stop, _ = tile
-        with tracer.span("matrix.bin", **_bin_attributes(task, row_start, row_stop)):
+        with tracer.span("matrix.bin", **_bin_attributes(*tile[:3])) as span:
             try:
-                _compute_tile_into(
+                table_counts = _compute_tile_into(
                     values, task, row_start, row_stop, penalty_factor, CHUNK_CELL_BUDGET
                 )
             except Exception as error:
                 _count_fault("bin_error")
                 drained = len(tiles) - position - 1
                 raise _bin_error(tile, "inline", drained, error) from error
+            span.set(**table_counts)
 
 
 def _run_threaded(
@@ -498,6 +573,7 @@ def _run_threaded(
                 worker=record["worker"],
                 queue_seconds=round(record["queue_seconds"], 6),
                 **_bin_attributes(*tile[:3]),
+                **record["table_counts"],
             )
     finally:
         executor.shutdown(wait=True, cancel_futures=True)
@@ -550,13 +626,15 @@ def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
     (``$TMPDIR``): the mapping stays valid after the unlink on POSIX, so
     no cleanup handle is needed — the space is reclaimed when the array
     is garbage-collected.  Falls back to RAM when the filesystem refuses
-    (read-only temp dir, exotic platforms).
+    (read-only temp dir, exotic platforms).  RAM that cannot hold the
+    matrix raises a :class:`ComputeError` naming the segment count, the
+    bytes requested and the settings that shrink or move them.
     """
+    size = count * count * np.dtype(dtype).itemsize
     if storage == STORAGE_MEMMAP:
         try:
             fd, name = tempfile.mkstemp(prefix="repro-matrix-", suffix=".values")
             try:
-                size = count * count * np.dtype(dtype).itemsize
                 os.ftruncate(fd, max(1, size))
                 with os.fdopen(fd, "r+b") as handle:
                     fd = None
@@ -570,7 +648,15 @@ def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
             return values
         except OSError as error:
             logger.warning("memmap storage unavailable (%s); using RAM", error)
-    return np.zeros((count, count), dtype=dtype)
+    try:
+        return np.zeros((count, count), dtype=dtype)
+    except MemoryError as error:
+        raise ComputeError(
+            f"cannot allocate the dissimilarity matrix of {count} unique "
+            f"segments: {size} bytes of {dtype} in RAM; "
+            f'storage="memmap" (--matrix-memmap) keeps it on disk and '
+            f'dtype="float32" (--matrix-dtype float32) halves it'
+        ) from error
 
 
 @dataclass

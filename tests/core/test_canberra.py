@@ -7,9 +7,10 @@ from repro.core.canberra import (
     canberra_dissimilarity,
     canberra_distance,
     canberra_terms,
-    cross_length_block_rows,
+    cross_length_rows,
     pairwise_equal_length_rows,
     sliding_min_distance,
+    window_table,
 )
 
 byte_vectors = st.binary(min_size=1, max_size=16)
@@ -114,17 +115,20 @@ class TestBlockKernels:
     def test_cross_block_matches_scalar(self):
         shorts = [b"\x01\x02", b"\x10\x20"]
         longs = [b"\x00\x01\x02\x03", b"\xaa\xbb\xcc\xdd"]
-        short_block = np.array([list(d) for d in shorts], dtype=np.float64)
-        long_block = np.array([list(d) for d in longs], dtype=np.float64)
-        matrix = cross_length_block_rows(short_block, long_block, 0, 2)
+        short_block = np.array([list(d) for d in shorts], dtype=np.uint8)
+        long_block = np.array([list(d) for d in longs], dtype=np.uint8)
+        matrix = cross_length_rows(short_block, window_table([long_block], 2), 0, 2)
         for i, u in enumerate(shorts):
             for j, v in enumerate(longs):
                 assert matrix[i, j] == pytest.approx(canberra_dissimilarity(u, v))
 
     def test_cross_block_rejects_equal_length(self):
-        block = np.zeros((2, 3))
+        block = np.zeros((2, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
-            cross_length_block_rows(block, block, 0, 2)
+            window_table([block], 3)
+        table = window_table([np.zeros((1, 4), dtype=np.uint8)], 2)
+        with pytest.raises(ValueError):
+            cross_length_rows(block, table, 0, 2)
 
     def test_pairwise_diagonal_zero(self):
         block = np.random.default_rng(0).integers(0, 256, size=(20, 8)).astype(float)

@@ -1,9 +1,12 @@
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 
 from repro.core.canberra import canberra_dissimilarity
-from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
-from repro.core.segments import Segment, unique_segments
+from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.segments import Segment, UniqueSegment, unique_segments
+from repro.errors import ComputeError
 
 
 def build(datas, **options):
@@ -123,3 +126,46 @@ class TestDtypeAndStorage:
         narrow = build(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
         assert wide.stats.cache_key != narrow.stats.cache_key
         assert not narrow.stats.cache_hit  # the float64 entry must not serve it
+
+
+class _ManySegments(Sequence):
+    """Claims *count* segments without holding them: a build allocates its
+    matrix from the count before it reads a segment."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, index):
+        return UniqueSegment(data=b"\x01\x02")
+
+
+class TestUnallocatableMatrix:
+    """A matrix too large to allocate raises a typed error, not MemoryError."""
+
+    #: 2**48 float64 cells: more bytes than a 47-bit address space holds,
+    #: so the allocation fails under any overcommit policy.
+    COUNT = 2**24
+
+    def assert_names_the_way_out(self, error):
+        message = str(error)
+        assert f"{self.COUNT} unique segments" in message
+        assert f"{self.COUNT**2 * 8} bytes" in message
+        assert "--matrix-memmap" in message
+        assert "--matrix-dtype float32" in message
+
+    def test_batch_build(self):
+        with pytest.raises(ComputeError) as exc:
+            DissimilarityMatrix.build(
+                _ManySegments(self.COUNT), options=MatrixBuildOptions(workers=0)
+            )
+        self.assert_names_the_way_out(exc.value)
+
+    def test_append_growth(self):
+        grown = AppendableMatrix([UniqueSegment(data=d) for d in ladder(4)])
+        with pytest.raises(ComputeError) as exc:
+            grown._ensure_capacity(self.COUNT)
+        self.assert_names_the_way_out(exc.value)
+        assert len(grown) == 4

@@ -228,6 +228,30 @@ class TestThreadedObservability:
         assert attributes["tiles"] == built.stats.tile_count
         assert attributes["backend"] == "parallel"
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_bin_spans_cover_every_pair_and_count_windows(self, workers):
+        # Low-entropy segments of many lengths, so windows recur.
+        rng = np.random.default_rng(59)
+        datas = list({
+            bytes(rng.integers(0, 3, size=int(rng.integers(1, 16)), dtype=np.uint8)): None
+            for _ in range(120)
+        })
+        tracer = Tracer()
+        with use_tracer(tracer):
+            built = threaded_build(datas, workers)
+        count = len(built)
+        bins = tracer.find("matrix.bin")
+        assert sum(span.attributes["pairs"] for span in bins) == count * (count - 1) // 2
+        cross = [span for span in bins if span.attributes["kind"] == "cross"]
+        assert cross
+        for span in cross:
+            attributes = span.attributes
+            assert 1 <= attributes["unique_windows"] <= attributes["windows"]
+            assert attributes["len_a"] < attributes["len_b"]
+        assert sum(s.attributes["unique_windows"] for s in cross) < sum(
+            s.attributes["windows"] for s in cross
+        )
+
     def test_serial_build_has_no_threaded_artifacts(self):
         datas = make_ragged_datas(count=20, seed=53)
         tracer = Tracer()
