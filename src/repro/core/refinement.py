@@ -61,15 +61,32 @@ def cluster_stats(
         return ClusterStats(
             indices=indices, mean_dissimilarity=0.0, max_extent=0.0, minmed=0.0
         )
-    # Under the memory bound the exact single-block path runs (its
-    # floating-point reduction order is pinned by the golden corpus);
-    # oversized clusters switch to a blockwise scan that accumulates
-    # sum/max/row-min without materializing the size×size sub-matrix.
-    if size * size * values.dtype.itemsize <= resolve_bound(memory_bound_bytes):
-        sub = values[np.ix_(indices, indices)]
-        iu = np.triu_indices(size, k=1)
-        pairwise = sub[iu]
-        nearest = np.where(np.eye(size, dtype=bool), np.inf, sub).min(axis=1)
+    # Under the memory bound the exact path runs: one vector of every
+    # pairwise dissimilarity, in row-major upper-triangle order, whose
+    # floating-point mean is pinned by the golden corpus.  Oversized
+    # clusters switch to a blockwise scan that accumulates
+    # sum/max/row-min without holding all the pairs.
+    bound = resolve_bound(memory_bound_bytes)
+    itemsize = values.dtype.itemsize
+    if size * size * itemsize <= bound:
+        pairwise = np.empty(size * (size - 1) // 2, dtype=values.dtype)
+        nearest = np.empty(size, dtype=values.dtype)
+        # One gathered row block at a time, in half of what the pairs
+        # leave of the bound (the other half is headroom).
+        block = rows_per_block(size * itemsize, bound - pairwise.nbytes, copies=2)
+        offset = 0
+        for start in range(0, size, block):
+            stop = min(size, start + block)
+            rows = values[np.ix_(indices[start:stop], indices)]
+            for row in range(start, stop):
+                width = size - 1 - row
+                pairwise[offset : offset + width] = rows[row - start, row + 1 :]
+                offset += width
+            # Self-distances sit on the block's shifted diagonal.
+            local = np.arange(stop - start)
+            rows[local, start + local] = np.inf
+            nearest[start:stop] = rows.min(axis=1)
+            del rows  # before the next block is gathered
         return ClusterStats(
             indices=indices,
             mean_dissimilarity=float(pairwise.mean()),

@@ -169,6 +169,46 @@ class TestKnnMerge:
         ).knn_distances_all(k)
         np.testing.assert_array_equal(merged, fresh)
 
+    def test_merged_columns_with_tied_distances(self):
+        # Segments over a four-byte alphabet share a handful of distinct
+        # Canberra distances, so most rows tie across the k-th position.
+        alphabet = (0, 1, 2, 255)
+        datas = [bytes([a, b]) for a in alphabet for b in alphabet]
+        datas += [bytes([a, b, c]) for a in alphabet for b in alphabet for c in (0, 2)]
+        segments = distinct_segments(datas)
+        appendable = AppendableMatrix(segments[:30], options=SERIAL)
+        k = 7
+        appendable.matrix.knn_distances_all(k)
+        appendable.append(segments[30:])
+        merged = appendable.matrix._knn_columns
+        for column in range(k):
+            assert (
+                merged[:, column].tobytes()
+                == appendable.matrix.knn_distances(column + 1).tobytes()
+            )
+
+    @pytest.mark.parametrize("old_count", [30, 45])
+    def test_merged_columns_across_many_blocks(self, monkeypatch, old_count):
+        # 7-row blocks cut both the old-row merge and the new-row
+        # selection into several blocks; the new rows' blocks start
+        # mid-matrix, at a row that is not a multiple of 7.
+        monkeypatch.setattr("repro.core.matrix.KNN_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(11)
+        alphabet = (0, 1, 2, 255)
+        datas = [bytes(rng.choice(alphabet, size=rng.integers(2, 5))) for _ in range(120)]
+        segments = distinct_segments(datas)
+        assert len(segments) - old_count > 14
+        appendable = AppendableMatrix(segments[:old_count], options=SERIAL)
+        k = 6
+        appendable.matrix.knn_distances_all(k)
+        appendable.append(segments[old_count:])
+        merged = appendable.matrix._knn_columns
+        for column in range(k):
+            assert (
+                merged[:, column].tobytes()
+                == appendable.matrix.knn_distances(column + 1).tobytes()
+            )
+
     def test_append_without_cache_leaves_no_columns(self):
         segments = distinct_segments([bytes([i, i]) for i in range(2, 12)])
         appendable = AppendableMatrix(segments[:6], options=SERIAL)

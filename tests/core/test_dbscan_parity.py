@@ -1,11 +1,12 @@
-"""CSR-vs-dense neighborhood parity and blockwise-refinement parity.
+"""DBSCAN labelling, blockwise-refinement and k-NN selection parity.
 
-The memory-bounded backends (CSR epsilon-adjacency, blockwise
-refinement scans, single-pass k-NN extraction) are only admissible
-because they are *bit-identical* to their dense references — same BFS
-enumeration order, same argmin tie-breaking, same order statistics.
-These tests pin that equivalence on random symmetric matrices
-(hypothesis), on real golden-trace dissimilarity matrices, and at both
+The memory-bounded fast paths (the component labelling over the CSR
+epsilon-adjacency, blockwise refinement scans, one-selection k-NN
+extraction) are only admissible because they are *bit-identical* to
+their references — the breadth-first ``dbscan_reference``, argmin
+tie-breaking, full-sort order statistics.  These tests pin that
+equivalence on random symmetric matrices (hypothesis), on hand-made
+edge cases, on real golden-trace dissimilarity matrices, and at both
 extremes of the memory bound (one row per block vs everything in one
 block).
 """
@@ -15,10 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dbscan import NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE, dbscan
+from repro.core.dbscan import (
+    NEIGHBORHOOD_MODES,
+    NEIGHBORHOODS_CSR,
+    NEIGHBORHOODS_DENSE,
+    NOISE,
+    dbscan,
+    dbscan_reference,
+)
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.refinement import cluster_stats, link_segments
-from repro.core.segments import Segment, unique_segments
+from repro.core.segments import unique_segments
 
 #: One row per block vs one block for everything.
 BOUNDS = (1, None)
@@ -56,6 +64,8 @@ class TestCsrDenseParity:
     def test_random_matrices(self, seed, size, epsilon, min_samples):
         m = symmetric_matrix(seed, size)
         dense = dbscan(m, epsilon, min_samples, neighborhoods=NEIGHBORHOODS_DENSE)
+        reference = dbscan_reference(m, epsilon, min_samples)
+        assert np.array_equal(dense.labels, reference.labels)
         for bound in BOUNDS:
             csr = dbscan(
                 m,
@@ -75,6 +85,8 @@ class TestCsrDenseParity:
         dense = dbscan(
             m, 0.4, 4, weights=weights, neighborhoods=NEIGHBORHOODS_DENSE
         )
+        reference = dbscan_reference(m, 0.4, 4, weights=weights)
+        assert np.array_equal(dense.labels, reference.labels)
         for bound in BOUNDS:
             csr = dbscan(
                 m,
@@ -94,6 +106,8 @@ class TestCsrDenseParity:
         # A mid-scale epsilon exercises non-trivial neighborhoods.
         epsilon = float(np.median(matrix.condensed()))
         dense = dbscan(values, epsilon, 3, neighborhoods=NEIGHBORHOODS_DENSE)
+        reference = dbscan_reference(values, epsilon, 3)
+        assert np.array_equal(dense.labels, reference.labels)
         csr = dbscan(
             values,
             epsilon,
@@ -108,10 +122,95 @@ class TestCsrDenseParity:
         for mode in (NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE):
             result = dbscan(np.zeros((0, 0)), 0.5, 2, neighborhoods=mode)
             assert result.cluster_count == 0
+        assert dbscan_reference(np.zeros((0, 0)), 0.5, 2).cluster_count == 0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="neighborhood mode"):
             dbscan(np.zeros((2, 2)), 0.5, 2, neighborhoods="sparse")
+
+
+def assert_matches_reference(m, epsilon, min_samples, weights=None):
+    """Every mode and bound labels *m* exactly as the BFS reference."""
+    reference = dbscan_reference(m, epsilon, min_samples, weights=weights)
+    for mode in NEIGHBORHOOD_MODES:
+        for bound in BOUNDS:
+            result = dbscan(
+                m,
+                epsilon,
+                min_samples,
+                weights=weights,
+                neighborhoods=mode,
+                memory_bound_bytes=bound,
+            )
+            assert np.array_equal(result.labels, reference.labels), (mode, bound)
+    return reference.labels
+
+
+class TestLabellingMatchesReference:
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.integers(0, 40),
+        epsilon=st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.7]),
+        min_samples=st.integers(1, 7),
+        weighted=st.booleans(),
+        ties=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_matrices(self, seed, size, epsilon, min_samples, weighted, ties):
+        m = symmetric_matrix(seed, size)
+        if ties:
+            # A one-decimal grid puts many distances exactly at epsilon.
+            m = np.round(m, 1)
+        weights = None
+        if weighted:
+            rng = np.random.default_rng(seed + 1)
+            weights = rng.integers(1, 5, size).astype(np.float64)
+        assert_matches_reference(m, epsilon, min_samples, weights)
+
+    def test_single_point(self):
+        one = np.zeros((1, 1))
+        assert list(assert_matches_reference(one, 0.5, 2)) == [NOISE]
+        assert list(assert_matches_reference(one, 0.5, 1)) == [0]
+        assert list(assert_matches_reference(one, 0.5, 2, np.array([3.0]))) == [0]
+
+    def test_no_core_point(self):
+        m = symmetric_matrix(7, 12)
+        labels = assert_matches_reference(m, 0.01, 3)
+        assert (labels == NOISE).all()
+
+    def test_every_point_core(self):
+        m = np.round(symmetric_matrix(8, 15) * 0.1, 3)
+        labels = assert_matches_reference(m, 0.5, 15)
+        assert (labels == 0).all()
+
+    def test_distances_exactly_at_epsilon(self):
+        # A chain 0-1-2-3 whose links are exactly epsilon long: "within"
+        # is <=, so all four are core and form one cluster.
+        m = np.full((5, 5), 0.9)
+        np.fill_diagonal(m, 0.0)
+        for i in range(3):
+            m[i, i + 1] = m[i + 1, i] = 0.25
+        labels = assert_matches_reference(m, 0.25, 2)
+        assert list(labels) == [0, 0, 0, 0, NOISE]
+
+    def test_border_point_between_two_clusters_takes_lower_id(self):
+        # Clusters A = {0, 1, 2, 3} and C = {5, 6, 7, 8}; point 4 is
+        # within epsilon of cores 3 and 5 but, with three neighbors, not
+        # core itself.  It joins whichever cluster got the lower id,
+        # whether A or C comes first in index order.
+        for order in (list(range(9)), [5, 6, 7, 8, 4, 0, 1, 2, 3]):
+            m = np.full((9, 9), 0.9)
+            for group in ((0, 1, 2, 3), (5, 6, 7, 8)):
+                m[np.ix_(group, group)] = 0.1
+            np.fill_diagonal(m, 0.0)
+            for core in (3, 5):
+                m[4, core] = m[core, 4] = 0.2
+            m = m[np.ix_(order, order)]
+            labels = assert_matches_reference(m, 0.2, 4)
+            by_point = dict(zip(order, labels))
+            assert by_point[4] == 0
+            assert {by_point[0], by_point[5]} == {0, 1}
+            assert by_point[0] == by_point[3] and by_point[5] == by_point[8]
 
 
 class TestBlockwiseRefinementParity:
@@ -161,6 +260,39 @@ class TestKnnDistancesAllParity:
         assert columns.shape == (len(matrix), k_max)
         for k in range(1, k_max + 1):
             assert np.array_equal(columns[:, k - 1], matrix.knn_distances(k))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    @pytest.mark.parametrize("k_max", [9, 150])
+    def test_tied_distances(self, dtype, bound, k_max):
+        # A quarter-step grid puts long runs of equal distances across
+        # every k-th position; 300 rows span two selection blocks.  At
+        # k_max=150 the partition leaves most rows' front unsorted.
+        rng = np.random.default_rng(11)
+        m = np.round(symmetric_matrix(11, 300) * 4) / 4
+        m[rng.random(m.shape) < 0.02] = 0.0
+        m = np.minimum(m, m.T).astype(dtype)
+        matrix = DissimilarityMatrix(segments=[None] * len(m), values=m)
+        columns = matrix.knn_distances_all(k_max, memory_bound_bytes=bound)
+        assert columns.dtype == dtype
+        for k in range(1, k_max + 1):
+            assert columns[:, k - 1].tobytes() == matrix.knn_distances(k).tobytes()
+
+    def test_memmap_storage(self):
+        from repro.protocols import get_model
+        from repro.segmenters.groundtruth import GroundTruthSegmenter
+
+        model = get_model("ntp")
+        trace = model.generate(80, seed=1202).preprocess()
+        uniq = unique_segments(GroundTruthSegmenter(model).segment(trace))
+        matrix = DissimilarityMatrix.build(
+            uniq, options=MatrixBuildOptions(use_cache=False, storage="memmap")
+        )
+        assert isinstance(matrix.values, np.memmap)
+        k_max = min(8, len(matrix) - 1)
+        columns = matrix.knn_distances_all(k_max)
+        for k in range(1, k_max + 1):
+            assert columns[:, k - 1].tobytes() == matrix.knn_distances(k).tobytes()
 
     def test_cache_reused_and_extended(self):
         matrix = golden_matrix("ntp")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,53 @@ def matrix_of(values):
     return np.asarray(values, dtype=float)
 
 
+def random_symmetric(size, seed, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    values = rng.random((size, size))
+    values = (values + values.T) / 2.0
+    np.fill_diagonal(values, 0.0)
+    return values.astype(dtype)
+
+
+def one_shot_stats(values, indices):
+    """The whole sub-matrix at once: the exact path's element order."""
+    sub = values[np.ix_(indices, indices)]
+    pairwise = sub[np.triu_indices(len(indices), k=1)]
+    nearest = np.where(np.eye(len(indices), dtype=bool), np.inf, sub).min(axis=1)
+    return float(pairwise.mean()), float(pairwise.max()), float(np.median(nearest))
+
+
 class TestClusterStats:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_exact_path_matches_one_shot_formula(self, dtype):
+        # float32 pairs keep their dtype, so the mean is summed in
+        # float32 exactly as the one-shot formula sums it.  On this data
+        # the mean's last bits change if the pairs' order changes.
+        values = random_symmetric(500, seed=6, dtype=dtype)
+        indices = np.sort(np.random.default_rng(7).choice(500, 301, replace=False))
+        expected = one_shot_stats(values, indices)
+        gate = len(indices) ** 2 * values.itemsize
+        for bound in (None, gate):  # one row block / many small ones
+            stats = cluster_stats(values, indices, memory_bound_bytes=bound)
+            got = (stats.mean_dissimilarity, stats.max_extent, stats.minmed)
+            assert got == expected
+
+    def test_exact_path_stays_under_the_bound(self):
+        # The gate admits a cluster whose size² matrix fits the bound;
+        # the path must then hold no more than the bound.
+        size = 2400
+        values = random_symmetric(size, seed=6)
+        indices = np.random.default_rng(7).permutation(size)
+        bound = size * size * values.itemsize
+        tracemalloc.start()
+        try:
+            stats = cluster_stats(values, indices, memory_bound_bytes=bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+        assert stats.max_extent == float(values.max())
+
     def test_singleton(self):
         values = matrix_of([[0.0, 0.5], [0.5, 0.0]])
         stats = cluster_stats(values, np.array([0]))

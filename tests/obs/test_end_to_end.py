@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
 from repro import analyze, cluster_segments, run_analysis
+from repro.core.autoconf import configure
+from repro.core.pipeline import ClusteringConfig
 from repro.obs.export import parse_prometheus_text, validate_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import SPAN_SECONDS_METRIC, Tracer
@@ -72,6 +76,26 @@ class TestSpansPerStage:
         (pipeline,) = tracer.find("pipeline")
         child_names = [child.name for child in pipeline.children]
         assert child_names == list(PIPELINE_STAGES)
+
+    @pytest.mark.parametrize("mode", ["csr", "dense"])
+    def test_autoconf_and_neighborhood_spans_explain_decisions(self, mode):
+        tracer = Tracer()
+        run = run_analysis(
+            ntp_trace(), ClusteringConfig(neighborhoods=mode), tracer=tracer
+        )
+        (autoconf,) = tracer.find("autoconf")
+        # The span records the first configuration, before any retrim.
+        auto = configure(run.result.matrix)
+        assert autoconf.attributes["epsilon"] == auto.epsilon
+        assert autoconf.attributes["k"] == auto.k
+        assert autoconf.attributes["fallback"] is auto.fallback_used
+        # The first DBSCAN run uses autoconf's own epsilon.
+        first = tracer.find("dbscan.neighborhoods")[0].attributes
+        within = run.result.matrix.values <= autoconf.attributes["epsilon"]
+        counts = within.sum(axis=1)
+        assert first["mode"] == mode
+        assert first["edges"] == int(within.sum())
+        assert first["core"] == int((counts >= autoconf.attributes["min_samples"]).sum())
 
     def test_semantics_span_present_when_enabled(self):
         tracer = Tracer()
