@@ -8,9 +8,8 @@ along:
 - the single-pass k-NN extraction (``knn_distances_all``, one
   ``np.partition`` selection per row block) must beat the legacy per-k
   full-sort path by ≥5x at n=5000;
-- ``dbscan`` in both neighborhood modes must return exactly the labels
-  of ``dbscan_reference``, the breadth-first oracle, wherever the dense
-  paths run (n ≤ 5000);
+- ``dbscan`` must return exactly the labels of ``dbscan_reference``,
+  the breadth-first oracle, wherever the oracle runs (n ≤ 5000);
 - at n=5000, ``dbscan`` must also beat the reference by
   ``MIN_DBSCAN_SPEEDUP``;
 - at every size the post-matrix stages' peak RSS growth must stay
@@ -51,7 +50,7 @@ from repro.core.refinement import refine  # noqa: E402
 from repro.core.segments import Segment, unique_segments  # noqa: E402
 
 BENCH_PATH = Path(__file__).parent / "BENCH_pipeline.json"
-SCHEMA = "repro.bench-pipeline/v2"
+SCHEMA = "repro.bench-pipeline/v3"
 
 DEFAULT_SIZES = (1000, 5000, 20000)
 
@@ -59,9 +58,9 @@ DEFAULT_SIZES = (1000, 5000, 20000)
 MIN_AUTOCONF_SPEEDUP = 5.0
 #: Largest size at which the O(k n^2 log n) legacy path is still affordable.
 MAX_LEGACY_SIZE = 5000
-#: Largest size at which the n^2-boolean DBSCAN paths run: the dense
-#: neighborhood mode and the breadth-first reference.
-MAX_DENSE_SIZE = 5000
+#: Largest size at which the breadth-first reference, which holds an
+#: n^2 boolean matrix, runs.
+MAX_REFERENCE_SIZE = 5000
 #: Floor: the component labelling vs the breadth-first reference at
 #: n=5000 (at n=1000 ``dbscan`` takes under the 0.01 s timer-noise
 #: line, so the ratio there is only recorded).
@@ -166,22 +165,21 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
     record["epsilon"] = round(float(auto.epsilon), 6)
     record["min_samples"] = int(auto.min_samples)
 
-    # --- dbscan: CSR (memory-bounded) vs dense mode vs BFS reference ---
+    # --- dbscan (memory-bounded) vs the BFS reference ------------------
     gc.collect()
     before = rss_bytes()
     with RssSampler() as sampler:
-        csr, csr_seconds = timed(
+        labelled, dbscan_seconds = timed(
             dbscan,
             matrix.values,
             auto.epsilon,
             auto.min_samples,
-            neighborhoods="csr",
             memory_bound_bytes=memory_bound_bytes,
         )
-    record["seconds"]["dbscan_csr"] = round(csr_seconds, 4)
+    record["seconds"]["dbscan"] = round(dbscan_seconds, 4)
     record["dbscan_rss_delta_bytes"] = max(0, sampler.peak - before)
-    record["clusters"] = int(csr.cluster_count)
-    record["noise"] = int(len(csr.noise))
+    record["clusters"] = int(labelled.cluster_count)
+    record["noise"] = int(len(labelled.noise))
     edges = int(
         sum(
             int(np.count_nonzero(matrix.values[i] <= auto.epsilon))
@@ -190,31 +188,24 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
         * max(1, count // 64)
     )
     record["epsilon_edges_estimate"] = edges
-    if count <= MAX_DENSE_SIZE:
-        dense, dense_seconds = timed(
-            dbscan,
-            matrix.values,
-            auto.epsilon,
-            auto.min_samples,
-            neighborhoods="dense",
-        )
+    if count <= MAX_REFERENCE_SIZE:
         reference, reference_seconds = timed(
             dbscan_reference, matrix.values, auto.epsilon, auto.min_samples
         )
-        record["seconds"]["dbscan_dense"] = round(dense_seconds, 4)
         record["seconds"]["dbscan_reference"] = round(reference_seconds, 4)
-        for mode, result in (("csr", csr), ("dense", dense)):
-            assert np.array_equal(result.labels, reference.labels), (
-                f"{mode}/reference label divergence at n={count}"
-            )
+        assert np.array_equal(labelled.labels, reference.labels), (
+            f"dbscan/reference label divergence at n={count}"
+        )
         record["labels_identical"] = True
-        record["dbscan_speedup"] = round(reference_seconds / max(csr_seconds, 1e-9), 1)
+        record["dbscan_speedup"] = round(
+            reference_seconds / max(dbscan_seconds, 1e-9), 1
+        )
 
     # --- refinement -----------------------------------------------------
     refined, refine_seconds = timed(
         refine,
         matrix.values,
-        csr.clusters(),
+        labelled.clusters(),
         segments,
         link_cap=1.5 * auto.epsilon,
         memory_bound_bytes=memory_bound_bytes,
@@ -243,7 +234,7 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
     )
     print(
         f"[bench] n={count}: matrix={matrix_seconds:.2f}s "
-        f"knn={partition_seconds:.3f}s dbscan={csr_seconds:.2f}s "
+        f"knn={partition_seconds:.3f}s dbscan={dbscan_seconds:.2f}s "
         f"refine={refine_seconds:.2f}s clusters={record['clusters']}",
         flush=True,
     )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.matrix import MatrixBuildOptions
-from repro.core.matrixcache import cache_counters, reset_cache_counters
+from repro.core.matrixcache import cache_counters
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 def pytest_addoption(parser):
@@ -48,8 +49,8 @@ def matrix_options(request) -> MatrixBuildOptions:
 @pytest.fixture(autouse=True)
 def _fresh_cache_counters():
     """Per-benchmark cache counters so extra_info is attributable."""
-    reset_cache_counters()
-    yield
+    with use_metrics(MetricsRegistry()):
+        yield
 
 
 def attach_matrix_stats(benchmark, matrix) -> None:

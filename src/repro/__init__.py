@@ -46,13 +46,6 @@ from repro.api import (
     cluster_segments,
     run_analysis,
 )
-from repro.errors import (
-    CacheError,
-    ComputeError,
-    IngestError,
-    QuarantineReport,
-    ReproError,
-)
 from repro.core import (
     ClusteringConfig,
     ClusteringResult,
@@ -60,6 +53,13 @@ from repro.core import (
     Segment,
     UniqueSegment,
     canberra_dissimilarity,
+)
+from repro.errors import (
+    CacheError,
+    ComputeError,
+    IngestError,
+    QuarantineReport,
+    ReproError,
 )
 from repro.formats import infer_all_templates
 from repro.fuzzing import MessageFuzzer

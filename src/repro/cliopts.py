@@ -10,9 +10,9 @@ options and emit the observability artefacts after a run:
   ``0`` = serial, ``N`` = exactly N, unset = all cores), on-disk cache,
   value dtype and storage; see
   :class:`repro.core.matrix.MatrixBuildOptions`;
-- ``--neighborhoods`` / ``--memory-bound-mb`` — the post-matrix stage
-  knobs; :meth:`repro.core.pipeline.ClusteringConfig.from_args` turns
-  the whole group into one config;
+- ``--memory-bound-mb`` — the post-matrix working-set bound;
+  :meth:`repro.core.pipeline.ClusteringConfig.from_args` turns the
+  whole group into one config;
 - ``--lenient`` — quarantine malformed capture records instead of
   aborting the load (see :mod:`repro.errors`);
 - ``--timings`` — per-stage wall-clock summary to stderr, a thin view
@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.dbscan import NEIGHBORHOOD_MODES, NEIGHBORHOODS_CSR
 from repro.core.matrix import DTYPE_FLOAT64, DTYPES
 from repro.core.matrixcache import cache_counters
 from repro.errors import ingest_counters
@@ -163,20 +162,12 @@ def backend_parent() -> argparse.ArgumentParser:
         "instead of RAM (for traces whose matrix exceeds memory)",
     )
     backend.add_argument(
-        "--neighborhoods",
-        choices=NEIGHBORHOOD_MODES,
-        default=NEIGHBORHOODS_CSR,
-        help="DBSCAN epsilon-neighborhood backend: 'csr' (blockwise, "
-        "memory-bounded, default) or 'dense' (n×n boolean reference); "
-        "labels are identical",
-    )
-    backend.add_argument(
         "--memory-bound-mb",
         type=int,
         default=None,
         metavar="MB",
         help="working-set budget for the post-matrix blockwise scans "
-        "(k-NN extraction, CSR neighborhoods, refinement; default: 256)",
+        "(k-NN extraction, DBSCAN neighborhoods, refinement; default: 256)",
     )
     ingest = parent.add_argument_group("fault tolerance")
     ingest.add_argument(

@@ -21,7 +21,7 @@ from repro.core.dbscan import NOISE, DbscanResult, dbscan
 from repro.core.ecdf import Ecdf
 from repro.core.kneedle import Knee, detect_knees, rightmost_knee, smooth_ecdf
 from repro.core.matrix import BuildStats, DissimilarityMatrix, MatrixBuildOptions
-from repro.core.matrixcache import cache_counters, reset_cache_counters
+from repro.core.matrixcache import cache_counters
 from repro.core.pipeline import ClusteringConfig, ClusteringResult, FieldTypeClusterer
 from repro.core.refinement import merge_clusters, percent_rank, refine, split_polarized
 from repro.core.segments import (
@@ -56,7 +56,6 @@ __all__ = [
     "min_samples_for",
     "percent_rank",
     "refine",
-    "reset_cache_counters",
     "rightmost_knee",
     "segments_from_fields",
     "smooth_ecdf",

@@ -8,19 +8,12 @@ the point itself (the scikit-learn convention, which the original
 implementation relied on).
 
 :func:`dbscan` first builds every epsilon-neighborhood as one compact
-CSR adjacency (``indptr``/``indices``, 4 bytes per epsilon-edge).  The
-two **neighborhood modes** (``neighborhoods=`` parameter, CLI
-``--neighborhoods``) differ only in how they build it:
-
-- ``"csr"`` (default) — the matrix is scanned one row block at a time
-  under a configurable memory bound, so the only n×n-shaped temporary
-  that ever exists is one block's boolean mask.
-- ``"dense"`` — one block of every row: the full ``distances <=
-  epsilon`` boolean matrix at once, whatever the bound.
-
-One vectorised labelling then turns the adjacency into labels.  Core
-points have at least *min_samples* neighbors (the CSR row lengths, or
-the sum of their weights).  Clusters are the connected components of
+CSR adjacency (``indptr``/``indices``, 4 bytes per epsilon-edge),
+scanning the matrix one row block at a time under a configurable memory
+bound, so the only n×n-shaped temporary that ever exists is one block's
+boolean mask.  One vectorised labelling then turns the adjacency into
+labels.  Core points have at least *min_samples* neighbors (the CSR row
+lengths, or the sum of their weights).  Clusters are the connected components of
 the core points under the epsilon relation
 (:func:`scipy.sparse.csgraph.connected_components`), numbered by their
 lowest core index.  A border point (not core, but within epsilon of a
@@ -50,11 +43,6 @@ from repro.obs.tracer import get_tracer
 
 NOISE = -1
 UNVISITED = -2
-
-#: Neighborhood modes (see module docstring).
-NEIGHBORHOODS_DENSE = "dense"
-NEIGHBORHOODS_CSR = "csr"
-NEIGHBORHOOD_MODES = (NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE)
 
 
 @dataclass(frozen=True)
@@ -174,7 +162,6 @@ def dbscan(
     epsilon: float,
     min_samples: int,
     weights: np.ndarray | None = None,
-    neighborhoods: str = NEIGHBORHOODS_CSR,
     memory_bound_bytes: int | None = None,
 ) -> DbscanResult:
     """Run DBSCAN on a square, symmetric distance matrix.
@@ -192,31 +179,21 @@ def dbscan(
     messages still forms a density core — exactly as if the duplicates
     had participated at mutual distance zero.
 
-    *neighborhoods* selects how the epsilon-adjacency is built ("csr"
-    blockwise scan under *memory_bound_bytes*, or one "dense" n×n
-    boolean block); the labels are the same either way.
+    The epsilon-adjacency is built in row blocks that keep their
+    temporaries under *memory_bound_bytes*; the labels do not depend on
+    the bound.
     """
     distances, weights = _validated(distances, weights)
-    if neighborhoods not in NEIGHBORHOOD_MODES:
-        raise ValueError(
-            f"unknown neighborhood mode {neighborhoods!r} "
-            f"(choices: {NEIGHBORHOOD_MODES})"
-        )
     count = distances.shape[0]
-    with get_tracer().span(
-        "dbscan.neighborhoods", mode=neighborhoods, rows=count
-    ) as span:
-        if neighborhoods == NEIGHBORHOODS_CSR:
-            # Working set per row: the distance row read, its boolean
-            # mask, the int64 flat positions and their int32 columns
-            # (worst case one per cell), and the float64 cast of the
-            # mask for a weighted count.
-            row_bytes = count * (
-                distances.dtype.itemsize + 1 + 8 + 4 + (8 if weights is not None else 0)
-            )
-            block = rows_per_block(row_bytes, memory_bound_bytes)
-        else:
-            block = max(1, count)
+    with get_tracer().span("dbscan.neighborhoods", rows=count) as span:
+        # Working set per row: the distance row read, its boolean mask,
+        # the int64 flat positions and their int32 columns (worst case
+        # one per cell), and the float64 cast of the mask for a
+        # weighted count.
+        row_bytes = count * (
+            distances.dtype.itemsize + 1 + 8 + 4 + (8 if weights is not None else 0)
+        )
+        block = rows_per_block(row_bytes, memory_bound_bytes)
         indptr, indices, neighbor_counts = _neighborhoods(
             distances, epsilon, weights, block
         )

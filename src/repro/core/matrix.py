@@ -106,6 +106,9 @@ CROSS_TILE_ROWS = 128
 #: block of every row the default bound admits.
 KNN_BLOCK_ROWS = 256
 
+#: Growth factor of :class:`AppendableMatrix`'s backing capacity.
+RESERVE_FACTOR = 1.5
+
 _FAULTS_HELP = (
     "Failed matrix tiles (kind: bin_error).  There is no retry: a tile "
     "failure fails the build with a ComputeError naming its bin."
@@ -858,14 +861,6 @@ class DissimilarityMatrix:
         self._knn_columns = columns
         return columns
 
-    def neighborhoods(self, epsilon: float) -> list[np.ndarray]:
-        """Indices within *epsilon* of each segment (excluding itself)."""
-        result = []
-        for index in range(len(self)):
-            close = np.nonzero(self.values[index] <= epsilon)[0]
-            result.append(close[close != index])
-        return result
-
     def submatrix(self, indices: list[int]) -> np.ndarray:
         return self.values[np.ix_(indices, indices)]
 
@@ -898,19 +893,15 @@ class AppendableMatrix:
         segments: list[UniqueSegment],
         penalty_factor: float = DEFAULT_PENALTY_FACTOR,
         options: MatrixBuildOptions | None = None,
-        reserve_factor: float = 1.5,
     ) -> None:
         if options is None:
             options = MatrixBuildOptions()
-        if reserve_factor < 1.0:
-            raise ValueError(f"reserve_factor must be >= 1, got {reserve_factor}")
         self.options = options
         self.penalty_factor = penalty_factor
-        self._reserve_factor = float(reserve_factor)
         segments = list(segments)
         built = DissimilarityMatrix.build(segments, penalty_factor, options)
         count = len(segments)
-        capacity = max(1, count, int(count * self._reserve_factor))
+        capacity = max(1, count, int(count * RESERVE_FACTOR))
         self._backing = _allocate_values(capacity, options.dtype, options.storage)
         self._backing[:count, :count] = built.values
         self._count = count
@@ -937,7 +928,7 @@ class AppendableMatrix:
         capacity = self._backing.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(needed, int(capacity * self._reserve_factor) + 1)
+        new_capacity = max(needed, int(capacity * RESERVE_FACTOR) + 1)
         grown = _allocate_values(new_capacity, self.options.dtype, self.options.storage)
         grown[: self._count, : self._count] = self._backing[
             : self._count, : self._count

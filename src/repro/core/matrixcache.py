@@ -20,7 +20,8 @@ Hit/miss/store counters live in the active
 :class:`repro.obs.metrics.MetricsRegistry` (``repro_matrix_cache_*``),
 so they appear in run manifests and Prometheus dumps alongside every
 other pipeline metric; :func:`cache_counters` stays as the historical
-dict-shaped view over the same counters.
+dict-shaped view over the same counters.  With no registry bound
+nothing keeps them, and :func:`cache_counters` reads zeros.
 """
 
 from __future__ import annotations
@@ -85,18 +86,6 @@ def cache_counters() -> dict[str, int]:
         "misses": int(counters[MISSES_METRIC].value()),
         "stores": int(counters[STORES_METRIC].value()),
     }
-
-
-def reset_cache_counters() -> None:
-    """Zero the active registry's counters (test/benchmark isolation).
-
-    Registry counters are monotonic by contract, so "reset" re-creates
-    the three instruments from scratch rather than decrementing them.
-    """
-    registry = get_metrics()
-    for name in _METRIC_HELP:
-        registry.remove(name)
-    declare_cache_metrics()
 
 
 def default_cache_dir() -> Path:

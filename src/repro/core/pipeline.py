@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core.autoconf import AutoConfig, configure
 from repro.core.canberra import DEFAULT_PENALTY_FACTOR
-from repro.core.dbscan import NEIGHBORHOODS_CSR, DbscanResult, dbscan
+from repro.core.dbscan import DbscanResult, dbscan
 from repro.core.kneedle import DEFAULT_SENSITIVITY
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.refinement import (
@@ -66,9 +66,6 @@ class ClusteringConfig:
     #: Matrix execution backend (workers / on-disk cache / dtype /
     #: storage); None means ``MatrixBuildOptions()``.
     matrix_options: MatrixBuildOptions | None = None
-    #: DBSCAN epsilon-neighborhood backend ("csr" blockwise scan or the
-    #: "dense" n×n boolean reference); both yield identical labels.
-    neighborhoods: str = NEIGHBORHOODS_CSR
     #: Boundary-refinement pass composed with the segmenter ("none" or
     #: "pca", see :mod:`repro.segmenters.pca`).  Consumed by
     #: :func:`repro.segmenters.resolve_segmenter` via the analysis entry
@@ -76,7 +73,7 @@ class ClusteringConfig:
     #: refiner can reuse the same config for its preliminary clustering.
     refinement: str = "none"
     #: Working-set byte budget for the post-matrix blockwise scans
-    #: (k-NN extraction, CSR neighborhoods, refinement); None uses
+    #: (k-NN extraction, DBSCAN's epsilon-adjacency, refinement); None uses
     #: :data:`repro.core.membound.DEFAULT_MEMORY_BOUND_BYTES`.
     memory_bound_bytes: int | None = None
 
@@ -86,10 +83,10 @@ class ClusteringConfig:
 
         Reads ``args.workers`` / ``args.no_cache`` / ``args.cache_dir``
         / ``args.matrix_dtype`` / ``args.matrix_memmap`` into explicit
-        :attr:`matrix_options`, plus ``args.neighborhoods`` and
-        ``args.memory_bound_mb`` into the post-matrix stage knobs, so
-        every CLI run carries its backend in one config.  *overrides*
-        are forwarded to the constructor.
+        :attr:`matrix_options`, plus ``args.memory_bound_mb`` into the
+        post-matrix working-set bound, so every CLI run carries its
+        backend in one config.  *overrides* are forwarded to the
+        constructor.
         """
         from repro.core.matrix import STORAGE_MEMMAP, STORAGE_RAM
 
@@ -110,7 +107,6 @@ class ClusteringConfig:
         )
         return cls(
             matrix_options=options,
-            neighborhoods=getattr(args, "neighborhoods", None) or NEIGHBORHOODS_CSR,
             memory_bound_bytes=(
                 int(bound_mb) * 1024 * 1024 if bound_mb is not None else None
             ),
@@ -269,7 +265,6 @@ class FieldTypeClusterer:
                     epsilon,
                     min_samples,
                     weights=weights,
-                    neighborhoods=config.neighborhoods,
                     memory_bound_bytes=config.memory_bound_bytes,
                 )
 
@@ -372,20 +367,15 @@ class FieldTypeClusterer:
 
     def _configure(self, matrix: DissimilarityMatrix, trim_at: float | None) -> AutoConfig:
         config = self.config
-        if config.fixed_epsilon is not None:
-            auto = configure(
-                matrix,
-                sensitivity=config.sensitivity,
-                smoothness=config.smoothness,
-                trim_at=trim_at,
-            )
-            return replace(auto, epsilon=config.fixed_epsilon)
-        return configure(
+        auto = configure(
             matrix,
             sensitivity=config.sensitivity,
             smoothness=config.smoothness,
             trim_at=trim_at,
         )
+        if config.fixed_epsilon is not None:
+            auto = replace(auto, epsilon=config.fixed_epsilon)
+        return auto
 
     def _has_giant_cluster(self, result: DbscanResult, fraction: float | None = None) -> bool:
         if fraction is None:

@@ -56,56 +56,6 @@ class CacheError(ReproError):
     """An on-disk cache entry failed validation and was discarded."""
 
 
-class ServiceError(ReproError):
-    """Root of the long-running-service degradation domain.
-
-    Raised (or mapped into structured wire responses) by ``repro-serve``
-    when a request is refused rather than failed: the subclass carries a
-    stable machine-readable ``code`` that becomes the ``error`` field of
-    the service's JSON error envelope, so clients can branch on the
-    degradation kind without parsing prose.
-    """
-
-    #: Stable wire code for the JSON error envelope.
-    code = "service_error"
-
-
-class DeadlineExceeded(ServiceError, TimeoutError):
-    """An operation ran past its configured deadline and was abandoned.
-
-    The underlying executor call cannot be killed, only disowned: its
-    side effects may still land (an append journals before it applies,
-    so a timed-out append is *ambiguous* — it may apply late or on the
-    next restart's replay, never be half-applied).
-    """
-
-    code = "deadline_exceeded"
-
-
-class ResourceExhausted(ServiceError, RuntimeError):
-    """A resource watchdog refused work to protect the process.
-
-    The memory guard trips this for appends once process RSS crosses the
-    configured limit; read-only operations keep being served.
-    """
-
-    code = "resource_exhausted"
-
-
-class ServiceOverloaded(ServiceError, RuntimeError):
-    """Admission control rejected a request (queue full / client cap).
-
-    ``retry_after_ms`` is the service's estimate of when capacity will
-    free up, surfaced verbatim in the rejection envelope.
-    """
-
-    code = "overloaded"
-
-    def __init__(self, message: str, retry_after_ms: int = 1000):
-        super().__init__(message)
-        self.retry_after_ms = int(retry_after_ms)
-
-
 INGEST_RECORDS_METRIC = "repro_ingest_records_total"
 INGEST_UNPARSED_METRIC = "repro_ingest_frames_unparsed_total"
 

@@ -117,15 +117,16 @@ def main(argv: list[str] | None = None) -> int:
     fingerprint_kind = None
     if args.artefact == "grid":
         fingerprint_kind = "grid-sm" if args.statemachine else "grid"
+    # One config from the shared backend flags, passed to every artefact.
+    config = ClusteringConfig.from_args(args)
     checkpoint = (
         SweepCheckpoint(
-            args.checkpoint, sweep_fingerprint(args.seed, kind=fingerprint_kind)
+            args.checkpoint,
+            sweep_fingerprint(args.seed, config, kind=fingerprint_kind),
         )
         if args.checkpoint
         else None
     )
-    # One config from the shared backend flags, passed to every artefact.
-    config = ClusteringConfig.from_args(args)
     tracer = Tracer()
     metrics = MetricsRegistry()
 

@@ -9,11 +9,12 @@ every cell already on disk.
 
 Each line is stamped with a *sweep fingerprint*
 (:func:`sweep_fingerprint`, a SHA-256 via
-:func:`repro.obs.export.config_fingerprint` over the seed and the
-clustering config) — resuming with a different seed or config ignores
-stale lines instead of serving wrong numbers.  Loading is deliberately
-forgiving: a torn final line from a crash mid-write, or garbage from an
-unrelated tool, is skipped rather than fatal.
+:func:`repro.obs.export.config_fingerprint` over the seed, the sweep
+kind and a non-default matrix dtype, the one config setting that
+changes a cell's numbers) — resuming with a different seed or dtype
+ignores stale lines instead of serving wrong numbers.  Loading is
+deliberately forgiving: a torn final line from a crash mid-write, or
+garbage from an unrelated tool, is skipped rather than fatal.
 
 Line schema (``repro.eval-checkpoint/v1``)::
 
@@ -30,13 +31,14 @@ import dataclasses
 import json
 from pathlib import Path
 
+from repro.core.matrix import DTYPE_FLOAT64
 from repro.eval.runner import ExperimentCell
 from repro.metrics.pairwise import ClusterScore
 from repro.obs.export import config_fingerprint
 
 CHECKPOINT_SCHEMA = "repro.eval-checkpoint/v1"
 
-#: A cell's identity within one sweep (seed/config live in the
+#: A cell's identity within one sweep (seed and dtype live in the
 #: fingerprint).  Cells without a refinement pass keep the historical
 #: 3-tuple so pre-grid checkpoints stay resumable; grid cells with a
 #: refinement extend the key with it.
@@ -51,14 +53,21 @@ def cell_key(cell: ExperimentCell) -> CellKey:
 
 
 def sweep_fingerprint(seed: int, config=None, kind: str | None = None) -> str:
-    """Fingerprint identifying one sweep's inputs (seed + config).
+    """Fingerprint identifying one sweep's inputs (seed, kind, dtype).
 
     *kind* namespaces sweeps whose cells carry extra per-cell state —
     the scenario grid passes ``kind="grid"`` so its msgtype-bearing
     cells never satisfy a plain table sweep (or vice versa); omitting
     it preserves the historical fingerprint of existing checkpoints.
+    Of the clustering *config* only the matrix dtype changes the
+    numbers (workers, cache, storage and the memory bound do not), so a
+    float32 sweep is namespaced apart and a float64 one keeps the
+    historical fingerprint.
     """
-    payload = {"schema": CHECKPOINT_SCHEMA, "seed": seed, "config": config}
+    payload = {"schema": CHECKPOINT_SCHEMA, "seed": seed, "config": None}
+    options = getattr(config, "matrix_options", None)
+    if options is not None and options.dtype != DTYPE_FLOAT64:
+        payload["dtype"] = options.dtype
     if kind is not None:
         payload["kind"] = kind
     return config_fingerprint(payload)

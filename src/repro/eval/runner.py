@@ -16,6 +16,7 @@ from repro.eval.truth import label_with_truth
 from repro.metrics import clustering_coverage, score_clustering, score_result
 from repro.metrics.pairwise import ClusterScore
 from repro.msgtypes import cluster_message_types
+from repro.net.flows import sessions_from_trace
 from repro.net.trace import Trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
@@ -34,7 +35,6 @@ from repro.statemachine import (
     type_symbol,
 )
 from repro.statemachine.stage import label_map
-from repro.net.flows import sessions_from_trace
 
 __all__ = [
     "DEFAULT_SEED",

@@ -63,17 +63,35 @@ _MANIFEST_REQUIRED_KEYS = {
 }
 
 
-def jsonable(value):
-    """Best-effort conversion of config-ish objects to JSON-ready data."""
+def _at_default(instance, field: dataclasses.Field) -> bool:
+    if field.default is not dataclasses.MISSING:
+        default = field.default
+    elif field.default_factory is not dataclasses.MISSING:
+        default = field.default_factory()
+    else:
+        return False
+    value = getattr(instance, field.name)
+    # Same type too: ``1`` and ``1.0`` have different JSON images.
+    return type(value) is type(default) and value == default
+
+
+def jsonable(value, *, defaults: bool = True):
+    """Best-effort conversion of config-ish objects to JSON-ready data.
+
+    With ``defaults=False`` a dataclass field equal to its default is
+    left out, at every depth (the image :func:`config_fingerprint`
+    hashes).
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            f.name: jsonable(getattr(value, f.name))
+            f.name: jsonable(getattr(value, f.name), defaults=defaults)
             for f in dataclasses.fields(value)
+            if defaults or not _at_default(value, f)
         }
     if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
+        return {str(k): jsonable(v, defaults=defaults) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
-        items = [jsonable(v) for v in value]
+        items = [jsonable(v, defaults=defaults) for v in value]
         return sorted(items, key=str) if isinstance(value, (set, frozenset)) else items
     if isinstance(value, Path):
         return str(value)
@@ -87,10 +105,17 @@ def jsonable(value):
 def config_fingerprint(config) -> str:
     """Stable SHA-256 over the JSON image of a configuration object.
 
-    Two runs share a fingerprint iff their configs are field-for-field
-    equal, so manifests from different machines/orderings compare.
+    A dataclass field equal to its default adds nothing to the hash,
+    nested options included, so adding or deleting a defaulted field
+    keeps every fingerprint that does not set it.  Two runs share a
+    fingerprint iff their configs set the same fields to the same
+    values, so manifests from different machines/orderings compare.
+    Data without dataclasses (the sweep fingerprint's plain dict)
+    hashes exactly as it always did.
     """
-    payload = json.dumps(jsonable(config), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(
+        jsonable(config, defaults=False), sort_keys=True, separators=(",", ":")
+    )
     digest = hashlib.sha256()
     digest.update(b"repro-config-v1\0")
     digest.update(payload.encode())

@@ -12,11 +12,10 @@ the registry in the text exposition format without translation.
 
 Like the tracer, the active registry is a :mod:`contextvars` binding:
 :func:`get_metrics` inside library code picks up whatever
-:func:`use_metrics` scope the caller established.  Unlike the tracer,
-the default registry *does* record — metric cardinality is bounded, so
-an always-on default costs a few dicts, and module-level consumers such
-as :func:`repro.core.matrixcache.cache_counters` keep working with no
-setup.
+:func:`use_metrics` scope the caller established.  With nothing bound
+there is no process-wide registry: :func:`get_metrics` returns a fresh
+one that nothing keeps, so what library code records outside a binding
+is dropped, and no call can see another's counts.
 
 Labels are passed as keyword arguments and stored per sorted label set::
 
@@ -195,14 +194,6 @@ class MetricsRegistry:
         for name in sorted(self._instruments):
             yield self._instruments[name]
 
-    def reset(self) -> None:
-        """Drop every instrument (test and benchmark isolation)."""
-        self._instruments.clear()
-
-    def remove(self, name: str) -> None:
-        """Drop one instrument if present (re-created at zero on next use)."""
-        self._instruments.pop(name, None)
-
     def snapshot(self) -> dict:
         """JSON-ready dump of every instrument (the manifest's metrics key)."""
         out: dict[str, dict] = {}
@@ -231,16 +222,16 @@ class MetricsRegistry:
         return out
 
 
-#: Default binding: an always-on process-wide registry.
-_DEFAULT = MetricsRegistry()
-_ACTIVE: contextvars.ContextVar[MetricsRegistry] = contextvars.ContextVar(
-    "repro_active_metrics", default=_DEFAULT
+_ACTIVE: contextvars.ContextVar[MetricsRegistry | None] = contextvars.ContextVar(
+    "repro_active_metrics", default=None
 )
 
 
 def get_metrics() -> MetricsRegistry:
-    """The registry bound to the current context (default: process-wide)."""
-    return _ACTIVE.get()
+    """The registry bound to the current context; with none bound, a
+    fresh registry that nothing keeps."""
+    registry = _ACTIVE.get()
+    return registry if registry is not None else MetricsRegistry()
 
 
 @contextmanager

@@ -19,9 +19,10 @@ with :meth:`Tracer.record` — adds its wall seconds to one histogram,
 so a Prometheus dump carries every layer's duration without any
 per-layer timer.  Spans always *measure* and always feed that
 histogram, even on a disabled tracer (the ``repro serve`` service binds
-none); a disabled tracer simply retains nothing (``roots`` stays
-empty), which keeps long-lived library processes from accumulating
-span trees.  The active tracer is a :mod:`contextvars` binding —
+none); a disabled tracer simply holds nothing — no retained roots and
+no open spans — which keeps long-lived library processes from
+accumulating span trees and lets any thread share the default.  The
+active tracer is a :mod:`contextvars` binding —
 :func:`get_tracer` inside the pipeline picks up whatever
 :func:`use_tracer` scope the caller (CLI, :mod:`repro.api`, a test)
 established, with a process-wide disabled tracer as the default.
@@ -170,7 +171,7 @@ class Tracer:
                 self._stack[-1].children.append(span)
             else:
                 self._retain_root(span)
-        self._stack.append(span)
+            self._stack.append(span)
         span.begin()
         try:
             yield span
@@ -180,7 +181,8 @@ class Tracer:
             raise
         finally:
             span.end()
-            self._stack.pop()
+            if self.enabled:
+                self._stack.pop()
 
     def record(
         self,

@@ -41,7 +41,7 @@ sessions refuse it like any other trace-global segmenter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np

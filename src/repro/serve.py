@@ -26,8 +26,7 @@ Refusals share one structured envelope — ``{"ok": false, "error":
 "<code>", "message": "...", ...}`` with codes ``malformed_request``,
 ``unknown_op``, ``invalid_request``, ``overloaded`` (plus
 ``retry_after_ms``), ``resource_exhausted``, ``deadline_exceeded``,
-``draining``, and ``internal`` — mapped from the
-:mod:`repro.errors` service taxonomy.
+``draining``, and ``internal``.
 
 Degradation model:
 
@@ -77,14 +76,9 @@ from dataclasses import dataclass
 from repro.cliopts import DEFAULT_MAX_LINE_BYTES, service_parent
 from repro.core.membound import MemoryGuard, current_rss_bytes
 from repro.core.pipeline import ClusteringConfig
-from repro.errors import ServiceError
 from repro.obs.export import write_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.session import AnalysisSession, _message_from_record
-
-#: Kept for backwards compatibility; the knob now lives on
-#: :class:`ServiceOptions` (``--max-line-bytes``).
-MAX_LINE_BYTES = DEFAULT_MAX_LINE_BYTES
 
 SERVE_REQUESTS_METRIC = "repro_serve_requests_total"
 SERVE_REJECTED_METRIC = "repro_serve_rejected_total"
@@ -362,8 +356,6 @@ class SessionServer:
         return {"ok": True, op: result}
 
     def _error_response(self, error: BaseException) -> dict:
-        if isinstance(error, ServiceError):
-            return _error(error.code, str(error))
         if isinstance(error, (ValueError, KeyError, TypeError)):
             return _error(
                 "invalid_request", f"{type(error).__name__}: {error}"

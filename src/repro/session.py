@@ -66,7 +66,7 @@ from repro.core.pipeline import ClusteringConfig, ClusteringResult, FieldTypeClu
 from repro.core.segments import Segment, UniqueSegment
 from repro.errors import QuarantineReport
 from repro.net.trace import Trace, TraceMessage, load_trace
-from repro.obs.export import config_fingerprint
+from repro.obs.export import config_fingerprint, jsonable
 from repro.obs.metrics import MetricsRegistry, get_metrics, use_metrics
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.segmenters.base import Segmenter
@@ -134,6 +134,41 @@ class SessionUpdate:
     epsilon: float | None
 
 
+#: The JSON images of ``ClusteringConfig()`` and ``MatrixBuildOptions()``
+#: that journals written before defaulted fields left the fingerprint
+#: hashed in full (the config then still had ``neighborhoods``).  Frozen
+#: here, not derived from the classes, so those journals keep replaying
+#: whatever fields the classes gain or lose later.
+_V1_CONFIG_IMAGE = {
+    "penalty_factor": 0.6,
+    "sensitivity": 1.0,
+    "smoothness": None,
+    "eps_rho_threshold": 0.01,
+    "neighbor_density_threshold": 0.002,
+    "merge": True,
+    "split": True,
+    "link_cap_factor": 1.5,
+    "min_segment_length": 2,
+    "giant_cluster_fraction": 0.6,
+    "extreme_cluster_fraction": 0.9,
+    "max_retrims": 3,
+    "fixed_epsilon": None,
+    "weighted_density": False,
+    "matrix_options": None,
+    "neighborhoods": "csr",
+    "refinement": "none",
+    "memory_bound_bytes": None,
+}
+_V1_MATRIX_OPTIONS_IMAGE = {
+    "workers": None,
+    "use_cache": False,
+    "cache_dir": None,
+    "parallel_threshold": 512,
+    "dtype": "float64",
+    "storage": "ram",
+}
+
+
 def session_fingerprint(
     config: ClusteringConfig, segmenter_name: str, protocol: str
 ) -> str:
@@ -141,7 +176,9 @@ def session_fingerprint(
 
     A checkpoint line is only replayed into a session with the same
     clustering config, segmenter, and protocol label — resuming with
-    different analysis parameters must not silently mix states.
+    different analysis parameters must not silently mix states.  Config
+    fields at their defaults stay out of it (see
+    :func:`repro.obs.export.config_fingerprint`).
     """
     return config_fingerprint(
         {
@@ -151,6 +188,22 @@ def session_fingerprint(
             "protocol": protocol,
         }
     )
+
+
+def _v1_session_fingerprint(
+    config: ClusteringConfig, segmenter_name: str, protocol: str
+) -> str:
+    """The fingerprint journals written before defaulted fields left the
+    hash carry for the same inputs: every field of the config, defaults
+    taken from the frozen :data:`_V1_CONFIG_IMAGE`."""
+    image = {**_V1_CONFIG_IMAGE, **jsonable(config, defaults=False)}
+    if image["matrix_options"] is not None:
+        image["matrix_options"] = {
+            **_V1_MATRIX_OPTIONS_IMAGE,
+            **image["matrix_options"],
+        }
+    # A plain dict has no defaults to leave out: it hashes as it is.
+    return session_fingerprint(image, segmenter_name, protocol)
 
 
 def _message_to_record(message: TraceMessage) -> dict:
@@ -192,6 +245,10 @@ class SessionCheckpoint:
         {"schema": "repro.session-checkpoint/v1", "fingerprint": "…",
          "chunk": 3, "messages": [{"data": "…hex…", …}, …]}
 
+    Lines and snapshots are written with *fingerprint*; reading also
+    accepts the *legacy_fingerprints*, which earlier versions wrote for
+    the same inputs.
+
     :meth:`record_chunk` appends, flushes, **and fsyncs** before
     returning — the session journals a chunk before mutating any state,
     so a SIGKILL at any point leaves a journal whose replay reproduces
@@ -217,11 +274,13 @@ class SessionCheckpoint:
         fingerprint: str,
         *,
         wal_max_bytes: int | None = None,
+        legacy_fingerprints: Iterable[str] = (),
     ):
         if wal_max_bytes is not None and wal_max_bytes <= 0:
             raise ValueError("wal_max_bytes must be > 0")
         self.path = Path(path)
         self.fingerprint = fingerprint
+        self._accepted = {fingerprint, *legacy_fingerprints}
         self.wal_max_bytes = wal_max_bytes
         self.snapshot_path = Path(str(path) + ".snapshot")
         self.archive_path = Path(str(path) + ".archive")
@@ -255,7 +314,7 @@ class SessionCheckpoint:
                 payload = json.loads(line)
                 if (
                     payload.get("schema") != CHECKPOINT_SCHEMA
-                    or payload.get("fingerprint") != self.fingerprint
+                    or payload.get("fingerprint") not in self._accepted
                 ):
                     continue
                 messages = [
@@ -312,7 +371,7 @@ class SessionCheckpoint:
                 return "corrupt", None
             if payload.get("schema") != SNAPSHOT_SCHEMA:
                 return "corrupt", None
-            if payload.get("fingerprint") != self.fingerprint:
+            if payload.get("fingerprint") not in self._accepted:
                 return "mismatch", None
             messages = [
                 _message_from_record(record) for record in payload["messages"]
@@ -491,11 +550,12 @@ class AnalysisSession:
 
         self._checkpoint: SessionCheckpoint | None = None
         if checkpoint_path is not None:
-            fingerprint = session_fingerprint(
-                self.config, self._segmenter.name, protocol
-            )
+            inputs = (self.config, self._segmenter.name, protocol)
             self._checkpoint = SessionCheckpoint(
-                checkpoint_path, fingerprint, wal_max_bytes=wal_max_bytes
+                checkpoint_path,
+                session_fingerprint(*inputs),
+                wal_max_bytes=wal_max_bytes,
+                legacy_fingerprints=(_v1_session_fingerprint(*inputs),),
             )
             if resume:
                 self._replay()

@@ -16,14 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dbscan import (
-    NEIGHBORHOOD_MODES,
-    NEIGHBORHOODS_CSR,
-    NEIGHBORHOODS_DENSE,
-    NOISE,
-    dbscan,
-    dbscan_reference,
-)
+from repro.core.dbscan import NOISE, dbscan, dbscan_reference
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.refinement import cluster_stats, link_segments
 from repro.core.segments import unique_segments
@@ -53,7 +46,21 @@ def golden_matrix(protocol: str = "ntp") -> DissimilarityMatrix:
     )
 
 
+def assert_matches_reference(m, epsilon, min_samples, weights=None):
+    """Both bounds label *m* exactly as the BFS reference."""
+    reference = dbscan_reference(m, epsilon, min_samples, weights=weights)
+    for bound in BOUNDS:
+        result = dbscan(
+            m, epsilon, min_samples, weights=weights, memory_bound_bytes=bound
+        )
+        assert np.array_equal(result.labels, reference.labels), bound
+    return reference.labels
+
+
 class TestCsrDenseParity:
+    """The adjacency in CSR blocks of one row (bound 1) and in one dense
+    block of every row (bound None) labels exactly as the reference."""
+
     @given(
         seed=st.integers(0, 10_000),
         size=st.integers(2, 40),
@@ -62,19 +69,7 @@ class TestCsrDenseParity:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_matrices(self, seed, size, epsilon, min_samples):
-        m = symmetric_matrix(seed, size)
-        dense = dbscan(m, epsilon, min_samples, neighborhoods=NEIGHBORHOODS_DENSE)
-        reference = dbscan_reference(m, epsilon, min_samples)
-        assert np.array_equal(dense.labels, reference.labels)
-        for bound in BOUNDS:
-            csr = dbscan(
-                m,
-                epsilon,
-                min_samples,
-                neighborhoods=NEIGHBORHOODS_CSR,
-                memory_bound_bytes=bound,
-            )
-            assert np.array_equal(csr.labels, dense.labels)
+        assert_matches_reference(symmetric_matrix(seed, size), epsilon, min_samples)
 
     @given(seed=st.integers(0, 10_000), size=st.integers(2, 30))
     @settings(max_examples=40, deadline=None)
@@ -82,21 +77,7 @@ class TestCsrDenseParity:
         m = symmetric_matrix(seed, size)
         rng = np.random.default_rng(seed + 1)
         weights = rng.integers(1, 6, size).astype(np.float64)
-        dense = dbscan(
-            m, 0.4, 4, weights=weights, neighborhoods=NEIGHBORHOODS_DENSE
-        )
-        reference = dbscan_reference(m, 0.4, 4, weights=weights)
-        assert np.array_equal(dense.labels, reference.labels)
-        for bound in BOUNDS:
-            csr = dbscan(
-                m,
-                0.4,
-                4,
-                weights=weights,
-                neighborhoods=NEIGHBORHOODS_CSR,
-                memory_bound_bytes=bound,
-            )
-            assert np.array_equal(csr.labels, dense.labels)
+        assert_matches_reference(m, 0.4, 4, weights)
 
     @pytest.mark.parametrize("protocol", ["ntp", "dns"])
     @pytest.mark.parametrize("bound", BOUNDS)
@@ -105,45 +86,13 @@ class TestCsrDenseParity:
         values = matrix.values
         # A mid-scale epsilon exercises non-trivial neighborhoods.
         epsilon = float(np.median(matrix.condensed()))
-        dense = dbscan(values, epsilon, 3, neighborhoods=NEIGHBORHOODS_DENSE)
         reference = dbscan_reference(values, epsilon, 3)
-        assert np.array_equal(dense.labels, reference.labels)
-        csr = dbscan(
-            values,
-            epsilon,
-            3,
-            neighborhoods=NEIGHBORHOODS_CSR,
-            memory_bound_bytes=bound,
-        )
-        assert np.array_equal(csr.labels, dense.labels)
-        assert dense.cluster_count > 0
+        result = dbscan(values, epsilon, 3, memory_bound_bytes=bound)
+        assert np.array_equal(result.labels, reference.labels)
+        assert reference.cluster_count > 0
 
     def test_empty_matrix_both_backends(self):
-        for mode in (NEIGHBORHOODS_CSR, NEIGHBORHOODS_DENSE):
-            result = dbscan(np.zeros((0, 0)), 0.5, 2, neighborhoods=mode)
-            assert result.cluster_count == 0
-        assert dbscan_reference(np.zeros((0, 0)), 0.5, 2).cluster_count == 0
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="neighborhood mode"):
-            dbscan(np.zeros((2, 2)), 0.5, 2, neighborhoods="sparse")
-
-
-def assert_matches_reference(m, epsilon, min_samples, weights=None):
-    """Every mode and bound labels *m* exactly as the BFS reference."""
-    reference = dbscan_reference(m, epsilon, min_samples, weights=weights)
-    for mode in NEIGHBORHOOD_MODES:
-        for bound in BOUNDS:
-            result = dbscan(
-                m,
-                epsilon,
-                min_samples,
-                weights=weights,
-                neighborhoods=mode,
-                memory_bound_bytes=bound,
-            )
-            assert np.array_equal(result.labels, reference.labels), (mode, bound)
-    return reference.labels
+        assert list(assert_matches_reference(np.zeros((0, 0)), 0.5, 2)) == []
 
 
 class TestLabellingMatchesReference:

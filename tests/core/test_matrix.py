@@ -63,19 +63,6 @@ class TestKnn:
         assert np.all(knn2 >= knn1)
 
 
-class TestNeighborhoods:
-    def test_excludes_self(self):
-        matrix = build([b"\x01\x02", b"\x01\x02\x03"])
-        hoods = matrix.neighborhoods(epsilon=1.0)
-        assert 0 not in hoods[0]
-        assert 1 in hoods[0]
-
-    def test_epsilon_zero(self):
-        matrix = build([b"\x01\x02", b"\xff\x00"])
-        hoods = matrix.neighborhoods(epsilon=0.0)
-        assert all(len(h) == 0 for h in hoods)
-
-
 class TestCondensed:
     def test_length(self):
         matrix = build([bytes([i, i]) for i in range(1, 6)])

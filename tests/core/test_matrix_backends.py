@@ -10,13 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
-from repro.core.matrixcache import (
-    cache_counters,
-    default_cache_dir,
-    matrix_cache_key,
-    reset_cache_counters,
-)
+from repro.core.matrixcache import cache_counters, default_cache_dir, matrix_cache_key
 from repro.core.segments import Segment, unique_segments
+from repro.obs.metrics import MetricsRegistry, use_metrics
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
 
@@ -34,9 +30,9 @@ def make_segments(count: int, lengths=(3, 5, 8), seed: int = 13):
 
 @pytest.fixture(autouse=True)
 def _fresh_counters():
-    reset_cache_counters()
-    yield
-    reset_cache_counters()
+    """Each test counts cache traffic in a registry of its own."""
+    with use_metrics(MetricsRegistry()):
+        yield
 
 
 class TestParallelParity:

@@ -5,8 +5,8 @@ from repro.core.matrix import DissimilarityMatrix
 from repro.core.segments import segments_from_fields, unique_segments
 from repro.eval.coverage_experiment import run_coverage_comparison
 from repro.eval.figures import run_figure2, run_figure3
-from repro.eval.runner import prepare_trace
 from repro.eval.reporting import ascii_plot, fmt, fmt_pct, render_table
+from repro.eval.runner import prepare_trace
 from repro.eval.tables import PAPER_TABLE1, PAPER_TABLE2, run_table1, run_table2
 
 

@@ -7,6 +7,8 @@ without recomputing finished cells, and a raising cell is recorded as
 
 import pytest
 
+from repro.core.matrix import MatrixBuildOptions
+from repro.core.pipeline import ClusteringConfig
 from repro.eval import runner as runner_mod
 from repro.eval import tables as tables_mod
 from repro.eval.checkpoint import SweepCheckpoint, sweep_fingerprint
@@ -259,3 +261,49 @@ class TestEvalCliFlags:
             main(["table1", "--resume"])
         assert excinfo.value.code == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+    def test_float32_resume_does_not_load_float64_cells(self, tmp_path, monkeypatch):
+        from repro.eval.__main__ import main
+
+        dtypes = []
+
+        def recording_run_cell(protocol, message_count, segmenter, seed, config):
+            dtypes.append(config.matrix_options.dtype)
+            return _fake_cell((protocol, message_count, segmenter))
+
+        monkeypatch.setattr(tables_mod, "run_cell", recording_run_cell)
+        argv = ["table1", "--quick", "--no-cache", "--checkpoint", str(tmp_path / "s")]
+        assert main(argv) == 0
+        cells = len(dtypes)
+        assert cells and set(dtypes) == {"float64"}
+        assert main([*argv, "--resume"]) == 0
+        assert len(dtypes) == cells  # every float64 cell came from the file
+        assert main([*argv, "--resume", "--matrix-dtype", "float32"]) == 0
+        assert dtypes[cells:] == ["float32"] * cells
+
+
+class TestSweepFingerprint:
+    def test_float64_fingerprints_are_unchanged(self):
+        # The values every checkpoint written so far carries.
+        assert sweep_fingerprint(42) == (
+            "cba081aca6ef36e4eee15767cf3fa5dffec83d163143c8778c039c66adcd8363"
+        )
+        assert sweep_fingerprint(42, kind="grid") == (
+            "2cc3a918825843412a74548ff872fdb3eff77510c1203f86d8edbb52ea34c5e8"
+        )
+        assert sweep_fingerprint(42, kind="grid-sm") == (
+            "8e21e505c8a3169453a83d4e56ce904c103494bbf98ccdae09b10a8df622afcc"
+        )
+        # Backend settings that leave the numbers alone stay out of it.
+        backend = ClusteringConfig(
+            matrix_options=MatrixBuildOptions(workers=0, use_cache=True),
+            memory_bound_bytes=1 << 20,
+        )
+        assert sweep_fingerprint(42, backend) == sweep_fingerprint(42)
+
+    def test_float32_is_namespaced_apart(self):
+        float32 = ClusteringConfig(matrix_options=MatrixBuildOptions(dtype="float32"))
+        assert sweep_fingerprint(42, float32) != sweep_fingerprint(42)
+        assert sweep_fingerprint(42, float32, kind="grid") != sweep_fingerprint(
+            42, kind="grid"
+        )

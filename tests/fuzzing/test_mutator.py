@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from repro.core.pipeline import FieldTypeClusterer

@@ -77,11 +77,11 @@ class TestSpansPerStage:
         child_names = [child.name for child in pipeline.children]
         assert child_names == list(PIPELINE_STAGES)
 
-    @pytest.mark.parametrize("mode", ["csr", "dense"])
-    def test_autoconf_and_neighborhood_spans_explain_decisions(self, mode):
+    @pytest.mark.parametrize("bound", [1, None])
+    def test_autoconf_and_neighborhood_spans_explain_decisions(self, bound):
         tracer = Tracer()
         run = run_analysis(
-            ntp_trace(), ClusteringConfig(neighborhoods=mode), tracer=tracer
+            ntp_trace(), ClusteringConfig(memory_bound_bytes=bound), tracer=tracer
         )
         (autoconf,) = tracer.find("autoconf")
         # The span records the first configuration, before any retrim.
@@ -93,7 +93,6 @@ class TestSpansPerStage:
         first = tracer.find("dbscan.neighborhoods")[0].attributes
         within = run.result.matrix.values <= autoconf.attributes["epsilon"]
         counts = within.sum(axis=1)
-        assert first["mode"] == mode
         assert first["edges"] == int(within.sum())
         assert first["core"] == int((counts >= autoconf.attributes["min_samples"]).sum())
 

@@ -1,5 +1,6 @@
 """Run-manifest schema, config fingerprints, and Prometheus round-trips."""
 
+import dataclasses
 import json
 
 import pytest
@@ -88,6 +89,29 @@ class TestConfigFingerprint:
         base = ClusteringConfig(matrix_options=MatrixBuildOptions())
         cached = ClusteringConfig(matrix_options=MatrixBuildOptions(use_cache=True))
         assert config_fingerprint(base) != config_fingerprint(cached)
+
+    def test_defaulted_fields_add_nothing_at_any_depth(self):
+        from repro.core.matrix import MatrixBuildOptions
+
+        @dataclasses.dataclass(frozen=True)
+        class Extended(MatrixBuildOptions):
+            extra_knob: str = "off"
+
+        base = ClusteringConfig(matrix_options=MatrixBuildOptions())
+        assert config_fingerprint(
+            ClusteringConfig(matrix_options=Extended(dtype="float64"))
+        ) == config_fingerprint(base)
+        assert config_fingerprint(
+            ClusteringConfig(matrix_options=Extended(extra_knob="on"))
+        ) != config_fingerprint(base)
+        # An explicitly passed default is still a default; a value of
+        # another type is not.
+        assert config_fingerprint(ClusteringConfig(sensitivity=1.0)) == (
+            config_fingerprint(ClusteringConfig())
+        )
+        assert config_fingerprint(ClusteringConfig(sensitivity=1)) != (
+            config_fingerprint(ClusteringConfig())
+        )
 
 
 class TestPrometheus:

@@ -107,42 +107,35 @@ class TestRegistry:
         assert histogram_series["buckets"] == [0, 1]
         assert histogram_series["count"] == 1
 
-    def test_reset_and_remove(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_a").inc()
-        registry.counter("repro_b").inc()
-        registry.remove("repro_a")
-        assert registry.counter("repro_a").value() == 0.0
-        registry.reset()
-        assert registry.snapshot() == {}
-
 
 class TestContextBinding:
     def test_use_metrics_binds_and_restores(self):
-        mine = MetricsRegistry()
-        ambient = get_metrics()
-        with use_metrics(mine):
-            assert get_metrics() is mine
-            get_metrics().counter("repro_scoped_total").inc()
-        assert get_metrics() is ambient
+        outer, mine = MetricsRegistry(), MetricsRegistry()
+        with use_metrics(outer):
+            with use_metrics(mine):
+                assert get_metrics() is mine
+                get_metrics().counter("repro_scoped_total").inc()
+            assert get_metrics() is outer
         assert mine.counter("repro_scoped_total").value() == 1
+        assert outer.counter("repro_scoped_total").value() == 0
 
-    def test_default_registry_records(self):
-        name = "repro_test_default_records_total"
-        default = get_metrics()
-        default.remove(name)
-        default.counter(name).inc(4)
-        assert default.counter(name).value() == 4
-        default.remove(name)
+    def test_unbound_counter_is_not_kept(self):
+        # With nothing bound there is no process-wide registry: what one
+        # call records is invisible to every later one.
+        name = "repro_test_unbound_total"
+        get_metrics().counter(name).inc(4)
+        assert get_metrics().counter(name).value() == 0
+        assert get_metrics() is not get_metrics()
 
 
 class TestCacheCounterCompat:
     def test_cache_counters_reads_active_registry(self):
-        from repro.core.matrixcache import cache_counters, reset_cache_counters
+        from repro.core.matrixcache import cache_counters
 
         with use_metrics(MetricsRegistry()):
             assert cache_counters() == {"hits": 0, "misses": 0, "stores": 0}
             get_metrics().counter("repro_matrix_cache_hits_total").inc(2)
             assert cache_counters()["hits"] == 2
-            reset_cache_counters()
+        with use_metrics(MetricsRegistry()):
             assert cache_counters() == {"hits": 0, "misses": 0, "stores": 0}
+        assert cache_counters() == {"hits": 0, "misses": 0, "stores": 0}

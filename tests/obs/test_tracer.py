@@ -178,6 +178,15 @@ class TestDisabledTracer:
             pass
         assert default.roots == before == []
 
+    def test_default_tracer_holds_no_open_span(self):
+        # The default is shared by every thread and call that binds no
+        # tracer, so an open span must live only in its caller's frame.
+        default = get_tracer()
+        with default.span("outer") as outer, default.span("inner") as inner:
+            for value in vars(default).values():
+                held = value if isinstance(value, list) else [value]
+                assert not any(item is outer or item is inner for item in held)
+
 
 class TestContextBinding:
     def test_use_tracer_binds_and_restores(self):

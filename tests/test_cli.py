@@ -59,6 +59,14 @@ class TestReproCli:
         with pytest.raises(FileNotFoundError):
             repro_main(["analyze", str(tmp_path / "missing.pcap")])
 
+    def test_neighborhoods_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            repro_main(
+                ["analyze", "--model", "ntp", "-n", "50", "--neighborhoods", "csr"]
+            )
+        assert excinfo.value.code == 2
+        assert "--neighborhoods" in capsys.readouterr().err
+
 
 class TestEvalCli:
     def test_fig3(self, capsys):
@@ -72,8 +80,8 @@ class TestEvalCli:
         assert "knee" in out
 
     def test_backend_flags_reach_the_artefact_config(self, monkeypatch, capsys):
-        # --neighborhoods and --memory-bound-mb come from the shared
-        # backend flag group, so every artefact must receive them.
+        # --memory-bound-mb and --workers come from the shared backend
+        # flag group, so every artefact must receive them.
         import repro.eval.__main__ as eval_cli
 
         captured = {}
@@ -89,11 +97,9 @@ class TestEvalCli:
         monkeypatch.setattr(eval_cli, "run_table1", fake_table1)
         monkeypatch.setattr(eval_cli, "table1_records", lambda table: [])
         argv = [
-            "table1", "--quick", "--workers", "0",
-            "--neighborhoods", "dense", "--memory-bound-mb", "1",
+            "table1", "--quick", "--workers", "0", "--memory-bound-mb", "1",
         ]
         assert eval_main(argv) == 0
         config = captured["config"]
-        assert config.neighborhoods == "dense"
         assert config.memory_bound_bytes == 1024 * 1024
         assert config.matrix_options.workers == 0

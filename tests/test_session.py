@@ -10,7 +10,11 @@ provisional labels, checkpoint resume, and the ``run_analysis``
 quarantine regression this PR fixes.
 """
 
+import json
 import random
+import shutil
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,14 @@ from repro.session import (
     SESSION_RECLUSTERS_METRIC,
     AnalysisSession,
     SessionCheckpoint,
+    _message_from_record,
     session_fingerprint,
 )
+
+#: A journal (WAL, archive and snapshot from one compaction) written
+#: before defaulted config fields left the session fingerprint: DNS
+#: model messages, seed 1801, three chunks of 12, ``wal_max_bytes=6000``.
+LEGACY_JOURNAL = Path(__file__).parent / "fixtures" / "legacy_journal"
 
 
 def make_messages(count: int, seed: int = 0) -> list[TraceMessage]:
@@ -230,6 +240,15 @@ class TestCheckpointResume:
         )
         assert base != session_fingerprint(ClusteringConfig(), "nemesys", "q")
 
+    def test_defaulted_field_stays_out_of_the_fingerprint(self):
+        @dataclass(frozen=True)
+        class Extended(ClusteringConfig):
+            extra_knob: int = 7
+
+        base = session_fingerprint(ClusteringConfig(), "nemesys", "p")
+        assert session_fingerprint(Extended(), "nemesys", "p") == base
+        assert session_fingerprint(Extended(extra_knob=8), "nemesys", "p") != base
+
     def test_checkpoint_roundtrips_message_context(self, tmp_path):
         checkpoint = SessionCheckpoint(tmp_path / "c.jsonl", "f")
         message = TraceMessage(
@@ -244,6 +263,50 @@ class TestCheckpointResume:
         checkpoint.record_chunk(0, [message])
         [[loaded]] = checkpoint.load_chunks()
         assert loaded == message
+
+
+class TestLegacyJournal:
+    """Journals written before defaulted fields left the fingerprint
+    replay, through the snapshot and through the full journal."""
+
+    @staticmethod
+    def _copy(tmp_path) -> Path:
+        for source in LEGACY_JOURNAL.iterdir():
+            shutil.copy(source, tmp_path / source.name)
+        return tmp_path / "journal.jsonl"
+
+    @staticmethod
+    def _fresh_digest() -> dict:
+        session = AnalysisSession(protocol="dns")
+        for name in ("journal.jsonl.archive", "journal.jsonl"):
+            for line in (LEGACY_JOURNAL / name).read_text().splitlines():
+                records = json.loads(line)["messages"]
+                session.append([_message_from_record(r) for r in records])
+        return session.digest()
+
+    def test_replays_through_the_snapshot(self, tmp_path):
+        path = self._copy(tmp_path)
+        resumed = AnalysisSession(protocol="dns", checkpoint_path=path)
+        assert resumed.replayed["snapshot"] == "ok"
+        assert resumed.replayed["wal_chunks"] == 1
+        digest = resumed.digest()
+        assert digest == self._fresh_digest()
+        assert digest["messages"] == 36
+        # New lines carry only the current fingerprint.
+        resumed.append(make_messages(3, seed=18))
+        last = json.loads(path.read_text().splitlines()[-1])
+        assert last["fingerprint"] == session_fingerprint(
+            ClusteringConfig(), "nemesys", "dns"
+        )
+
+    def test_replays_without_the_snapshot(self, tmp_path):
+        path = self._copy(tmp_path)
+        (tmp_path / "journal.jsonl.snapshot").unlink()
+        resumed = AnalysisSession(protocol="dns", checkpoint_path=path)
+        assert resumed.replayed["snapshot"] == "missing"
+        assert resumed.replayed["archive_chunks"] == 2
+        assert resumed.replayed["wal_chunks"] == 1
+        assert resumed.digest() == self._fresh_digest()
 
 
 class TestWalRotation:
