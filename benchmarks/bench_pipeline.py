@@ -19,7 +19,8 @@ along:
 Usage::
 
     python benchmarks/bench_pipeline.py                 # full grid, rewrite JSON
-    python benchmarks/bench_pipeline.py --sizes 1000    # quick run
+    python benchmarks/bench_pipeline.py --sizes 1000    # quick run; rewrites
+        # the n=1000 row of the JSON and keeps the other sizes' rows
     python benchmarks/bench_pipeline.py --sizes 1000 --check
         # CI smoke: compare against the committed baseline, fail on >2x
         # per-stage regression; does not rewrite the JSON.
@@ -315,12 +316,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.check:
         return run_check(results)
 
+    cases = {case["n"]: case for case in results}
+    if BENCH_PATH.exists():
+        previous = json.loads(BENCH_PATH.read_text())
+        if previous.get("schema") == SCHEMA:
+            for case in previous["cases"]:
+                cases.setdefault(case["n"], case)
     payload = {
         "schema": SCHEMA,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
-        "cases": results,
+        "cases": [cases[n] for n in sorted(cases)],
     }
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {BENCH_PATH}")

@@ -21,14 +21,19 @@ Two layers:
 On top of the per-pair functions sit the **batch kernels** the matrix
 builder uses, plus their reference oracles:
 
-- *binned* (:func:`pairwise_equal_length_rows`,
-  :func:`equal_length_cross_rows`, :func:`cross_length_rows`) — row
-  ranges of whole blocks at once.  Because byte values live in
+- *binned* (:func:`equal_length_cross_rows`, :func:`cross_length_rows`)
+  — row ranges of whole blocks at once.  Because byte values live in
   ``[0, 255]``, every Canberra term is one of 256×256 possible values;
   uint8 blocks are resolved through a precomputed 512 KB lookup table
-  (:func:`byte_term_lut`), replacing the abs/add/divide/where chain by a
-  single gather.  Equal-length bins compute only their upper band (the
-  terms are exactly symmetric, so the matrix builder mirrors it).
+  (:func:`byte_term_lut`) instead of the abs/add/divide/where chain.
+  The mean term of two rows narrower than :data:`NUMPY_PAIRWISE_SUM_MIN`
+  bytes is a left-to-right sum of per-position LUT planes (one
+  ``(rows, cols)`` plane per byte position, then one division), which
+  is the order numpy's ``mean`` sums so few values in, so the bytes are
+  the per-pair definition's; wider rows gather every term and take
+  ``mean`` itself.  One rectangular kernel serves equal lengths: a
+  group against itself (the LUT is exactly symmetric) or against
+  another group of the same length.
   Unequal lengths go through a *window table* (:func:`window_table`):
   the distinct width-``m`` windows of a group of longer segments, each
   stored once, plus every segment's window indices.  A short row's mean
@@ -126,6 +131,15 @@ def _as_vector(data) -> np.ndarray:
 #: temporaries stay inside the budget an inline run chunks under.
 CHUNK_CELL_BUDGET = 20_000_000
 
+#: The shortest float64 run numpy's add-reduce sums pairwise (eight
+#: partial sums combined in a tree); shorter runs it sums left to right.
+#: So ``mean`` over fewer byte positions than this equals a left-to-right
+#: running sum of per-position term planes divided by the width, and
+#: only then: the kernels use the plane sum below this width and gather
+#: every term and call ``mean`` from it on.  A numpy fact, not a knob
+#: (``tests/core/test_kernels.py`` fails by name if a release changes it).
+NUMPY_PAIRWISE_SUM_MIN = 8
+
 _BYTE_TERM_LUT: np.ndarray | None = None
 
 #: Odd 64-bit multiplier folding a window's 8-byte words into one sort key.
@@ -160,58 +174,37 @@ def _terms_mean_float(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return terms.mean(axis=-1)
 
 
-def pairwise_equal_length_rows(
-    block: np.ndarray,
-    row_start: int,
-    row_stop: int,
-    *,
-    out: np.ndarray | None = None,
-    cells_budget: int = CHUNK_CELL_BUDGET,
-) -> np.ndarray:
-    """Rows ``[row_start, row_stop)`` of one equal-length bin, upper band.
+def _lut_means(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Mean byte term of every row of *left* against every row of *right*.
 
-    Tile-level entry point for the matrix builder's row-tile queue:
-    returns (or fills *out* with) a ``(row_stop - row_start, count -
-    row_start)`` float64 array whose cell ``(i - row_start, j -
-    row_start)`` is the dissimilarity of segments *i* and *j* for
-    ``j >= row_start``; over the full row range ``[0, count)`` that is
-    the whole symmetric bin.  Every cell is the mean of the same
-    gathered terms no matter how rows are tiled or chunked, so tiled
-    builds are bit-identical whatever the tiling.  *cells_budget* caps
-    the per-chunk temporary (default: the whole
-    :data:`CHUNK_CELL_BUDGET`); the threaded scheduler divides it across
-    workers so aggregate peak memory is worker-count independent.
+    Both are ``(count, m)`` uint8 with ``m >= 1``; returns the
+    ``(len(left), len(right))`` float64 array of
+    ``byte_term_lut()[left[i], right[j]].mean()``.  Below
+    :data:`NUMPY_PAIRWISE_SUM_MIN` positions that is a running sum of one
+    LUT plane per position, added left to right and divided by *m*: the
+    same additions in the same order as ``mean``, without the
+    ``(rows, cols, m)`` gather.  A plane takes *right*'s LUT columns and
+    then *left*'s rows of them when *left* has at least the LUT's 256
+    rows, and the other way round otherwise: the same entries, with
+    fewer of them picked one by one.
     """
-    block = np.asarray(block)
-    binned = block.dtype == np.uint8
-    if not binned:
-        block = np.asarray(block, dtype=np.float64)
-    count, length = block.shape
-    if not 0 <= row_start <= row_stop <= count:
-        raise ValueError(
-            f"tile rows [{row_start}, {row_stop}) outside block of {count} rows"
+    lut = byte_term_lut()
+    m = left.shape[1]
+    if m >= NUMPY_PAIRWISE_SUM_MIN:
+        return lut[left[:, np.newaxis, :], right[np.newaxis, :, :]].mean(axis=2)
+    if left.shape[0] >= lut.shape[0]:
+        planes = (
+            lut.take(right[:, p], axis=1).take(left[:, p], axis=0) for p in range(m)
         )
-    rows = row_stop - row_start
-    columns = count - row_start
-    if out is None:
-        out = np.empty((rows, columns), dtype=np.float64)
-    elif out.shape != (rows, columns):
-        raise ValueError(f"out shape {out.shape} != {(rows, columns)}")
-    if length == 0:
-        out[...] = 0.0
-        return out
-    chunk_rows = _chunk_rows_for(columns * length, cells_budget)
-    lut = byte_term_lut() if binned else None
-    for start in range(row_start, row_stop, chunk_rows):
-        stop = min(start + chunk_rows, row_stop)
-        left = block[start:stop, np.newaxis, :]
-        right = block[np.newaxis, row_start:, :]
-        if binned:
-            means = lut[left, right].mean(axis=2)
-        else:
-            means = _terms_mean_float(left, right)
-        out[start - row_start : stop - row_start] = means
-    return out
+    else:
+        planes = (
+            lut.take(left[:, p], axis=0).take(right[:, p], axis=1) for p in range(m)
+        )
+    means = next(planes)
+    for plane in planes:
+        means += plane
+    means /= m
+    return means
 
 
 @dataclass(frozen=True)
@@ -288,14 +281,13 @@ def cross_length_rows(
     :func:`window_table` of width ``m`` over the longer segments.  Returns
     the ``(row_stop - row_start, segments)`` matrix of length-tolerant
     Canberra dissimilarities.  The mean term of each distinct window
-    against each short row is the LUT gather reduced over the window's
-    ``m`` terms in order — the same sum the per-pair definition takes —
-    and each long segment's sliding minimum gathers those means at its
-    own window indices, so the values are bit-identical to
+    against each short row sums the window's ``m`` LUT terms in the
+    order the per-pair definition does (:func:`_lut_means`), and each
+    long segment's sliding minimum gathers those means at its own
+    window indices, so the values are bit-identical to
     :func:`cross_length_block_reference` however rows are tiled or
     windows shared.  *cells_budget* bounds the per-chunk temporaries
-    (means and the min-gather) exactly as in
-    :func:`pairwise_equal_length_rows`.
+    (means and the min-gather) as in :func:`equal_length_cross_rows`.
     """
     short_block = np.asarray(short_block)
     if short_block.dtype != np.uint8:
@@ -318,13 +310,11 @@ def cross_length_rows(
     )[:, np.newaxis]
     unique = table.windows.shape[0]
     chunk_rows = _chunk_rows_for(max(unique * m, table.index.size), cells_budget)
-    lut = byte_term_lut()
-    left = table.windows[:, np.newaxis, :]
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
         # (unique, rows): one row of means per distinct window, so each
         # long segment's minimum runs over contiguous gathered rows.
-        means = lut[left, short_block[np.newaxis, start:stop, :]].mean(axis=2)
+        means = _lut_means(table.windows, short_block[start:stop])
         d_min = np.empty((segments, stop - start), dtype=np.float64)
         segment = position = 0
         for count, n in table.shapes:
@@ -348,26 +338,25 @@ def equal_length_cross_rows(
     row_start: int,
     row_stop: int,
     *,
-    out: np.ndarray | None = None,
     cells_budget: int = CHUNK_CELL_BUDGET,
 ) -> np.ndarray:
-    """Rows ``[row_start, row_stop)`` of an equal-length *rectangular* bin.
+    """Rows ``[row_start, row_stop)`` of an equal-length rectangular bin.
 
-    The incremental (append) build needs dissimilarities between two
-    *disjoint* groups of segments of the same length — new rows against
-    old columns — which is neither the triangular within-bin kernel
-    (:func:`pairwise_equal_length_rows`) nor the sliding cross-length
-    kernel.  Returns (or fills *out* with) the
-    ``(row_stop - row_start, count_b)`` block of normalized Canberra
-    distances between rows of *block_a* and all rows of *block_b*
-    (both ``(count, length)`` with the same length).
-
-    Each cell is the mean of the same gathered terms
-    :func:`pairwise_equal_length_rows` computes for that pair inside one
-    combined bin, reduced along the same axis — so an append build that
-    routes old-vs-new pairs through this kernel stays bit-identical to
-    a batch build over the union.  *cells_budget* bounds the per-chunk
-    temporary exactly as in :func:`pairwise_equal_length_rows`.
+    Returns the ``(row_stop - row_start, count_b)`` float64 block of
+    normalized Canberra distances between rows of *block_a* and all rows
+    of *block_b* (both ``(count, length)`` with the same length).  The
+    one equal-length kernel: the matrix builder passes a group against
+    itself (full rows of the symmetric bin, diagonal included, or for
+    bins of ``NUMPY_PAIRWISE_SUM_MIN`` bytes and more the columns from
+    the tile's first row on) and new rows against an old group of the
+    same length.  Cell ``(i, j)`` and
+    cell ``(j, i)`` sum the same terms (``byte_term_lut`` is exactly
+    symmetric), and every cell is the per-pair definition's sum in its
+    order however rows are tiled or chunked, so batch, tiled and
+    appended builds are bit-identical.  *cells_budget* caps the
+    per-chunk temporary (default: the whole :data:`CHUNK_CELL_BUDGET`);
+    the threaded scheduler divides it across workers so aggregate peak
+    memory is worker-count independent.
     """
     block_a = np.asarray(block_a)
     block_b = np.asarray(block_b)
@@ -386,24 +375,18 @@ def equal_length_cross_rows(
         raise ValueError(
             f"tile rows [{row_start}, {row_stop}) outside block of {count_a} rows"
         )
-    rows = row_stop - row_start
-    if out is None:
-        out = np.empty((rows, count_b), dtype=np.float64)
-    elif out.shape != (rows, count_b):
-        raise ValueError(f"out shape {out.shape} != {(rows, count_b)}")
+    out = np.zeros((row_stop - row_start, count_b), dtype=np.float64)
     if length_a == 0:
-        out[...] = 0.0
         return out
     chunk_rows = _chunk_rows_for(count_b * length_a, cells_budget)
-    lut = byte_term_lut() if binned else None
     for start in range(row_start, row_stop, chunk_rows):
         stop = min(start + chunk_rows, row_stop)
-        left = block_a[start:stop, np.newaxis, :]
-        right = block_b[np.newaxis, :, :]
         if binned:
-            means = lut[left, right].mean(axis=2)
+            means = _lut_means(block_a[start:stop], block_b)
         else:
-            means = _terms_mean_float(left, right)
+            means = _terms_mean_float(
+                block_a[start:stop, np.newaxis, :], block_b[np.newaxis, :, :]
+            )
         out[start - row_start : stop - row_start] = means
     return out
 
@@ -432,11 +415,12 @@ def equal_length_cross_block_reference(
 
 
 def pairwise_equal_length_reference(block: np.ndarray) -> np.ndarray:
-    """Per-pair oracle for :func:`pairwise_equal_length_rows`.
+    """Per-pair oracle for one equal-length bin against itself.
 
     One :func:`canberra_distance` call per unordered pair — the direct
     transcription of the paper's definition, quadratic in Python-call
-    overhead.  The binned kernel is pinned against this implementation.
+    overhead.  :func:`equal_length_cross_rows` over ``(block, block)`` is
+    pinned against this implementation.
     """
     block = np.asarray(block, dtype=np.float64)
     count = block.shape[0]

@@ -7,20 +7,24 @@ that equal-length pairs use the plain normalized Canberra distance and
 unequal-length pairs use the sliding/penalty extension.
 
 Every cell is filled by the vectorized **binned** kernel (see
-:mod:`repro.core.canberra`): Canberra terms are gathered from a
-byte-term lookup table, equal-length bins compute only their upper band
-and mirror it, and unequal lengths run through window tables — the
-distinct width-``m`` windows of the longer segments, each one's mean
-against a short row computed once, with every long segment's sliding
-minimum gathered from its own window indices.  The per-pair reference
-oracle (:func:`repro.core.canberra.dissimilarity_matrix_reference`) is
-not a runtime option: parity tests and the kernel microbenchmarks call
-it directly to pin the kernel to its exact bytes.
+:mod:`repro.core.canberra`): Canberra terms come from a byte-term
+lookup table (summed plane by plane for segments narrower than
+``NUMPY_PAIRWISE_SUM_MIN`` bytes), an equal-length bin computes full
+rows of itself through the one rectangular kernel (a wider bin, whose
+cells cost more than a mirrored write, its upper band and the band's
+mirror) and writes each cell once, and unequal lengths run through
+window tables — the distinct width-``m`` windows of the longer
+segments, each one's mean against a short row computed once, with
+every long segment's sliding minimum gathered from its own window
+indices.  The per-pair reference oracle
+(:func:`repro.core.canberra.dissimilarity_matrix_reference`) is not a
+runtime option: parity tests and the kernel microbenchmarks call it
+directly to pin the kernel to its exact bytes.
 
 One engine computes cells, the **row-tile queue**.  A build lists the
 tasks covering the cells with at least one new segment
 (:func:`_append_tasks`; a batch build is an append onto an empty
-matrix): per length an equal-length triangle and rectangle, and one
+matrix): per length an equal-length square and rectangle, and one
 cross-length task per short length, row side and window-table group,
 whose longer segments are capped at ``CHUNK_CELL_BUDGET // 4`` window
 bytes so each tile can build its table itself.  It sub-tiles every
@@ -63,9 +67,9 @@ from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
+    NUMPY_PAIRWISE_SUM_MIN,
     cross_length_rows,
     equal_length_cross_rows,
-    pairwise_equal_length_rows,
     window_table,
 )
 from repro.core.membound import divide_bound, rows_per_block
@@ -234,6 +238,18 @@ class _BinTask:
         return self.block_a.shape[1], max(block.shape[1] for block in self.blocks_b)
 
     @property
+    def band(self) -> bool:
+        """Whether a "same" task's tiles compute only their upper band.
+
+        Narrower than ``NUMPY_PAIRWISE_SUM_MIN`` bytes, a plane-sum cell
+        costs less than a mirrored write, so tiles compute full rows; a
+        wider, gathered cell costs more, so they compute their rows from
+        their first row on and write the part right of their rows again,
+        transposed.
+        """
+        return self.kind == "same" and self.block_a.shape[1] >= NUMPY_PAIRWISE_SUM_MIN
+
+    @property
     def window_cells(self) -> int:
         """Bytes of the width-``len_a`` windows of every column segment."""
         m = self.block_a.shape[1]
@@ -306,7 +322,7 @@ def _append_tasks(
 
     Per length over the union of old and new lengths, emit only the
     blocks with at least one *new* segment on a side: the new-vs-new
-    "same" triangle, the new-vs-old "eqcross" rectangle, and two
+    "same" square, the new-vs-old "eqcross" rectangle, and two
     "cross" sides against the longer lengths — the new short rows
     against every longer segment, old and new, and the old short rows
     against the new longer ones (:func:`_cross_tasks`).  Old-vs-old
@@ -323,7 +339,7 @@ def _append_tasks(
         old = old_bins.get(length)
         new = new_bins.get(length)
         longer = lengths[li + 1 :]
-        if new and len(new[0]) > 1:
+        if new:
             tasks.append(_BinTask("same", new[1], (new[1],), new[0], new[0]))
         if new and old:
             tasks.append(_BinTask("eqcross", new[1], (old[1],), new[0], old[0]))
@@ -363,8 +379,7 @@ def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
             tile_rows = min(tile_rows, CROSS_TILE_ROWS)
         for start in range(0, rows, tile_rows):
             stop = min(rows, start + tile_rows)
-            if task.kind == "same":
-                # The tile only gathers the upper band (columns start:).
+            if task.band:
                 cost = (stop - start) * (rows - start) * m
             else:
                 cost = (stop - start) * cells_per_row
@@ -373,18 +388,34 @@ def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
 
 
 def _bin_attributes(task: _BinTask, row_start: int, row_stop: int) -> dict:
-    """The ``matrix.bin`` span attributes of one tile known before it runs."""
+    """The ``matrix.bin`` span attributes of one tile known before it runs.
+
+    *cells* counts the matrix cells the tile writes: its rows' cells,
+    plus their mirror for the kinds whose columns are other segments
+    (for a band tile, its rows from its first row on, plus the mirror of
+    the part right of its own rows).  *pairs* counts the distinct
+    segment pairs, giving a "same" tile the pairs of its rows with the
+    rows after them, so both sum exactly over a build's tiles (to
+    ``n * n`` cells and ``n * (n - 1) / 2`` pairs).
+    """
+    rows = row_stop - row_start
     if task.kind == "same":
         count = task.block_a.shape[0]
-        pairs = sum(count - 1 - i for i in range(row_start, row_stop))
+        if task.band:
+            cells = rows * (2 * count - row_start - row_stop)
+        else:
+            cells = rows * count
+        pairs = rows * (2 * count - row_start - row_stop - 1) // 2
     else:
-        pairs = (row_stop - row_start) * len(task.cols)
+        cells = 2 * rows * len(task.cols)
+        pairs = rows * len(task.cols)
     len_a, len_b = task.lengths
     return {
         "kind": task.kind,
         "len_a": len_a,
         "len_b": len_b,
         "pairs": pairs,
+        "cells": cells,
         "tile": f"{row_start}:{row_stop}",
     }
 
@@ -400,32 +431,19 @@ def _compute_tile_into(
     """Compute one tile and write it (plus its mirror) into *values*.
 
     The engine's unit of work, inline or on a worker thread.  Tiles of
-    one build cover disjoint cells of *values* (an equal-length tile
-    owns its upper band rows and their transposes; a cross-length or
-    eqcross tile owns its rows and their transposes), so concurrent
-    workers never write the same cell — except the symmetric diagonal
-    band *within* one tile, which the same thread overwrites with
-    bit-identical values.  A "cross" tile builds its task's window
-    table itself, so only in-flight tiles hold one; it returns the
-    table's ``windows`` and ``unique_windows`` counts for its
-    ``matrix.bin`` span (other kinds return no counts).
+    one build write disjoint cells of *values*, each cell once: a "same"
+    tile owns full rows of its equal-length bin (a band tile, its rows
+    from its first row on and the transpose of the part right of its
+    own rows), and an "eqcross" or "cross" tile owns its rows' cells
+    and their transposes, so concurrent workers never write the same
+    cell.  A "cross" tile builds its task's window table itself, so
+    only in-flight tiles hold one; it returns the table's ``windows``
+    and ``unique_windows`` counts for its ``matrix.bin`` span (other
+    kinds return no counts).
     """
     table_counts = {}
-    if task.kind == "same":
-        tile = pairwise_equal_length_rows(
-            task.block_a, row_start, row_stop, cells_budget=cells_budget
-        )
-        cols = task.cols[row_start:]
-    elif task.kind == "eqcross":
-        tile = equal_length_cross_rows(
-            task.block_a,
-            task.blocks_b[0],
-            row_start,
-            row_stop,
-            cells_budget=cells_budget,
-        )
-        cols = task.cols
-    else:
+    first = row_start if task.band else 0
+    if task.kind == "cross":
         table = window_table(task.blocks_b, task.block_a.shape[1])
         tile = cross_length_rows(
             task.block_a,
@@ -435,14 +453,25 @@ def _compute_tile_into(
             penalty_factor=penalty_factor,
             cells_budget=cells_budget,
         )
-        cols = task.cols
         table_counts = {
             "windows": table.index.size,
             "unique_windows": table.windows.shape[0],
         }
+    else:
+        tile = equal_length_cross_rows(
+            task.block_a,
+            task.blocks_b[0][first:],
+            row_start,
+            row_stop,
+            cells_budget=cells_budget,
+        )
     rows = task.rows[row_start:row_stop]
+    cols = task.cols[first:]
     values[np.ix_(rows, cols)] = tile
-    values[np.ix_(cols, rows)] = tile.T
+    if task.kind != "same" or task.band:
+        # A band tile's first columns are its own rows, written above.
+        skip = row_stop - row_start if task.band else 0
+        values[np.ix_(cols[skip:], rows)] = tile[:, skip:].T
     return table_counts
 
 
@@ -765,7 +794,7 @@ class DissimilarityMatrix:
                     # to the caller's segment order.
                     rank = np.empty(len(segments), dtype=np.int64)
                     rank[order] = np.arange(len(segments))
-                    values = np.ascontiguousarray(canonical[np.ix_(rank, rank)])
+                    values = canonical.take(rank, axis=0).take(rank, axis=1)
                     stats.backend = "cache"
                     stats.cache_hit = True
                     cls._record_build(span, stats)
@@ -776,7 +805,7 @@ class DissimilarityMatrix:
             stats.backend = "parallel" if stats.tile_count else "serial"
 
             if options.use_cache and stats.cache_key is not None and order is not None:
-                canonical = np.ascontiguousarray(values[np.ix_(order, order)])
+                canonical = values.take(order, axis=0).take(order, axis=1)
                 matrixcache.store_matrix(stats.cache_key, canonical, options.cache_dir)
 
             cls._record_build(span, stats)
@@ -1057,5 +1086,6 @@ class AppendableMatrix:
             self.penalty_factor,
             dtype=self.options.dtype,
         )
-        canonical = np.ascontiguousarray(self._matrix.values[np.ix_(order, order)])
+        values = self._matrix.values
+        canonical = values.take(order, axis=0).take(order, axis=1)
         matrixcache.store_matrix(key, canonical, cache_dir or self.options.cache_dir)

@@ -128,8 +128,9 @@ def canonical_order_key(
 
     One call replaces the sort + :func:`matrix_cache_key` pair every
     caller needs: *order* maps canonical position → caller position, so
-    ``values[np.ix_(order, order)]`` is the canonical-order matrix to
-    store and the inverse permutation restores a loaded one.
+    ``values.take(order, axis=0).take(order, axis=1)`` is the
+    canonical-order matrix to store and the inverse permutation restores
+    a loaded one.
     """
     order = sorted(range(len(datas)), key=datas.__getitem__)
     key = matrix_cache_key((datas[i] for i in order), penalty_factor, dtype=dtype)
@@ -142,11 +143,11 @@ def cache_path(key: str, cache_dir: str | Path | None = None) -> Path:
 
 
 def matrix_checksum(values: np.ndarray) -> str:
-    """SHA-256 over the matrix payload (shape + raw float64 bytes)."""
+    """SHA-256 over the matrix payload (shape + raw value bytes, read in place)."""
     digest = hashlib.sha256()
     digest.update(b"repro-matrix-payload-v2\0")
     digest.update(struct.pack("<QQ", *values.shape))
-    digest.update(np.ascontiguousarray(values).tobytes())
+    digest.update(np.ascontiguousarray(values))
     return digest.hexdigest()
 
 

@@ -68,7 +68,7 @@ class TestEqualLengthCrossKernel:
         ).reshape(b, length)
         fast = equal_length_cross_rows(block_a, block_b, 0, a)
         reference = equal_length_cross_block_reference(block_a, block_b)
-        np.testing.assert_array_equal(fast, reference)
+        assert fast.tobytes() == reference.tobytes()
 
     def test_chunked_rows_match_whole_block(self):
         rng = np.random.default_rng(5)
@@ -81,9 +81,9 @@ class TestEqualLengthCrossKernel:
                 for r in range(0, 7, 2)
             ]
         )
-        np.testing.assert_array_equal(whole, tiled)
+        assert whole.tobytes() == tiled.tobytes()
         budgeted = equal_length_cross_rows(block_a, block_b, 0, 7, cells_budget=3)
-        np.testing.assert_array_equal(whole, budgeted)
+        assert whole.tobytes() == budgeted.tobytes()
 
 
 class TestAppendBitIdentity:

@@ -8,7 +8,8 @@ from repro.core.canberra import (
     canberra_distance,
     canberra_terms,
     cross_length_rows,
-    pairwise_equal_length_rows,
+    equal_length_cross_rows,
+    pairwise_equal_length_reference,
     sliding_min_distance,
     window_table,
 )
@@ -107,10 +108,12 @@ class TestBlockKernels:
     def test_pairwise_block_matches_scalar(self):
         data = [b"\x01\x02\x03", b"\x03\x02\x01", b"\xff\x00\x10"]
         block = np.array([list(d) for d in data], dtype=np.float64)
-        matrix = pairwise_equal_length_rows(block, 0, 3)
+        matrix = equal_length_cross_rows(block, block, 0, 3)
         for i in range(3):
             for j in range(3):
-                assert matrix[i, j] == pytest.approx(canberra_distance(data[i], data[j]))
+                assert matrix[i, j] == canberra_distance(data[i], data[j])
+        binned = equal_length_cross_rows(block.astype(np.uint8), block.astype(np.uint8), 0, 3)
+        assert binned.tobytes() == pairwise_equal_length_reference(block).tobytes()
 
     def test_cross_block_matches_scalar(self):
         shorts = [b"\x01\x02", b"\x10\x20"]
@@ -120,7 +123,7 @@ class TestBlockKernels:
         matrix = cross_length_rows(short_block, window_table([long_block], 2), 0, 2)
         for i, u in enumerate(shorts):
             for j, v in enumerate(longs):
-                assert matrix[i, j] == pytest.approx(canberra_dissimilarity(u, v))
+                assert matrix[i, j] == canberra_dissimilarity(u, v)
 
     def test_cross_block_rejects_equal_length(self):
         block = np.zeros((2, 3), dtype=np.uint8)
@@ -132,6 +135,7 @@ class TestBlockKernels:
 
     def test_pairwise_diagonal_zero(self):
         block = np.random.default_rng(0).integers(0, 256, size=(20, 8)).astype(float)
-        matrix = pairwise_equal_length_rows(block, 0, 20)
-        assert np.allclose(np.diag(matrix), 0.0)
-        assert np.allclose(matrix, matrix.T)
+        matrix = equal_length_cross_rows(block, block, 0, 20)
+        assert not np.diag(matrix).any()
+        assert matrix.tobytes() == matrix.T.copy().tobytes()
+        assert matrix.tobytes() == pairwise_equal_length_reference(block).tobytes()

@@ -1,10 +1,12 @@
 """Parity contracts of the binned kernel against the per-pair oracle.
 
-The vectorized length-binned kernel (byte-term LUT gather, triangle
-mirroring, window-table sliding minimum) is a pure optimization: on
-every input it must return the exact bytes of the per-pair reference
-oracle — one ``canberra_distance`` / ``canberra_dissimilarity`` call per
-pair, via the ``*_reference`` functions of :mod:`repro.core.canberra`.
+The vectorized length-binned kernel (byte-term LUT planes below
+``NUMPY_PAIRWISE_SUM_MIN`` bytes and a gather from there, one
+rectangular equal-length kernel, window-table sliding minimum) is a
+pure optimization: on every input it must return the exact bytes of
+the per-pair reference oracle — one ``canberra_distance`` /
+``canberra_dissimilarity`` call per pair, via the ``*_reference``
+functions of :mod:`repro.core.canberra`.
 Each kernel cell sums the same terms in the same order as the oracle
 and a minimum is exact, so there is no tolerance.  Violations here mean
 the kernel rewrite changed the numerics and every downstream stage
@@ -16,18 +18,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import matrix as matrix_mod
 from repro.core.canberra import (
+    NUMPY_PAIRWISE_SUM_MIN,
     byte_term_lut,
     canberra_dissimilarity,
     cross_length_block_reference,
     cross_length_rows,
     dissimilarity_matrix_reference,
+    equal_length_cross_block_reference,
+    equal_length_cross_rows,
     pairwise_equal_length_reference,
-    pairwise_equal_length_rows,
     window_table,
 )
 from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
@@ -58,9 +62,9 @@ def reference(datas):
     return dissimilarity_matrix_reference([s.data for s in as_unique_segments(datas)])
 
 
-def whole_bin(block):
-    """An equal-length bin over its full row range."""
-    return pairwise_equal_length_rows(block, 0, block.shape[0])
+def whole_bin(block, **kwargs):
+    """An equal-length bin against itself, over its full row range."""
+    return equal_length_cross_rows(block, block, 0, block.shape[0], **kwargs)
 
 
 def uint8_block(rng, count, length, values=256):
@@ -110,11 +114,117 @@ class TestEqualLengthKernelParity:
         )
 
     def test_chunked_mirroring_is_consistent(self):
-        # Force many tiny row chunks so the triangle band spans chunks.
+        # Force many tiny row chunks: each chunk computes full rows, and
+        # cell (i, j) still equals cell (j, i) computed in another chunk.
         block = uint8_block(np.random.default_rng(3), 19, 6)
-        fast = pairwise_equal_length_rows(block, 0, len(block), cells_budget=64)
+        fast = whole_bin(block, cells_budget=64)
         assert_same_bytes(fast, pairwise_equal_length_reference(block))
-        assert np.array_equal(fast, fast.T)
+        assert_same_bytes(fast, fast.T.copy())
+
+
+def rounding_sensitive_rows(width, count=400, seed=0):
+    """Float64 rows whose sum depends on the order of the additions.
+
+    Row 0 is ``1.0`` followed by ``2**-53`` terms: added left to right
+    each one rounds away, added pairwise they survive.  The other rows
+    mix magnitudes from 1e-8 to 1e8.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.random((count, width)) * 10.0 ** rng.integers(-8, 9, (count, width))
+    rows[0] = [1.0] + [2.0**-53] * (width - 1)
+    return rows
+
+
+def left_to_right_sums(rows):
+    total = rows[:, 0].copy()
+    for position in range(1, rows.shape[1]):
+        total += rows[:, position]
+    return total
+
+
+class TestNumpySummationOrder:
+    """The numpy fact the plane-sum kernels rest on.
+
+    ``mean`` over fewer than ``NUMPY_PAIRWISE_SUM_MIN`` float64 values
+    adds them left to right, so a running sum of LUT planes gives its
+    bytes.  If a numpy release sums short rows in another order, the
+    first test fails by name before any golden fingerprint moves.
+    """
+
+    @pytest.mark.parametrize("width", range(2, NUMPY_PAIRWISE_SUM_MIN))
+    def test_add_reduce_sums_fewer_than_eight_float64_left_to_right(self, width):
+        rows = rounding_sensitive_rows(width)
+        expected = left_to_right_sums(rows)
+        assert_same_bytes(np.add.reduce(rows, axis=1), expected)
+        assert_same_bytes(rows.reshape(20, 20, width).sum(axis=2).ravel(), expected)
+        assert_same_bytes(
+            rows.reshape(20, 20, width).mean(axis=2).ravel(), expected / width
+        )
+        assert np.add.reduce(rows[0]) == expected[0] == 1.0
+
+    def test_add_reduce_sums_eight_float64_pairwise(self):
+        # The limit is tight: from eight values on the sum is pairwise,
+        # which is why wider rows keep the gather and ``mean``.
+        rows = rounding_sensitive_rows(NUMPY_PAIRWISE_SUM_MIN)
+        assert np.add.reduce(rows[0]) != left_to_right_sums(rows)[0]
+
+
+#: Widths the plane sums cover (1-7) and the first two that gather (8-9).
+PLANE_AND_GATHER_WIDTHS = range(1, NUMPY_PAIRWISE_SUM_MIN + 2)
+
+
+class TestPlaneSumKernels:
+    """Both kernels equal their per-pair oracles at every narrow width.
+
+    The budgets force several row chunks.  A plane is taken in one of two
+    orders, by whether a chunk's left side (the rows of an equal-length
+    chunk, the distinct windows of a window table) has at least the
+    LUT's 256 rows; the explicit examples take each order at every width.
+    """
+
+    @pytest.mark.parametrize("m", PLANE_AND_GATHER_WIDTHS)
+    @settings(max_examples=8, deadline=None)
+    @given(
+        rows=st.sampled_from([4, 9, 300, 600]),
+        cols=st.integers(1, 5),
+        chunks=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(rows=600, cols=4, chunks=2, seed=1)  # chunks of 300 rows
+    @example(rows=300, cols=4, chunks=2, seed=2)  # chunks of 150 rows
+    def test_equal_length_rows_match_the_oracle(self, m, rows, cols, chunks, seed):
+        rng = np.random.default_rng(seed)
+        block_a = uint8_block(rng, rows, m)
+        block_b = uint8_block(rng, cols, m)
+        budget = -(-rows // chunks) * cols * m
+        fast = equal_length_cross_rows(block_a, block_b, 0, rows, cells_budget=budget)
+        assert_same_bytes(fast, equal_length_cross_block_reference(block_a, block_b))
+        # One bin against itself, full rows in chunks of four.
+        square = block_a[:12]
+        assert_same_bytes(
+            whole_bin(square, cells_budget=4 * len(square) * m),
+            pairwise_equal_length_reference(square),
+        )
+
+    @pytest.mark.parametrize("m", PLANE_AND_GATHER_WIDTHS)
+    @settings(max_examples=8, deadline=None)
+    @given(
+        shorts=st.integers(4, 12),
+        extra=st.lists(st.integers(1, 120), min_size=1, max_size=3),
+        chunks=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(shorts=6, extra=[120, 119, 118], chunks=3, seed=3)  # >= 256 windows
+    @example(shorts=6, extra=[20], chunks=2, seed=4)  # < 256 windows
+    def test_cross_length_rows_match_the_oracle(self, m, shorts, extra, chunks, seed):
+        rng = np.random.default_rng(seed)
+        short = uint8_block(rng, shorts, m)
+        longs = [uint8_block(rng, int(rng.integers(1, 4)), m + e) for e in extra]
+        table = window_table(longs, m)
+        per_row = max(table.windows.shape[0] * m, table.index.size)
+        budget = -(-shorts // chunks) * per_row
+        fast = cross_length_rows(short, table, 0, shorts, cells_budget=budget)
+        assert_same_bytes(fast, cross_reference(short, longs))
 
 
 class TestCrossLengthKernelParity:

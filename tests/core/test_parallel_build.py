@@ -12,6 +12,8 @@ identical.  The tests here pin that contract:
 - a determinism run (same trace, three worker counts, raw-byte compare);
 - tiny-tile runs (budget monkeypatched down) so one bin spans many
   tiles and the cross-tile mirror writes are exercised;
+- the tiles' ``cells`` counts, which sum to every cell of a build and
+  every new cell of an append, so each cell is written exactly once;
 - the workers convention shared by the library and both CLIs
   (``None`` ⇒ all cores, ``0`` ⇒ serial, ``N >= 1`` ⇒ exactly N,
   negative ⇒ rejected);
@@ -38,6 +40,7 @@ from repro.core.matrix import (
     DTYPE_FLOAT64,
     STORAGE_MEMMAP,
     STORAGE_RAM,
+    AppendableMatrix,
     DissimilarityMatrix,
     MatrixBuildOptions,
 )
@@ -131,8 +134,9 @@ class TestThreadedParity:
         assert built.values.tobytes() == reference.values.tobytes()
 
     def test_many_tiles_per_bin(self, monkeypatch):
-        # Shrink the tile budget so single bins split into many tiles
-        # and the scheduler's cross-tile band mirroring is exercised.
+        # Shrink the tile budget so single bins split into many tiles:
+        # "same" tiles each write full rows of their bin, the others
+        # their rows and the mirror of them.
         monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 64)
         datas = make_ragged_datas(count=70, seed=29, max_length=8)
         reference = serial_build(datas)
@@ -251,6 +255,38 @@ class TestThreadedObservability:
         assert sum(s.attributes["unique_windows"] for s in cross) < sum(
             s.attributes["windows"] for s in cross
         )
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_tiles_write_every_cell_once(self, monkeypatch, workers):
+        # Ragged lengths under a small budget, so bins split into several
+        # tiles; lengths 20 and 30 are held by one segment each.
+        monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 256)
+        datas = make_ragged_datas(count=90, seed=61)
+        segments = as_unique_segments(datas + [bytes(range(20)), bytes(range(30))])
+        old = 55
+        options = MatrixBuildOptions(
+            workers=workers, use_cache=False, parallel_threshold=0
+        )
+
+        def written_cells(build):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                result = build()
+            bins = tracer.find("matrix.bin")
+            assert len(bins) > len({len(s.data) for s in segments})
+            return result, sum(span.attributes["cells"] for span in bins)
+
+        built, cells = written_cells(
+            lambda: DissimilarityMatrix.build(segments, options=options)
+        )
+        assert cells == len(segments) ** 2
+        grown, cells = written_cells(
+            lambda: AppendableMatrix(segments[:old], options=options)
+        )
+        assert cells == old**2
+        appended, cells = written_cells(lambda: grown.append(segments[old:]))
+        assert cells == len(segments) ** 2 - old**2
+        assert appended.values.tobytes() == built.values.tobytes()
 
     def test_serial_build_has_no_threaded_artifacts(self):
         datas = make_ragged_datas(count=20, seed=53)
