@@ -243,12 +243,19 @@ def window_table(long_blocks, m: int) -> WindowTable:
             raise ValueError(f"window tables take uint8 blocks, got {block.dtype}")
         if block.shape[1] <= m:
             raise ValueError(f"long block must be longer: {block.shape[1]} <= {m}")
-    flat = np.concatenate(
-        [
-            np.lib.stride_tricks.sliding_window_view(block, m, axis=1).reshape(-1, m)
-            for block in blocks
-        ]
+    # Every window in one gather from the segments' concatenated bytes,
+    # where window w of segment s starts at byte w + s * (m - 1).
+    data = np.concatenate([block.reshape(-1) for block in blocks])
+    offsets = np.repeat(
+        [block.shape[1] - m + 1 for block in blocks],
+        [block.shape[0] for block in blocks],
     )
+    windows = np.lib.stride_tricks.as_strided(
+        data, (max(data.size - m + 1, 0), m), (1, 1), writeable=False
+    )
+    flat = windows[
+        np.arange(offsets.sum()) + np.repeat(np.arange(offsets.size) * (m - 1), offsets)
+    ]
     words = -(-m // 8)
     padded = np.zeros((flat.shape[0], 8 * words), dtype=np.uint8)
     padded[:, 8 * words - m :] = flat
@@ -315,7 +322,9 @@ def cross_length_rows(
         # (unique, rows): one row of means per distinct window, so each
         # long segment's minimum runs over contiguous gathered rows.
         means = _lut_means(table.windows, short_block[start:stop])
-        d_min = np.empty((segments, stop - start), dtype=np.float64)
+        # Each long segment's minimum goes straight into its column of
+        # the output rows; the formula then runs in place on them.
+        d_min = out[start - row_start : stop - row_start].T
         segment = position = 0
         for count, n in table.shapes:
             offsets = n - m + 1
@@ -325,10 +334,14 @@ def cross_length_rows(
             ).min(axis=1, out=d_min[segment : segment + count])
             segment += count
             position += count * offsets
-        penalty = penalty_factor + (1.0 - penalty_factor) * d_min
-        out[start - row_start : stop - row_start] = (
-            (m * d_min + (lengths - m) * penalty) / lengths
-        ).T
+        # (m * d_min + (n - m) * (pf + (1 - pf) * d_min)) / n, with each
+        # + and * in the other operand order, which is exact.
+        penalty = d_min * (1.0 - penalty_factor)
+        penalty += penalty_factor
+        penalty *= lengths - m
+        d_min *= m
+        d_min += penalty
+        d_min /= lengths
     return out
 
 

@@ -27,16 +27,17 @@ class Segmenter(abc.ABC):
     :meth:`segment` is the public entry point; it wraps the actual
     segmentation (:meth:`segment_trace`, the subclass override point)
     in one ``segment`` span on the active tracer, tagged with the
-    segmenter and the count of emitted field candidates, so every
-    pipeline run records its segmentation stage uniformly across
-    heuristics.
+    segmenter, the messages and payload bytes segmented and the count
+    of emitted field candidates, so every pipeline run records its
+    segmentation stage uniformly across heuristics.
     """
 
     #: short identifier used in tables ("nemesys", "netzob", "csp", ...)
     name: str = "segmenter"
 
     #: True when every message is segmented independently (the default
-    #: per-message loop), so segmenting a trace chunk by chunk yields
+    #: per-message loop, or a pass over many messages that cuts each one
+    #: as that loop would), so segmenting a trace chunk by chunk yields
     #: the same segments as one pass over the whole trace.  Segmenters
     #: that override :meth:`segment_trace` with trace-global strategies
     #: (alignment, corpus-wide pattern mining) set this False; the
@@ -50,7 +51,10 @@ class Segmenter(abc.ABC):
     def segment(self, trace: Trace) -> list[Segment]:
         """Segment every message, recorded as one ``segment`` span."""
         with get_tracer().span(
-            "segment", segmenter=self.name, messages=len(trace)
+            "segment",
+            segmenter=self.name,
+            messages=len(trace),
+            bytes=trace.total_bytes,
         ) as span:
             segments = self.segment_trace(trace)
             span.set(segments=len(segments))

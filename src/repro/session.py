@@ -54,7 +54,7 @@ import math
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -819,7 +819,7 @@ class AnalysisSession:
             # per-message segmenter this is the only difference from
             # segmenting the whole stream at once.
             segments = [
-                replace(s, message_index=s.message_index + offset)
+                Segment(s.message_index + offset, s.offset, s.data, s.ftype)
                 for s in segments
             ]
         self._segments.extend(segments)
