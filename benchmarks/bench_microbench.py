@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import attach_matrix_stats
+from conftest import attach_matrix_stats, traced_build
+from repro.core import matrix as matrix_mod
 from repro.core.autoconf import configure
 from repro.core.canberra import dissimilarity_matrix_reference
 from repro.core.dbscan import dbscan
@@ -94,9 +95,9 @@ def ntp_matrix(ntp_segments):
 
 
 def test_matrix_build(benchmark, ntp_segments, matrix_options):
-    matrix = benchmark(DissimilarityMatrix.build, ntp_segments, options=matrix_options)
+    matrix, build = benchmark(traced_build, ntp_segments, matrix_options)
     assert len(matrix) == len(ntp_segments)
-    attach_matrix_stats(benchmark, matrix)
+    attach_matrix_stats(benchmark, build)
 
 
 def test_knn_distances(benchmark, ntp_matrix):
@@ -115,11 +116,9 @@ def test_dbscan(benchmark, ntp_matrix):
 
 
 def available_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
+    """CPUs this process may actually run on (affinity-aware): what the
+    library resolves ``workers=None`` to."""
+    return MatrixBuildOptions().effective_workers()
 
 
 #: Parallel worker count the kernel grid requests explicitly, so the
@@ -141,7 +140,8 @@ def interleaved_builds(segments, serial_options, parallel_options, check):
     """Median seconds per backend and the median serial/threaded ratio.
 
     Runs :data:`SCALING_PAIRS` serial and threaded builds in turn and
-    calls *check(backend, matrix)* on every result.
+    calls *check(backend, matrix, build)* on every result, *build* being
+    the attributes of its ``matrix.build`` span.
     """
     seconds = {"serial": [], "parallel": []}
     for _ in range(SCALING_PAIRS):
@@ -150,9 +150,9 @@ def interleaved_builds(segments, serial_options, parallel_options, check):
             ("parallel", parallel_options),
         ):
             started = time.perf_counter()
-            matrix = DissimilarityMatrix.build(segments, options=options)
+            matrix, build = traced_build(segments, options)
             seconds[backend].append(time.perf_counter() - started)
-            check(backend, matrix)
+            check(backend, matrix, build)
     ratio = statistics.median(
         serial / parallel for serial, parallel in zip(seconds["serial"], seconds["parallel"])
     )
@@ -160,7 +160,7 @@ def interleaved_builds(segments, serial_options, parallel_options, check):
     return medians, ratio
 
 
-def test_matrix_kernel_grid(benchmark):
+def test_matrix_kernel_grid(benchmark, monkeypatch):
     """binned serial vs parallel vs the per-pair oracle at n ∈ {200, 1000}.
 
     The whole grid must equal the oracle's bytes (the kernel sums the
@@ -172,17 +172,20 @@ def test_matrix_kernel_grid(benchmark):
     function the parity tests pin the kernel against.
 
     Honesty contract of the baseline: parallel rows request
-    ``workers=4`` explicitly and record the backend that *actually*
-    ran, ``cpus`` records both ``os.cpu_count()`` and the scheduler
-    affinity, and a parallel row silently degrading to serial fails the
-    bench outright — a baseline that says "parallel" must have run
-    parallel.  The threaded binned build additionally has a scaling
-    floor at n=1000 (≥2× on ≥4 usable cores, ≥1.2× on 2–3), so a
-    scheduler regression cannot hide behind a green parity run.  Each
+    ``workers=4`` explicitly, lower ``THREAD_POOL_MIN_CELLS`` to 0 so
+    even the n=200 build has enough work for the pool, and record the
+    backend that *actually* ran (read from the ``matrix.build`` span),
+    ``cpus`` records both ``os.cpu_count()`` and the scheduler affinity,
+    and a parallel row silently degrading to serial fails the bench
+    outright — a baseline that says "parallel" must have run parallel.
+    The threaded binned build additionally has a scaling floor at
+    n=1000 (≥2× on ≥4 usable cores, ≥1.2× on 2–3), so a scheduler
+    regression cannot hide behind a green parity run.  Each
     backend's seconds are the median of :data:`SCALING_PAIRS`
     interleaved builds, and the scaling ratio the median of the pairs'
     ratios.
     """
+    monkeypatch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
     cases = []
     speedups = {}
     cpus = available_cpus()
@@ -203,9 +206,9 @@ def test_matrix_kernel_grid(benchmark):
                 "seconds": round(oracle_seconds, 4),
             }
         )
-        matrices = {}
+        builds = {}
 
-        def check(backend, matrix):
+        def check(backend, matrix, build):
             assert matrix.values.tobytes() == reference.tobytes(), (
                 f"kernel grid bytes differ from the oracle at n={n} binned/{backend}"
             )
@@ -214,31 +217,29 @@ def test_matrix_kernel_grid(benchmark):
                 # "parallel" that ran serially (gate regression) fails
                 # the bench instead of being committed as a fake
                 # speedup.
-                assert matrix.stats.backend == "parallel", (
+                assert build["backend"] == "parallel", (
                     f"requested parallel build degraded to "
-                    f"{matrix.stats.backend!r} at n={n} "
+                    f"{build['backend']!r} at n={n} "
                     f"(workers={GRID_WORKERS}, {cpus} usable cores)"
                 )
-            matrices[backend] = matrix
+            builds[backend] = build
 
         seconds, parallel_scaling = interleaved_builds(
             segments,
             MatrixBuildOptions(workers=1, use_cache=False),
-            MatrixBuildOptions(
-                workers=GRID_WORKERS, use_cache=False, parallel_threshold=0
-            ),
+            MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False),
             check,
         )
-        for backend, matrix in matrices.items():
+        for backend, build in builds.items():
             cases.append(
                 {
                     "n": n,
                     "kernel": "binned",
                     "requested_backend": backend,
-                    "backend": matrix.stats.backend,
-                    "workers": matrix.stats.workers,
-                    "tiles": matrix.stats.tile_count,
-                    "pairs_vectorized": matrix.stats.pairs_vectorized,
+                    "backend": build["backend"],
+                    "workers": build["workers"],
+                    "tiles": build.get("tiles", 0),
+                    "pairs_vectorized": build["pairs"],
                     "seconds": round(seconds[backend], 4),
                 }
             )
@@ -276,14 +277,10 @@ def test_matrix_kernel_grid(benchmark):
     )
     # Register one timed binned serial build in the benchmark report.
     segments = synthetic_unique_segments(KERNEL_GRID_SIZES[0], seed=3)
-    matrix = benchmark.pedantic(
-        DissimilarityMatrix.build,
-        args=(segments,),
-        kwargs={"options": SERIAL},
-        rounds=1,
-        iterations=1,
+    _, build = benchmark.pedantic(
+        traced_build, args=(segments, SERIAL), rounds=1, iterations=1
     )
-    attach_matrix_stats(benchmark, matrix)
+    attach_matrix_stats(benchmark, build)
 
 
 def gathered_cells(tracer: Tracer) -> tuple[int, int]:
@@ -300,7 +297,7 @@ def gathered_cells(tracer: Tracer) -> tuple[int, int]:
     return every, distinct
 
 
-def test_matrix_cross_heavy(benchmark):
+def test_matrix_cross_heavy(benchmark, monkeypatch):
     """The window tables on the cross-length-heavy segments of real SMB.
 
     The NEMESYS unique segments of a 240-message SMB trace (the shape of
@@ -313,24 +310,21 @@ def test_matrix_cross_heavy(benchmark):
     ``matrix.bin`` spans), and its serial and threaded seconds are
     recorded in ``BENCH_matrix.json``.
     """
+    monkeypatch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
     trace = get_model("smb").generate(240, seed=3).preprocess()
     segments = unique_segments(NemesysSegmenter().segment(trace))
     seconds = {}
     for backend, options in (
         ("serial", MatrixBuildOptions(workers=1, use_cache=False)),
-        (
-            "parallel",
-            MatrixBuildOptions(
-                workers=GRID_WORKERS, use_cache=False, parallel_threshold=0
-            ),
-        ),
+        ("parallel", MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False)),
     ):
         tracer = Tracer()
         started = time.perf_counter()
         with use_tracer(tracer):
             matrix = DissimilarityMatrix.build(segments, options=options)
         seconds[backend] = time.perf_counter() - started
-        assert matrix.stats.backend == backend
+        (build,) = tracer.find("matrix.build")
+        assert build.attributes["backend"] == backend
         every, distinct = gathered_cells(tracer)
 
     sample = np.random.default_rng(0).choice(len(segments), size=160, replace=False)
@@ -360,14 +354,10 @@ def test_matrix_cross_heavy(benchmark):
     benchmark.extra_info["cross_gather_reduction"] = round(reduction, 2)
     benchmark.extra_info["serial_seconds"] = round(seconds["serial"], 4)
     benchmark.extra_info["parallel_seconds"] = round(seconds["parallel"], 4)
-    matrix = benchmark.pedantic(
-        DissimilarityMatrix.build,
-        args=(segments,),
-        kwargs={"options": SERIAL},
-        rounds=1,
-        iterations=1,
+    _, build = benchmark.pedantic(
+        traced_build, args=(segments, SERIAL), rounds=1, iterations=1
     )
-    attach_matrix_stats(benchmark, matrix)
+    attach_matrix_stats(benchmark, build)
 
 
 #: Segment widths of the wide cases: all at least NUMPY_PAIRWISE_SUM_MIN,
@@ -416,42 +406,38 @@ def test_matrix_wide_segments(benchmark):
     )
     for name, value in seconds.items():
         benchmark.extra_info[f"{name}_serial_seconds"] = round(value, 4)
-    matrix = benchmark.pedantic(
-        DissimilarityMatrix.build,
-        args=(cases["mixed"],),
-        kwargs={"options": SERIAL},
-        rounds=1,
-        iterations=1,
+    _, build = benchmark.pedantic(
+        traced_build, args=(cases["mixed"], SERIAL), rounds=1, iterations=1
     )
-    attach_matrix_stats(benchmark, matrix)
+    attach_matrix_stats(benchmark, build)
 
 
-def test_matrix_build_parallel(benchmark):
+def test_matrix_build_parallel(benchmark, monkeypatch):
     """Parallel backend parity + speedup on a ≥2000-unique-segment trace.
 
     The speedup assertion is scaled to the runner: ≥2x on a proper
     multi-core machine, parity-only on single-core boxes where the
-    backend falls back to serial anyway.  The speedup is the median of
-    :data:`SCALING_PAIRS` interleaved serial/threaded builds' ratios.
+    backend falls back to serial anyway.  ``THREAD_POOL_MIN_CELLS`` is
+    lowered to 0, so on two cores or more a build that runs inline
+    fails the bench whatever the threshold says.  The speedup is the
+    median of :data:`SCALING_PAIRS` interleaved serial/threaded builds'
+    ratios.
     """
+    monkeypatch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
     segments = synthetic_unique_segments(2200)
-    parallel_options = MatrixBuildOptions(use_cache=False, parallel_threshold=0)
+    parallel_options = MatrixBuildOptions(use_cache=False)
     built = {}
 
-    def check(backend, matrix):
+    def check(backend, matrix, build):
         if backend in built:
-            assert np.array_equal(built[backend].values, matrix.values)
-        built[backend] = matrix
+            assert np.array_equal(built[backend][0].values, matrix.values)
+        built[backend] = matrix, build
 
     seconds, speedup = interleaved_builds(segments, SERIAL, parallel_options, check)
-    serial, parallel = built["serial"], built["parallel"]
+    (serial, _), (parallel, build) = built["serial"], built["parallel"]
     # Register one timed parallel build in the benchmark report too.
-    matrix = benchmark.pedantic(
-        DissimilarityMatrix.build,
-        args=(segments,),
-        kwargs={"options": parallel_options},
-        rounds=1,
-        iterations=1,
+    matrix, _ = benchmark.pedantic(
+        traced_build, args=(segments, parallel_options), rounds=1, iterations=1
     )
 
     assert np.array_equal(serial.values, parallel.values)
@@ -459,14 +445,14 @@ def test_matrix_build_parallel(benchmark):
     benchmark.extra_info["serial_seconds"] = round(seconds["serial"], 3)
     benchmark.extra_info["parallel_seconds"] = round(seconds["parallel"], 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["backend"] = parallel.stats.backend
-    attach_matrix_stats(benchmark, parallel)
+    benchmark.extra_info["backend"] = build["backend"]
+    attach_matrix_stats(benchmark, build)
     cpus = available_cpus()
     if cpus >= 4:
-        assert parallel.stats.backend == "parallel"
+        assert build["backend"] == "parallel"
         assert speedup >= 2.0, f"parallel speedup {speedup:.2f}x < 2x on {cpus} cores"
     elif cpus >= 2:
-        assert parallel.stats.backend == "parallel"
+        assert build["backend"] == "parallel"
         assert speedup >= 1.2, f"parallel speedup {speedup:.2f}x < 1.2x on {cpus} cores"
 
 
@@ -503,9 +489,9 @@ def test_matrix_cache_warm(benchmark, tmp_path):
     segments = synthetic_unique_segments(1600, seed=11)
     options = MatrixBuildOptions(workers=1, use_cache=True, cache_dir=tmp_path)
     started = time.perf_counter()
-    cold = DissimilarityMatrix.build(segments, options=options)
+    cold, cold_build = traced_build(segments, options)
     cold_seconds = time.perf_counter() - started
-    assert not cold.stats.cache_hit
+    assert not cold_build["cache_hit"]
 
     warm_seconds = []
     for _ in range(3):
@@ -514,28 +500,25 @@ def test_matrix_cache_warm(benchmark, tmp_path):
         with use_tracer(tracer):
             warm = DissimilarityMatrix.build(segments, options=options)
         warm_seconds.append(time.perf_counter() - started)
-        assert warm.stats.cache_hit
+        (build,) = tracer.find("matrix.build")
+        assert build.attributes["cache_hit"]
         assert not tracer.find("matrix.bin")
         assert np.array_equal(cold.values, warm.values)
-    matrix = benchmark.pedantic(
-        DissimilarityMatrix.build,
-        args=(segments,),
-        kwargs={"options": options},
-        rounds=1,
-        iterations=1,
+    matrix, build = benchmark.pedantic(
+        traced_build, args=(segments, options), rounds=1, iterations=1
     )
     assert np.array_equal(cold.values, matrix.values)
     counters = cache_counters()
     assert counters["hits"] >= 4 and counters["misses"] == 1
 
-    load_seconds = load_and_verify_seconds(cache_path(cold.stats.cache_key, tmp_path))
+    load_seconds = load_and_verify_seconds(cache_path(cold_build["cache_key"], tmp_path))
     warm_over_load = min(warm_seconds) / load_seconds
     benchmark.extra_info["cold_seconds"] = round(cold_seconds, 3)
     benchmark.extra_info["warm_seconds"] = round(min(warm_seconds), 4)
     benchmark.extra_info["load_and_verify_seconds"] = round(load_seconds, 4)
     benchmark.extra_info["warm_over_load"] = round(warm_over_load, 2)
     benchmark.extra_info["speedup"] = round(cold_seconds / min(warm_seconds), 1)
-    attach_matrix_stats(benchmark, matrix)
+    attach_matrix_stats(benchmark, build)
     assert warm_over_load <= MAX_WARM_OVER_LOAD, (
         f"warm build {min(warm_seconds) * 1e3:.1f} ms is {warm_over_load:.2f}x "
         f"reading and verifying its entry ({load_seconds * 1e3:.1f} ms; "

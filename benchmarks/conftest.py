@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.matrix import MatrixBuildOptions
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import cache_counters
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.tracer import Tracer, use_tracer
 
 
 def pytest_addoption(parser):
@@ -22,7 +23,7 @@ def pytest_addoption(parser):
         "--matrix-workers",
         type=int,
         default=None,
-        help="dissimilarity-matrix worker threads (default: all CPU cores)",
+        help="dissimilarity-matrix worker threads (default: usable CPUs)",
     )
     group.addoption(
         "--matrix-cache",
@@ -53,12 +54,21 @@ def _fresh_cache_counters():
         yield
 
 
-def attach_matrix_stats(benchmark, matrix) -> None:
-    """Record the matrix backend + cache effectiveness in the report."""
-    stats = getattr(matrix, "stats", None)
-    if stats is not None:
-        benchmark.extra_info["matrix_backend"] = stats.backend
-        benchmark.extra_info["matrix_workers"] = stats.workers
+def traced_build(segments, options=None):
+    """``DissimilarityMatrix.build`` and its ``matrix.build`` span's
+    attributes (the build's one record: backend, workers, tiles, ...)."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        matrix = DissimilarityMatrix.build(segments, options=options)
+    (span,) = tracer.find("matrix.build")
+    return matrix, span.attributes
+
+
+def attach_matrix_stats(benchmark, build: dict) -> None:
+    """Record the matrix backend, read from the attributes of its
+    ``matrix.build`` span, + cache effectiveness in the report."""
+    benchmark.extra_info["matrix_backend"] = build["backend"]
+    benchmark.extra_info["matrix_workers"] = build["workers"]
     counters = cache_counters()
     benchmark.extra_info["cache_hits"] = counters["hits"]
     benchmark.extra_info["cache_misses"] = counters["misses"]

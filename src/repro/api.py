@@ -31,8 +31,8 @@ names.
 Execution knobs (worker count, dtype, storage, cache) ride along on
 :attr:`~repro.core.pipeline.ClusteringConfig.matrix_options` — the same
 :class:`~repro.core.matrix.MatrixBuildOptions` the CLIs fill from
-``--workers`` (``0`` = serial, unset = all cores; more than one worker
-runs the matrix's row tiles on a thread pool that shares the segment
+``--workers`` (``0`` = serial, unset = usable CPUs; more than one worker
+runs a large matrix's row tiles on a thread pool that shares the segment
 blocks and the output matrix zero-copy).
 
 Example::

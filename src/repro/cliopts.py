@@ -7,7 +7,7 @@ options and emit the observability artefacts after a run:
 
 - ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--matrix-dtype``
   / ``--matrix-memmap`` — the matrix execution backend (worker count:
-  ``0`` = serial, ``N`` = exactly N, unset = all cores), on-disk cache,
+  ``0`` = serial, ``N`` = exactly N, unset = usable CPUs), on-disk cache,
   value dtype and storage; see
   :class:`repro.core.matrix.MatrixBuildOptions`;
 - ``--memory-bound-mb`` — the post-matrix working-set bound;
@@ -136,7 +136,7 @@ def backend_parent() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="dissimilarity-matrix workers: 0 forces the serial path, "
-        "N>=1 uses exactly N workers (default: all CPU cores)",
+        "N>=1 uses exactly N workers (default: the CPUs this process may use)",
     )
     backend.add_argument(
         "--no-cache",

@@ -20,7 +20,7 @@ from repro.core.canberra import (
 from repro.core.dbscan import NOISE, DbscanResult, dbscan
 from repro.core.ecdf import Ecdf
 from repro.core.kneedle import Knee, detect_knees, rightmost_knee, smooth_ecdf
-from repro.core.matrix import BuildStats, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.matrixcache import cache_counters
 from repro.core.pipeline import ClusteringConfig, ClusteringResult, FieldTypeClusterer
 from repro.core.refinement import merge_clusters, percent_rank, refine, split_polarized
@@ -33,7 +33,6 @@ from repro.core.segments import (
 
 __all__ = [
     "AutoConfig",
-    "BuildStats",
     "ClusteringConfig",
     "ClusteringResult",
     "DEFAULT_PENALTY_FACTOR",

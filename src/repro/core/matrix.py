@@ -29,8 +29,8 @@ cross-length task per short length, row side and window-table group,
 whose longer segments are capped at ``CHUNK_CELL_BUDGET // 4`` window
 bytes so each tile can build its table itself.  It sub-tiles every
 task along its rows to the kernel's ~160 MB temporary budget, and runs
-the tiles either inline — one worker, or fewer segments than
-:attr:`MatrixBuildOptions.parallel_threshold` — or longest-processing-
+the tiles either inline — one worker, one tile, or fewer estimated
+gather cells than :data:`THREAD_POOL_MIN_CELLS` — or longest-processing-
 time-first on a :class:`concurrent.futures.ThreadPoolExecutor`.  The
 numpy LUT gathers release the GIL, so worker threads share the uint8
 blocks and the output matrix (RAM or memmap) zero-copy: each tile is
@@ -42,9 +42,9 @@ whether the matrix was built at once or grown by appends.
 
 A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
 short-circuits the whole computation for a previously seen segment set
-+ penalty factor.  :class:`BuildStats` on the returned matrix records
-which path ran and how much work it did; how long it took is the
-``matrix.build`` / ``matrix.append`` span's, like every other layer's.
++ penalty factor.  The ``matrix.build`` / ``matrix.append`` span is the
+one record of a build: which path ran, where the values live, how much
+work it did and, like every other layer's span, how long it took.
 Worker threads are the one place that times its own work: a thread
 cannot reach the caller's tracer, so each tile measures itself and the
 main thread attaches it as a ``matrix.bin`` span.
@@ -103,6 +103,16 @@ STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
 #: window and row, so tiles this tall keep the rebuilds a small share.
 CROSS_TILE_ROWS = 128
 
+#: Least summed tile ``cost`` (estimated gather cells, see
+#: :func:`_task_tiles`) for which a build with more than one worker and
+#: at least two tiles runs them on the thread pool; below it the pool
+#: costs more than it saves.  Inline/threaded time of fresh builds of
+#: NEMESYS segment subsets of NTP-700, SMB-240 and a 60-message SMB
+#: trace (seed 924, 2 vCPUs, median of 7 interleaved pairs): 0.49-1.09
+#: up to 1.6M cells, 0.94-1.29 from 2.6M to 8.1M, 1.29-1.98 from 27M
+#: on.  A ``repro serve`` append holds 0.02-0.15M cells.
+THREAD_POOL_MIN_CELLS = 4_000_000
+
 #: Most rows one k-NN selection block takes (below what
 #: ``memory_bound_bytes`` admits).  The selection copies its block, so
 #: short blocks keep the copy cache-resident and out of the peak RSS: on
@@ -128,22 +138,21 @@ class MatrixBuildOptions:
     """Execution knobs for :meth:`DissimilarityMatrix.build`.
 
     The defaults are safe for library use: auto worker count (inline on
-    single-core machines and below the parallel threshold) and no disk
-    cache.  The CLIs enable the cache and expose every knob as a flag.
+    single-core machines and below :data:`THREAD_POOL_MIN_CELLS`) and no
+    disk cache.  The CLIs enable the cache and expose every knob as a
+    flag.
     """
 
     #: Parallel worker count.  The convention is uniform across the
-    #: library and both CLIs: ``None`` ⇒ one worker per CPU core,
-    #: ``0`` ⇒ serial (an explicit opt-out, same as ``--workers 0``),
-    #: ``N >= 1`` ⇒ exactly N workers.  Negative values are rejected.
+    #: library and both CLIs: ``None`` ⇒ one worker per CPU this process
+    #: may run on, ``0`` ⇒ serial (an explicit opt-out, same as
+    #: ``--workers 0``), ``N >= 1`` ⇒ exactly N workers.  Negative
+    #: values are rejected.
     workers: int | None = None
     #: Reuse/persist matrices in the content-addressed on-disk cache.
     use_cache: bool = False
     #: Cache location; None means ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
     cache_dir: str | Path | None = None
-    #: Minimum unique-segment count before a thread pool pays for
-    #: itself; below it the tiles run inline regardless of ``workers``.
-    parallel_threshold: int = 512
     #: Value dtype: "float64" (bit-exact reference, default) or
     #: "float32" (half the resident matrix memory for large traces;
     #: each value rounds once from the float64 tile result).
@@ -171,43 +180,18 @@ class MatrixBuildOptions:
     def effective_workers(self) -> int:
         """Resolved worker count (>= 1).
 
-        ``None`` resolves to ``os.cpu_count()``; ``0`` resolves to 1 —
-        it *means* serial (the ``--workers 0`` convention shared by both
-        CLIs), and the build honors that because the thread pool only
-        engages when the resolved count exceeds one.
+        ``None`` resolves to the CPUs this process may run on (its
+        scheduler affinity where the platform has one, else
+        ``os.cpu_count()``); ``0`` resolves to 1 — it *means* serial
+        (the ``--workers 0`` convention shared by both CLIs), and the
+        build honors that because the thread pool only engages when the
+        resolved count exceeds one.
         """
         if self.workers is None:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
         return int(self.workers) or 1
-
-
-@dataclass
-class BuildStats:
-    """Observability record for one matrix build."""
-
-    unique_count: int = 0
-    #: "serial", "parallel", "cache", or "append" — the path that
-    #: produced values (serial = tiles ran inline, parallel = on the
-    #: thread pool, append = incremental growth of an existing matrix;
-    #: only the new cells were computed).
-    backend: str = "serial"
-    #: "float64" or "float32" — the stored value dtype.
-    dtype: str = DTYPE_FLOAT64
-    #: "ram" or "memmap" — where the values live.
-    storage: str = STORAGE_RAM
-    workers: int = 1
-    #: Independent work items: one "same" bin per new length, one
-    #: "eqcross" rectangle per length with old and new segments, and one
-    #: "cross" task per short length, row side and window-table group
-    #: (see :func:`_append_tasks`).
-    task_count: int = 0
-    #: Tiles scheduled on the thread pool (bins sub-tiled to the
-    #: kernel's temporary budget); 0 when the tiles ran inline.
-    tile_count: int = 0
-    #: Unique segment pairs computed by the vectorized (binned) kernel.
-    pairs_vectorized: int = 0
-    cache_hit: bool = False
-    cache_key: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,17 +611,18 @@ def _compute_new_cells(
     new_segments: list[UniqueSegment],
     penalty_factor: float,
     options: MatrixBuildOptions,
-    stats: BuildStats,
-) -> None:
+    span,
+) -> bool:
     """Fill every cell of *values* with a new segment on at least one side.
 
     The single compute path behind :meth:`DissimilarityMatrix.build`
     (no old segments) and :meth:`AppendableMatrix.append`.  The new
     segments take the indices after the old ones.  The tile queue runs
-    on the thread pool when more than one worker is requested and the
-    grown matrix reaches :attr:`MatrixBuildOptions.parallel_threshold`
-    segments, inline otherwise; *stats* records which, with the work
-    counts.
+    on the thread pool when more than one worker is resolved, there are
+    at least two tiles and their summed cost reaches
+    :data:`THREAD_POOL_MIN_CELLS`, inline otherwise.  Sets where
+    *values* live and the work counts on the build's *span*; returns
+    whether the pool ran.
     """
     old_count = len(old_segments)
     count = old_count + len(new_segments)
@@ -645,17 +630,25 @@ def _compute_new_cells(
         _length_bins(old_segments), _length_bins(new_segments, offset=old_count)
     )
     tiles = _task_tiles(tasks)
-    stats.task_count = len(tasks)
-
     workers = options.effective_workers()
-    if workers > 1 and tiles and count >= options.parallel_threshold:
+    threaded = (
+        workers > 1
+        and len(tiles) > 1
+        and sum(tile[3] for tile in tiles) >= THREAD_POOL_MIN_CELLS
+    )
+    if threaded:
         _run_threaded(tiles, values, penalty_factor, workers)
-        stats.workers = workers
-        stats.tile_count = len(tiles)
+        span.set(tiles=len(tiles))
     else:
         _run_inline(tiles, values, penalty_factor)
-    # The tasks cover each pair with a new segment exactly once.
-    stats.pairs_vectorized = count * (count - 1) // 2 - old_count * (old_count - 1) // 2
+    span.set(
+        storage=_storage(values),
+        workers=workers if threaded else 1,
+        tasks=len(tasks),
+        # The tasks cover each pair with a new segment exactly once.
+        pairs=count * (count - 1) // 2 - old_count * (old_count - 1) // 2,
+    )
+    return threaded
 
 
 def _knn_block_rows(width: int, itemsize: int, memory_bound_bytes: int | None) -> int:
@@ -744,13 +737,17 @@ def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
         ) from error
 
 
+def _storage(values: np.ndarray) -> str:
+    """Where *values* live: :func:`_allocate_values` may fall back to RAM."""
+    return STORAGE_MEMMAP if isinstance(values, np.memmap) else STORAGE_RAM
+
+
 @dataclass
 class DissimilarityMatrix:
     """Symmetric matrix of Canberra dissimilarities between unique segments."""
 
     segments: list[UniqueSegment]
     values: np.ndarray
-    stats: BuildStats | None = None
     #: Cached k-th-NN distance columns (one per k, widest request wins);
     #: see :meth:`knn_distances_all`.
     _knn_columns: np.ndarray | None = field(
@@ -767,65 +764,56 @@ class DissimilarityMatrix:
         """Build D over *segments*, honoring the execution *options*.
 
         ``options=None`` means ``MatrixBuildOptions()``.  Inline and
-        threaded runs, and cache hits, return bit-identical values.
+        threaded runs, and cache hits, return bit-identical values.  The
+        ``matrix.build`` span records the path that produced them:
+        ``backend`` "serial" (tiles ran inline), "parallel" (on the
+        thread pool) or "cache".
         """
         if options is None:
             options = MatrixBuildOptions()
         matrixcache.declare_cache_metrics()
         with get_tracer().span(
-            "matrix.build", unique_segments=len(segments)
+            "matrix.build",
+            unique_segments=len(segments),
+            dtype=options.dtype,
+            cache_hit=False,
+            cache_key=None,
         ) as span:
-            stats = BuildStats(
-                unique_count=len(segments),
-                dtype=options.dtype,
-                storage=options.storage,
-            )
-
             order: list[int] | None = None
             if options.use_cache:
-                stats.cache_key, order = matrixcache.canonical_order_key(
+                cache_key, order = matrixcache.canonical_order_key(
                     [segment.data for segment in segments],
                     penalty_factor,
                     dtype=options.dtype,
                 )
-                canonical = matrixcache.load_matrix(stats.cache_key, options.cache_dir)
+                span.set(cache_key=cache_key)
+                canonical = matrixcache.load_matrix(cache_key, options.cache_dir)
                 if canonical is not None and canonical.shape[0] == len(segments):
                     # Stored in canonical (byte-sorted) order; permute back
                     # to the caller's segment order.
                     rank = np.empty(len(segments), dtype=np.int64)
                     rank[order] = np.arange(len(segments))
                     values = canonical.take(rank, axis=0).take(rank, axis=1)
-                    stats.backend = "cache"
-                    stats.cache_hit = True
-                    cls._record_build(span, stats)
-                    return cls(segments=segments, values=values, stats=stats)
+                    span.set(
+                        backend="cache",
+                        cache_hit=True,
+                        storage=_storage(values),
+                        workers=1,
+                        tasks=0,
+                        pairs=0,
+                    )
+                    return cls(segments=segments, values=values)
 
             values = _allocate_values(len(segments), options.dtype, options.storage)
-            _compute_new_cells(values, [], segments, penalty_factor, options, stats)
-            stats.backend = "parallel" if stats.tile_count else "serial"
+            threaded = _compute_new_cells(
+                values, [], segments, penalty_factor, options, span
+            )
+            span.set(backend="parallel" if threaded else "serial")
 
-            if options.use_cache and stats.cache_key is not None and order is not None:
+            if order is not None:
                 canonical = values.take(order, axis=0).take(order, axis=1)
-                matrixcache.store_matrix(stats.cache_key, canonical, options.cache_dir)
-
-            cls._record_build(span, stats)
-            return cls(segments=segments, values=values, stats=stats)
-
-    @staticmethod
-    def _record_build(span, stats: BuildStats) -> None:
-        """Mirror one build's :class:`BuildStats` into its span."""
-        span.set(
-            backend=stats.backend,
-            dtype=stats.dtype,
-            storage=stats.storage,
-            workers=stats.workers,
-            tasks=stats.task_count,
-            pairs=stats.pairs_vectorized,
-            cache_hit=stats.cache_hit,
-            cache_key=stats.cache_key,
-        )
-        if stats.tile_count:
-            span.set(tiles=stats.tile_count)
+                matrixcache.store_matrix(cache_key, canonical, options.cache_dir)
+            return cls(segments=segments, values=values)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -935,9 +923,7 @@ class AppendableMatrix:
         self._backing[:count, :count] = built.values
         self._count = count
         self._matrix = DissimilarityMatrix(
-            segments=segments,
-            values=self._backing[:count, :count],
-            stats=built.stats,
+            segments=segments, values=self._backing[:count, :count]
         )
         self._matrix._knn_columns = built._knn_columns
 
@@ -983,25 +969,24 @@ class AppendableMatrix:
         count = old_count + added
         options = self.options
         with get_tracer().span(
-            "matrix.append", old_segments=old_count, new_segments=added
+            "matrix.append",
+            old_segments=old_count,
+            new_segments=added,
+            backend="append",
+            dtype=options.dtype,
+            cache_hit=False,
+            cache_key=None,
         ) as span:
             self._ensure_capacity(count)
             values = self._backing[:count, :count]
-            stats = BuildStats(
-                unique_count=count,
-                backend="append",
-                dtype=options.dtype,
-                storage=options.storage,
-            )
             old_segments = self._matrix.segments
             _compute_new_cells(
-                values, old_segments, new_segments, self.penalty_factor, options, stats
+                values, old_segments, new_segments, self.penalty_factor, options, span
             )
 
             merged_knn = self._merged_knn_columns(values, old_count, count)
-            DissimilarityMatrix._record_build(span, stats)
             matrix = DissimilarityMatrix(
-                segments=old_segments + new_segments, values=values, stats=stats
+                segments=old_segments + new_segments, values=values
             )
             matrix._knn_columns = merged_knn
             self._matrix = matrix
@@ -1063,11 +1048,7 @@ class AppendableMatrix:
                 raise ValueError(
                     f"replacement segment {position} changes the byte value"
                 )
-        matrix = DissimilarityMatrix(
-            segments=segments,
-            values=self._matrix.values,
-            stats=self._matrix.stats,
-        )
+        matrix = DissimilarityMatrix(segments=segments, values=self._matrix.values)
         matrix._knn_columns = self._matrix._knn_columns
         self._matrix = matrix
         return matrix

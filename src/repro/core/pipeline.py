@@ -181,17 +181,12 @@ class FieldTypeClusterer:
             pipeline_span.set(
                 unique_segments=len(analyzable), excluded=len(excluded)
             )
-            with tracer.span("matrix", unique_segments=len(analyzable)) as matrix_span:
+            with tracer.span("matrix", unique_segments=len(analyzable)):
                 matrix = DissimilarityMatrix.build(
                     analyzable,
                     penalty_factor=config.penalty_factor,
                     options=config.matrix_options,
                 )
-                if matrix.stats is not None:
-                    matrix_span.set(
-                        backend=matrix.stats.backend,
-                        cache_hit=matrix.stats.cache_hit,
-                    )
             return self._post_matrix(matrix, excluded, tracer, pipeline_span)
 
     def cluster_matrix(

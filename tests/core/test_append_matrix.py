@@ -25,6 +25,7 @@ from repro.core.matrix import (
     MatrixBuildOptions,
 )
 from repro.core.segments import Segment, UniqueSegment
+from repro.obs.tracer import Tracer, use_tracer
 
 
 def unique(data: bytes) -> UniqueSegment:
@@ -44,7 +45,7 @@ def distinct_segments(datas: list[bytes]) -> list[UniqueSegment]:
 
 
 SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
-THREADED = MatrixBuildOptions(workers=4, parallel_threshold=0, use_cache=False)
+THREADED = MatrixBuildOptions(workers=4, use_cache=False)
 
 datas_strategy = st.lists(
     st.binary(min_size=2, max_size=12), min_size=2, max_size=24, unique=True
@@ -129,14 +130,21 @@ class TestAppendBitIdentity:
             == np.asarray(batch.values).tobytes()
         )
 
-    def test_threaded_append_matches_batch(self):
+    def test_threaded_append_matches_batch(self, thread_pool_always):
         rng = np.random.default_rng(11)
         segments = distinct_segments(
             [bytes(rng.integers(0, 256, size=rng.integers(2, 14))) for _ in range(120)]
         )
-        batch = DissimilarityMatrix.build(segments, options=THREADED)
-        appendable = AppendableMatrix(segments[:70], options=THREADED)
-        appendable.append(segments[70:])
+        tracer = Tracer()
+        with use_tracer(tracer):
+            batch = DissimilarityMatrix.build(segments, options=THREADED)
+            appendable = AppendableMatrix(segments[:70], options=THREADED)
+            appendable.append(segments[70:])
+        # Every build and the append ran on the pool.
+        spans = tracer.find("matrix.build") + tracer.find("matrix.append")
+        assert len(spans) == 3
+        assert all(span.attributes["workers"] == 4 for span in spans)
+        assert all(span.attributes["tiles"] > 1 for span in spans)
         assert (
             np.asarray(appendable.matrix.values).tobytes()
             == np.asarray(batch.values).tobytes()
@@ -243,8 +251,11 @@ class TestLifecycle:
         appendable = AppendableMatrix(segments[:12], options=options)
         appendable.append(segments[12:])
         appendable.persist()
-        rebuilt = DissimilarityMatrix.build(segments, options=options)
-        assert rebuilt.stats.cache_hit
+        tracer = Tracer()
+        with use_tracer(tracer):
+            rebuilt = DissimilarityMatrix.build(segments, options=options)
+        (build,) = tracer.find("matrix.build")
+        assert build.attributes["cache_hit"]
         assert (
             np.asarray(rebuilt.values).tobytes()
             == np.asarray(appendable.matrix.values).tobytes()

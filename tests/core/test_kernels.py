@@ -36,6 +36,7 @@ from repro.core.canberra import (
 )
 from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, UniqueSegment, unique_segments
+from repro.obs.tracer import Tracer, use_tracer
 
 
 def assert_same_bytes(actual, expected):
@@ -55,6 +56,17 @@ def as_unique_segments(datas):
 def build(datas, workers=1, **kwargs):
     options = MatrixBuildOptions(workers=workers, use_cache=False, **kwargs)
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
+
+
+def traced_build(datas, workers=1, **kwargs):
+    """A build and its ``matrix.build`` span's attributes; with more than
+    one worker (under ``thread_pool_always``) it must have run on the pool."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        matrix = build(datas, workers=workers, **kwargs)
+    (span,) = tracer.find("matrix.build")
+    assert span.attributes["backend"] == ("parallel" if workers > 1 else "serial")
+    return matrix, span.attributes
 
 
 def reference(datas):
@@ -421,30 +433,32 @@ class TestBuildPathParity:
     """The full ``DissimilarityMatrix.build`` == the per-pair oracle."""
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_build_parity_across_worker_counts(self, workers):
+    def test_build_parity_across_worker_counts(self, thread_pool_always, workers):
         datas = make_ragged_datas(90)
-        matrix = build(datas, workers=workers, parallel_threshold=0)
+        matrix, _ = traced_build(datas, workers)
         assert_same_bytes(matrix.values, reference(datas))
 
-    def test_parallel_binned_matches_serial_pairwise(self):
+    def test_parallel_binned_matches_serial_pairwise(self, thread_pool_always):
         datas = make_ragged_datas(120, seed=23)
-        parallel_binned = build(datas, workers=2, parallel_threshold=0)
+        parallel_binned, _ = traced_build(datas, 2)
         assert_same_bytes(parallel_binned.values, reference(datas))
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_long_segments_split_across_table_groups(self, monkeypatch, workers):
+    def test_long_segments_split_across_table_groups(
+        self, thread_pool_always, monkeypatch, workers
+    ):
         # A tiny budget caps every window table at a few window bytes,
         # so one short length's longer segments (even one bin of them)
         # are cut into many consecutive groups, one cross task each.
         monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 64)
         datas = make_repetitive_datas(60, seed=31, max_length=20)
-        matrix = build(datas, workers=workers, parallel_threshold=0)
+        matrix, record = traced_build(datas, workers)
         lengths = {len(d) for d in datas}
-        assert matrix.stats.task_count > 3 * len(lengths)
+        assert record["tasks"] > 3 * len(lengths)
         assert_same_bytes(matrix.values, reference(datas))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_append_splits(self, monkeypatch, seed):
+    def test_random_append_splits(self, thread_pool_always, monkeypatch, seed):
         # Old short rows meet new longer segments and new short rows
         # meet old and new ones, in groups under a small budget.
         monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 256)
@@ -452,19 +466,23 @@ class TestBuildPathParity:
         datas = make_repetitive_datas(50, seed=seed, max_length=16)
         rng.shuffle(datas)
         cuts = sorted(rng.sample(range(1, len(datas)), 3))
-        options = MatrixBuildOptions(
-            workers=rng.choice([0, 2]), parallel_threshold=0, use_cache=False
-        )
+        workers = rng.choice([0, 2])
+        options = MatrixBuildOptions(workers=workers, use_cache=False)
         segments = [UniqueSegment(data=d) for d in datas]
-        grown = AppendableMatrix(segments[: cuts[0]], options=options)
-        for start, stop in zip(cuts, cuts[1:] + [len(datas)]):
-            grown.append(segments[start:stop])
+        tracer = Tracer()
+        with use_tracer(tracer):
+            grown = AppendableMatrix(segments[: cuts[0]], options=options)
+            for start, stop in zip(cuts, cuts[1:] + [len(datas)]):
+                grown.append(segments[start:stop])
         assert_same_bytes(grown.matrix.values, dissimilarity_matrix_reference(datas))
+        appends = tracer.find("matrix.append")
+        assert any("tiles" in span.attributes for span in appends) == (workers > 1)
 
     def test_stats_record_vectorized_pairs(self):
         datas = make_ragged_datas(40, seed=29)
         count = len(datas)
-        assert build(datas).stats.pairs_vectorized == count * (count - 1) // 2
+        _, record = traced_build(datas)
+        assert record["pairs"] == count * (count - 1) // 2
 
 
 class TestWindowTableMemory:

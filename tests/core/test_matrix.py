@@ -7,6 +7,7 @@ from repro.core.canberra import canberra_dissimilarity
 from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, UniqueSegment, unique_segments
 from repro.errors import ComputeError
+from repro.obs.tracer import Tracer, use_tracer
 
 
 def build(datas, **options):
@@ -17,6 +18,15 @@ def build(datas, **options):
         unique_segments(segments),
         options=MatrixBuildOptions(**options) if options else None,
     )
+
+
+def traced(datas, **options):
+    """A build and its ``matrix.build`` span's attributes."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        matrix = build(datas, **options)
+    (span,) = tracer.find("matrix.build")
+    return matrix, span.attributes
 
 
 def ladder(count=14):
@@ -73,9 +83,9 @@ class TestCondensed:
 class TestDtypeAndStorage:
     def test_float32_halves_storage_and_rounds_once(self):
         reference = build(ladder())
-        compact = build(ladder(), dtype="float32")
+        compact, record = traced(ladder(), dtype="float32")
         assert compact.values.dtype == np.float32
-        assert compact.stats.dtype == "float32"
+        assert record["dtype"] == "float32"
         assert np.allclose(
             np.asarray(compact.values, dtype=np.float64),
             reference.values,
@@ -84,10 +94,33 @@ class TestDtypeAndStorage:
 
     def test_memmap_storage_matches_ram(self):
         reference = build(ladder())
-        mapped = build(ladder(), storage="memmap")
+        mapped, record = traced(ladder(), storage="memmap")
         assert isinstance(mapped.values, np.memmap)
-        assert mapped.stats.storage == "memmap"
+        assert record["storage"] == "memmap"
         assert np.array_equal(np.asarray(mapped.values), reference.values)
+
+    def test_refused_memmap_records_ram(self, monkeypatch):
+        # A temp dir that refuses the file leaves the values in RAM; the
+        # build and append spans must say so, not echo the request.
+        def refuse(*args, **kwargs):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr("tempfile.mkstemp", refuse)
+        reference = build(ladder())
+        fallen, record = traced(ladder(), storage="memmap")
+        assert not isinstance(fallen.values, np.memmap)
+        assert record["storage"] == "ram"
+        assert np.array_equal(fallen.values, reference.values)
+
+        segments = [UniqueSegment(data=d) for d in ladder()]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            grown = AppendableMatrix(
+                segments[:5], options=MatrixBuildOptions(storage="memmap")
+            )
+            grown.append(segments[5:])
+        (append,) = tracer.find("matrix.append")
+        assert append.attributes["storage"] == "ram"
 
     def test_knn_inherits_value_dtype(self):
         matrix = build(ladder(), dtype="float32")
@@ -101,18 +134,18 @@ class TestDtypeAndStorage:
             MatrixBuildOptions(storage="disk")
 
     def test_cache_round_trip_preserves_dtype(self, tmp_path):
-        first = build(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
-        assert not first.stats.cache_hit
-        again = build(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
-        assert again.stats.cache_hit
+        first, record = traced(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
+        assert not record["cache_hit"]
+        again, record = traced(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
+        assert record["cache_hit"]
         assert again.values.dtype == np.float32
         assert np.array_equal(again.values, first.values)
 
     def test_cache_keys_dtypes_separately(self, tmp_path):
-        wide = build(ladder(), use_cache=True, cache_dir=tmp_path)
-        narrow = build(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
-        assert wide.stats.cache_key != narrow.stats.cache_key
-        assert not narrow.stats.cache_hit  # the float64 entry must not serve it
+        _, wide = traced(ladder(), use_cache=True, cache_dir=tmp_path)
+        _, narrow = traced(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
+        assert wide["cache_key"] != narrow["cache_key"]
+        assert not narrow["cache_hit"]  # the float64 entry must not serve it
 
 
 class _ManySegments(Sequence):

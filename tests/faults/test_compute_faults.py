@@ -17,6 +17,7 @@ from repro.core import matrixcache
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import UniqueSegment
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.tracer import Tracer, use_tracer
 
 pytestmark = pytest.mark.faults
 
@@ -29,29 +30,31 @@ def _segments():
 
 
 def _options(tmp_path, **overrides):
-    defaults = dict(
-        workers=2,
-        parallel_threshold=2,
-        use_cache=False,
-        cache_dir=tmp_path / "cache",
-    )
+    defaults = dict(workers=2, use_cache=False, cache_dir=tmp_path / "cache")
     defaults.update(overrides)
     return MatrixBuildOptions(**defaults)
 
 
+def _build(options):
+    """A build of the segments and its ``matrix.build`` span's attributes."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        built = DissimilarityMatrix.build(_segments(), options=options)
+    (span,) = tracer.find("matrix.build")
+    return built, span.attributes
+
+
 @pytest.fixture
 def serial_reference():
-    built = DissimilarityMatrix.build(
-        _segments(), options=MatrixBuildOptions(workers=1)
-    )
-    assert built.stats.backend == "serial"
+    built, record = _build(MatrixBuildOptions(workers=1))
+    assert record["backend"] == "serial"
     return built.values
 
 
 class TestBitFlippedCache:
     def _cache_entry(self, tmp_path, options):
-        built = DissimilarityMatrix.build(_segments(), options=options)
-        path = matrixcache.cache_path(built.stats.cache_key, options.cache_dir)
+        built, record = _build(options)
+        path = matrixcache.cache_path(record["cache_key"], options.cache_dir)
         assert path.exists()
         return built, path
 
@@ -64,9 +67,9 @@ class TestBitFlippedCache:
 
         registry = MetricsRegistry()
         with use_metrics(registry):
-            rebuilt = DissimilarityMatrix.build(_segments(), options=options)
+            rebuilt, record = _build(options)
             corrupt = registry.counter(matrixcache.CORRUPT_METRIC).value()
-        assert not rebuilt.stats.cache_hit  # poisoned entry was not served
+        assert not record["cache_hit"]  # poisoned entry was not served
         assert np.array_equal(rebuilt.values, serial_reference)
         assert corrupt == 1
 
@@ -76,8 +79,8 @@ class TestBitFlippedCache:
         path.write_bytes(b"not an npz at all")
         DissimilarityMatrix.build(_segments(), options=options)
         # The recompute overwrote the damaged entry: next load is a hit.
-        again = DissimilarityMatrix.build(_segments(), options=options)
-        assert again.stats.cache_hit
+        again, record = _build(options)
+        assert record["cache_hit"]
         assert np.array_equal(again.values, serial_reference)
 
     def test_truncated_entry_detected(self, tmp_path, serial_reference):
@@ -85,6 +88,6 @@ class TestBitFlippedCache:
         _, path = self._cache_entry(tmp_path, options)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        rebuilt = DissimilarityMatrix.build(_segments(), options=options)
-        assert not rebuilt.stats.cache_hit
+        rebuilt, record = _build(options)
+        assert not record["cache_hit"]
         assert np.array_equal(rebuilt.values, serial_reference)

@@ -23,6 +23,7 @@ from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import UniqueSegment
 from repro.errors import ComputeError
 from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.tracer import Tracer, use_tracer
 
 pytestmark = pytest.mark.faults
 
@@ -37,14 +38,15 @@ def _segments():
 
 
 def _options(**overrides):
-    defaults = dict(workers=2, parallel_threshold=2, use_cache=False)
+    defaults = dict(workers=2, use_cache=False)
     defaults.update(overrides)
     return MatrixBuildOptions(**defaults)
 
 
 @pytest.fixture
-def many_tiles(monkeypatch):
-    """Force one tile per bin row so the queue is long."""
+def many_tiles(monkeypatch, thread_pool_always):
+    """Force one tile per bin row so the queue is long, and run it on the
+    thread pool whenever more than one worker is asked for."""
     monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 64)
 
 
@@ -123,9 +125,12 @@ class TestThreadedTileFaults:
         with pytest.raises(ComputeError):
             DissimilarityMatrix.build(_segments(), options=_options())
         monkeypatch.setattr(matrix_mod, "_compute_tile_into", _REAL_TILE)
-        rebuilt = DissimilarityMatrix.build(_segments(), options=_options(workers=2))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            rebuilt = DissimilarityMatrix.build(_segments(), options=_options(workers=2))
         reference = DissimilarityMatrix.build(
             _segments(), options=MatrixBuildOptions(workers=0)
         )
-        assert rebuilt.stats.backend == "parallel"
+        (build,) = tracer.find("matrix.build")
+        assert build.attributes["backend"] == "parallel"
         assert rebuilt.values.tobytes() == reference.values.tobytes()

@@ -38,6 +38,7 @@ from repro.core.matrix import MatrixBuildOptions
 from repro.core.matrixcache import CACHE_FORMAT_VERSION, matrix_checksum
 from repro.core.pipeline import ClusteringConfig
 from repro.msgtypes import cluster_message_types
+from repro.obs.tracer import Tracer, use_tracer
 from repro.protocols import get_model
 from repro.segmenters import resolve_segmenter
 from repro.segmenters.groundtruth import GroundTruthSegmenter
@@ -175,28 +176,28 @@ def test_golden_trace(protocol, request):
 
 @pytest.mark.parametrize("workers", [0, 2, 4])
 @pytest.mark.parametrize("protocol", GOLDEN_PROTOCOLS)
-def test_golden_trace_worker_stability(protocol, workers, request):
+def test_golden_trace_worker_stability(protocol, workers, request, thread_pool_always):
     """The whole corpus again, across matrix-backend worker counts.
 
-    workers=0 is the explicit serial opt-out; workers 2 and 4 run with
-    the parallel threshold lowered to 0 so every build — including the
-    PCA refiner's preliminary clustering and the message-type stage —
-    actually runs on the thread pool.  The artifacts, bit-exact matrix
-    fingerprint included, must match the checked-in ones the serial
-    reference produced.  This is the end-to-end half of the parallelism
-    parity contract (tests/core/test_parallel_build.py has the
-    property-test half).
+    workers=0 is the explicit serial opt-out; workers 2 and 4 run under
+    ``thread_pool_always``, so every matrix build — the message-type
+    stage's included — actually runs on the thread pool, which each
+    ``matrix.build`` span must record.  The
+    artifacts, bit-exact matrix fingerprint included, must match the
+    checked-in ones the serial reference produced.  This is the
+    end-to-end half of the parallelism parity contract
+    (tests/core/test_parallel_build.py has the property-test half).
     """
     if request.config.getoption("--regen-golden"):
         pytest.skip("corpus regenerates from the serial reference")
-    actual = golden_run(
-        protocol,
-        matrix_options=MatrixBuildOptions(
-            workers=workers,
-            parallel_threshold=0,
-            use_cache=False,
-        ),
-    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        actual = golden_run(
+            protocol,
+            matrix_options=MatrixBuildOptions(workers=workers, use_cache=False),
+        )
+    backends = {span.attributes["backend"] for span in tracer.find("matrix.build")}
+    assert backends == {"parallel" if workers else "serial"}
     expected = json.loads(expected_path(protocol).read_text())
     assert actual["matrix_sha256"] == expected["matrix_sha256"], (
         f"workers={workers} backend drifted from the serial matrix fingerprint"

@@ -135,7 +135,6 @@ class TestEverySpanName:
     def test_build_span_carries_pairs(self, analysis):
         tracer, _, run = analysis
         build = tracer.find("matrix.build")[-1]
-        assert build.attributes["pairs"] == run.result.matrix.stats.pairs_vectorized
         count = len(run.result.segments)
         assert build.attributes["pairs"] == count * (count - 1) // 2
 
@@ -166,22 +165,23 @@ class TestSessionAppends:
 
 
 class TestWorkerCount:
-    def test_bin_count_is_worker_independent(self):
+    def test_bin_count_is_worker_independent(self, thread_pool_always):
         rng = np.random.default_rng(11)
         datas = {bytes(rng.integers(0, 256, size=int(rng.integers(2, 9)), dtype=np.uint8))
                  for _ in range(700)}
         segments = unique_segments(
             [Segment(message_index=i, offset=0, data=d) for i, d in enumerate(sorted(datas))]
         )
-        assert len(segments) >= 512
         counts = {}
         for workers in (0, 2):
             registry = MetricsRegistry()
-            with use_metrics(registry):
-                built = DissimilarityMatrix.build(
+            tracer = Tracer()
+            with use_metrics(registry), use_tracer(tracer):
+                DissimilarityMatrix.build(
                     segments, options=MatrixBuildOptions(workers=workers)
                 )
-            assert built.stats.backend == ("parallel" if workers else "serial")
+            (build,) = tracer.find("matrix.build")
+            assert build.attributes["backend"] == ("parallel" if workers else "serial")
             counts[workers] = span_count(registry, "matrix.bin")
         assert counts[0] == counts[2] > 0
 

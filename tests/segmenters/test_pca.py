@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.matrix import MatrixBuildOptions
 from repro.core.pipeline import ClusteringConfig
+from repro.obs.tracer import Tracer, use_tracer
 from repro.protocols import get_model
 from repro.segmenters import (
     PcaRefiner,
@@ -37,11 +38,7 @@ def serial_config() -> ClusteringConfig:
 
 def refined_nemesys(workers: int = 1) -> RefinedSegmenter:
     config = ClusteringConfig(
-        matrix_options=MatrixBuildOptions(
-            workers=workers,
-            parallel_threshold=0,
-            use_cache=False,
-        )
+        matrix_options=MatrixBuildOptions(workers=workers, use_cache=False)
     )
     segmenter = resolve_segmenter("nemesys", refinement="pca", config=config)
     assert isinstance(segmenter, RefinedSegmenter)
@@ -177,13 +174,17 @@ class TestFullPass:
         assert refined is segments  # unchanged list, not just equal
         assert refiner.last_stats.boundaries_moved == 0
 
-    def test_deterministic_across_worker_counts(self):
+    def test_deterministic_across_worker_counts(self, thread_pool_always):
         model = get_model("dhcp")
         trace = model.generate(MESSAGES, seed=SEED).preprocess()
         outcomes = []
         for workers in (0, 2):
             segmenter = refined_nemesys(workers=workers)
-            refined = segmenter.segment(trace)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                refined = segmenter.segment(trace)
+            backends = {span.attributes["backend"] for span in tracer.find("matrix.build")}
+            assert backends == {"parallel" if workers else "serial"}
             outcomes.append(
                 (
                     [(s.message_index, s.offset, s.data) for s in refined],
