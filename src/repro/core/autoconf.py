@@ -19,7 +19,7 @@ ECDF trimmed below the previously detected knee.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +43,9 @@ class AutoConfig:
     #: All knees Kneedle found on the selected curve, left to right.  More
     #: than one signals the ambiguous-epsilon situation of Section III-E.
     knees: tuple[Knee, ...] = ()
+    #: Whether :func:`configure` returned a result it had kept on the
+    #: matrix instead of computing it (a diagnostic, not compared).
+    reused: bool = field(default=False, compare=False)
 
 
 def min_samples_for(count: int) -> int:
@@ -68,7 +71,29 @@ def configure(
     below the given value (the fallback re-run).  When no knee can be
     detected (degenerate distributions), epsilon falls back to the
     median k-NN dissimilarity, flagged via ``fallback_used``.
+
+    The result depends only on the matrix values and these arguments,
+    so it is kept on *matrix*, keyed by them: a second call returns it
+    again, flagged ``reused`` (a session's drift gate and the recluster
+    after it configure the same matrix).
     """
+    key = (sensitivity, smoothness, trim_at, grid_points)
+    kept = matrix._autoconfigs.get(key)
+    if kept is not None:
+        return replace(kept, reused=True)
+    auto = _configure(matrix, sensitivity, smoothness, trim_at, grid_points)
+    matrix._autoconfigs[key] = auto
+    return auto
+
+
+def _configure(
+    matrix: DissimilarityMatrix,
+    sensitivity: float,
+    smoothness: float | None,
+    trim_at: float | None,
+    grid_points: int,
+) -> AutoConfig:
+    """Algorithm 1 itself; see :func:`configure`."""
     count = len(matrix)
     samples = min_samples_for(count)
     if count < 4:

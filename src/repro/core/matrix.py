@@ -26,7 +26,7 @@ tasks covering the cells with at least one new segment
 (:func:`_append_tasks`; a batch build is an append onto an empty
 matrix): per length an equal-length square and rectangle, and one
 cross-length task per short length, row side and window-table group,
-whose longer segments are capped at ``CHUNK_CELL_BUDGET // 4`` window
+whose longer segments a build caps at ``CHUNK_CELL_BUDGET // 4`` window
 bytes so each tile can build its table itself.  It sub-tiles every
 task along its rows to the kernel's ~160 MB temporary budget, and runs
 the tiles either inline — one worker, one tile, or fewer estimated
@@ -39,6 +39,12 @@ shipping, no pickling.  Tile boundaries are deterministic (worker-count
 independent) and every cell is the same reduction either way, so the
 bytes are identical regardless of worker count, completion order, or
 whether the matrix was built at once or grown by appends.
+
+:class:`AppendableMatrix` keeps what an append does not change: its
+segments' per-length blocks and, per short width, the window table of
+every longer segment.  An append extends each table by the windows of
+its new segments on the calling thread, before its tiles run, instead
+of rebuilding it in every tile.
 
 A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
 short-circuits the whole computation for a previously seen segment set
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import logging
 import os
+import sys
 import tempfile
 import threading
 import time
@@ -68,6 +75,7 @@ from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
     NUMPY_PAIRWISE_SUM_MIN,
+    WindowTable,
     cross_length_rows,
     equal_length_cross_rows,
     window_table,
@@ -98,9 +106,10 @@ STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
 
 #: Most short rows in one "cross" tile.  A cross task spans every longer
 #: length of its short length, so its rows are split into tiles the
-#: threaded schedule can balance.  Each tile rebuilds the task's window
-#: table (~100 ns a window) and then gathers at least one cell per
-#: window and row, so tiles this tall keep the rebuilds a small share.
+#: threaded schedule can balance.  Each tile of a build rebuilds the
+#: task's window table (~100 ns a window) and then gathers at least one
+#: cell per window and row, so tiles this tall keep the rebuilds a small
+#: share.
 CROSS_TILE_ROWS = 128
 
 #: Least summed tile ``cost`` (estimated gather cells, see
@@ -120,8 +129,15 @@ THREAD_POOL_MIN_CELLS = 4_000_000
 #: block of every row the default bound admits.
 KNN_BLOCK_ROWS = 256
 
-#: Growth factor of :class:`AppendableMatrix`'s backing capacity.
+#: Growth factor of :class:`AppendableMatrix`'s backing capacity (and of
+#: its kept window tables' window buffers).
 RESERVE_FACTOR = 1.5
+
+#: Most bytes :class:`AppendableMatrix`'s kept window tables may hold,
+#: as a share of its matrix backing's bytes.  Past it, the largest
+#: tables are dropped after an append; a dropped width is built again,
+#: as if first seen, when new segments of that width next arrive.
+KEPT_TABLE_SHARE = 1.0
 
 _FAULTS_HELP = (
     "Failed matrix tiles (kind: bin_error).  There is no retry: a tile "
@@ -202,19 +218,23 @@ class _BinTask:
     carry the same block and indices), "eqcross" (two disjoint groups of
     one length — an append's new-vs-old rectangle) or "cross" (segments
     of one short length against a group of longer segments, whose
-    window table each of the task's tiles builds).  The blocks are the
-    groups' raw ``(count, length)`` uint8 rows — *blocks_b* holds one
-    block per long length for "cross", the one column block otherwise;
-    *rows* and *cols* are the global matrix indices they scatter to, so
-    a task's row and column sets may come from different segment
-    generations.
+    window table each of the task's tiles builds, or an append built
+    before its tiles run).  The blocks are the groups' raw
+    ``(count, length)`` uint8 rows — *blocks_b* holds the longer
+    segments' blocks, in column order, for "cross", the one column block
+    otherwise; *rows* and *cols* are the global matrix indices (intp)
+    they scatter to, so a task's row and column sets may come from
+    different segment generations.  *table* is a "cross" task's window
+    table over *blocks_b* when it is built before the tiles run; a build
+    leaves it None, and each tile builds it.
     """
 
     kind: str
     block_a: np.ndarray
     blocks_b: tuple[np.ndarray, ...]
-    rows: list[int]
-    cols: list[int]
+    rows: np.ndarray
+    cols: np.ndarray
+    table: WindowTable | None = None
 
     @property
     def lengths(self) -> tuple[int, int]:
@@ -244,10 +264,11 @@ class _BinTask:
 
 def _length_bins(
     segments: list[UniqueSegment], offset: int = 0
-) -> dict[int, tuple[list[int], np.ndarray]]:
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Per segment length: the global indices and one (count, length) block.
 
-    Segment *i* gets matrix index ``offset + i``.  Rows are decoded with
+    Segment *i* gets matrix index ``offset + i`` (an intp array, so tiles
+    scatter with broadcast indices).  Rows are decoded with
     ``np.frombuffer`` over the concatenated raw bytes — no per-byte
     Python list round-trip — and kept as raw uint8 so the binned kernel
     can gather Canberra terms straight from the byte-term lookup table.
@@ -259,13 +280,28 @@ def _length_bins(
     for length, indices in by_length.items():
         raw = b"".join(segments[i].data for i in indices)
         block = np.frombuffer(raw, dtype=np.uint8).reshape(len(indices), length)
-        bins[length] = ([offset + i for i in indices], block)
+        bins[length] = (np.array(indices, dtype=np.intp) + offset, block)
+    return bins
+
+
+def _merged_bins(
+    old_bins: dict[int, tuple[np.ndarray, np.ndarray]],
+    new_bins: dict[int, tuple[np.ndarray, np.ndarray]],
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per length, the old bin's indices and rows followed by the new's."""
+    bins = dict(old_bins)
+    for length, (indices, block) in new_bins.items():
+        old = bins.get(length)
+        if old is not None:
+            indices = np.concatenate([old[0], indices])
+            block = np.concatenate([old[1], block])
+        bins[length] = (indices, block)
     return bins
 
 
 def _cross_tasks(
-    short: tuple[list[int], np.ndarray],
-    longs: list[tuple[list[int], np.ndarray]],
+    short: tuple[np.ndarray, np.ndarray],
+    longs: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[_BinTask]:
     """"cross" tasks of one short side against the longer sides *longs*.
 
@@ -278,29 +314,45 @@ def _cross_tasks(
     m = short[1].shape[1]
     cap = CHUNK_CELL_BUDGET // 4
     tasks = []
-    blocks: list[np.ndarray] = []
-    cols: list[int] = []
+    group: list[tuple[np.ndarray, np.ndarray]] = []
     cells = 0
     for indices, block in longs:
         per_segment = (block.shape[1] - m + 1) * m
         start = 0
         while start < len(indices):
-            if blocks and cells + per_segment > cap:
-                tasks.append(_BinTask("cross", short[1], tuple(blocks), short[0], cols))
-                blocks, cols, cells = [], [], 0
+            if group and cells + per_segment > cap:
+                tasks.append(_cross_task(short, group))
+                group, cells = [], 0
             stop = min(len(indices), start + max(1, (cap - cells) // per_segment))
-            blocks.append(block[start:stop])
-            cols.extend(indices[start:stop])
+            group.append((indices[start:stop], block[start:stop]))
             cells += (stop - start) * per_segment
             start = stop
-    if blocks:
-        tasks.append(_BinTask("cross", short[1], tuple(blocks), short[0], cols))
+    if group:
+        tasks.append(_cross_task(short, group))
     return tasks
 
 
+def _cross_task(
+    short: tuple[np.ndarray, np.ndarray],
+    longs: list[tuple[np.ndarray, np.ndarray]],
+    table: WindowTable | None = None,
+) -> _BinTask:
+    """One "cross" task of *short*'s rows against the rows of *longs*,
+    bin after bin."""
+    return _BinTask(
+        "cross",
+        short[1],
+        tuple(block for _, block in longs),
+        short[0],
+        np.concatenate([indices for indices, _ in longs]),
+        table,
+    )
+
+
 def _append_tasks(
-    old_bins: dict[int, tuple[list[int], np.ndarray]],
-    new_bins: dict[int, tuple[list[int], np.ndarray]],
+    old_bins: dict[int, tuple[np.ndarray, np.ndarray]],
+    new_bins: dict[int, tuple[np.ndarray, np.ndarray]],
+    tables: _KeptTables | None = None,
 ) -> list[_BinTask]:
     """Work items covering exactly the cells with a new segment on a side.
 
@@ -309,12 +361,14 @@ def _append_tasks(
     "same" square, the new-vs-old "eqcross" rectangle, and two
     "cross" sides against the longer lengths — the new short rows
     against every longer segment, old and new, and the old short rows
-    against the new longer ones (:func:`_cross_tasks`).  Old-vs-old
-    cells already hold their final values and are never touched, which
-    is what keeps concurrent tile writes disjoint from the live matrix
-    view.  A batch build passes no old bins, so it is the same list an
-    append onto an empty matrix computes — every cell goes through the
-    same kernel reduction either way, which makes an appended matrix
+    against the new longer ones.  Old-vs-old cells already hold their
+    final values and are never touched, which is what keeps concurrent
+    tile writes disjoint from the live matrix view.  A batch build
+    passes no old bins and no *tables*, and its tiles build their
+    capped window tables (:func:`_cross_tasks`); an append passes its
+    kept *tables*, which build or extend each width's tables now
+    (:meth:`_KeptTables.cross_tasks`).  Every cell goes through the same
+    kernel reduction either way, which makes an appended matrix
     bit-identical to a from-scratch build.
     """
     tasks = []
@@ -327,15 +381,170 @@ def _append_tasks(
             tasks.append(_BinTask("same", new[1], (new[1],), new[0], new[0]))
         if new and old:
             tasks.append(_BinTask("eqcross", new[1], (old[1],), new[0], old[0]))
-        if new:
-            every_longer = [
-                bins[n] for n in longer for bins in (old_bins, new_bins) if n in bins
-            ]
+        every_longer = [
+            bins[n] for n in longer for bins in (old_bins, new_bins) if n in bins
+        ]
+        if tables is None:  # a batch build: every bin is new
             tasks.extend(_cross_tasks(new, every_longer))
-        if old:
+        else:
             new_longer = [new_bins[n] for n in longer if n in new_bins]
-            tasks.extend(_cross_tasks(old, new_longer))
+            tasks.extend(
+                tables.cross_tasks(length, old, new, new_longer, every_longer)
+            )
     return tasks
+
+
+class _KeptTable:
+    """The width-``m`` window table of every segment longer than ``m``.
+
+    :class:`AppendableMatrix` keeps one per short width across appends.
+    Rows ``[:count]`` of the window buffer are distinct windows (the
+    buffer grows by capacity, as the matrix backing does), ``_rows``
+    finds a window's row by its bytes, and ``index[n]`` lists, segment
+    by segment and offset by offset, the row of each window of the
+    length-``n`` segments, in their bin's order: one index block per
+    long length, however many appends brought its segments.
+    """
+
+    def __init__(self, m: int) -> None:
+        self.m = m
+        self.count = 0
+        self._windows = np.empty((0, m), dtype=np.uint8)
+        self._rows: dict[bytes, int] = {}
+        self.index: dict[int, np.ndarray] = {}
+
+    def extend(self, table: WindowTable) -> int:
+        """Add the segments of *table* (of this width, over segments the
+        kept table does not hold yet) after the kept ones of their
+        lengths; returns how many distinct windows the table gained.
+
+        Each of *table*'s windows is looked up by its bytes, so a window
+        the kept table holds keeps its row and only unseen ones are
+        added.
+        """
+        m = self.m
+        data = table.windows.tobytes()
+        rows = []
+        fresh = []
+        for i in range(table.windows.shape[0]):
+            window = data[i * m : (i + 1) * m]
+            row = self._rows.get(window)
+            if row is None:
+                row = self._rows[window] = self.count + len(fresh)
+                fresh.append(i)
+            rows.append(row)
+        if fresh:
+            needed = self.count + len(fresh)
+            capacity = self._windows.shape[0]
+            if needed > capacity:
+                # Earlier tables' views keep the old buffer alive; rows
+                # below ``count`` are never rewritten.
+                grown = np.empty(
+                    (max(needed, int(capacity * RESERVE_FACTOR) + 1), m),
+                    dtype=np.uint8,
+                )
+                grown[: self.count] = self._windows[: self.count]
+                self._windows = grown
+            self._windows[self.count : needed] = table.windows[fresh]
+            self.count = needed
+        kept_rows = np.array(rows, dtype=np.intp)
+        position = 0
+        for segments, n in table.shapes:
+            size = segments * (n - m + 1)
+            block = kept_rows[table.index[position : position + size]]
+            kept = self.index.get(n)
+            self.index[n] = block if kept is None else np.concatenate([kept, block])
+            position += size
+        return len(fresh)
+
+    def table(self) -> WindowTable:
+        """The kept table as a :class:`WindowTable`, lengths ascending."""
+        lengths = sorted(self.index)
+        return WindowTable(
+            self._windows[: self.count],
+            np.concatenate([self.index[n] for n in lengths]),
+            tuple((self.index[n].size // (n - self.m + 1), n) for n in lengths),
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held: the window buffer, the index and the lookup."""
+        return (
+            self._windows.nbytes
+            + sum(index.nbytes for index in self.index.values())
+            + sys.getsizeof(self._rows)
+            + self.count * (sys.getsizeof(b"") + self.m)
+        )
+
+
+class _KeptTables:
+    """:class:`AppendableMatrix`'s window tables, one per short width.
+
+    An append lists its "cross" tasks through :meth:`cross_tasks`, which
+    builds each table on the calling thread before any tile runs (tiles
+    only read them) and counts the work in :attr:`built` and
+    :attr:`windows_added`.
+    """
+
+    def __init__(self) -> None:
+        self._tables: dict[int, _KeptTable] = {}
+        #: Window tables built by the current append.
+        self.built = 0
+        #: Distinct windows the kept tables gained in the current append.
+        self.windows_added = 0
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(table.nbytes for table in self._tables.values())
+
+    def _build(self, longs: list[tuple[np.ndarray, np.ndarray]], m: int) -> WindowTable:
+        self.built += 1
+        return window_table([block for _, block in longs], m)
+
+    def cross_tasks(
+        self,
+        m: int,
+        old: tuple[np.ndarray, np.ndarray] | None,
+        new: tuple[np.ndarray, np.ndarray] | None,
+        new_longer: list[tuple[np.ndarray, np.ndarray]],
+        every_longer: list[tuple[np.ndarray, np.ndarray]],
+    ) -> list[_BinTask]:
+        """The "cross" tasks of short width *m* in an append.
+
+        One table is built over the new longer segments (the extension):
+        the old rows of width *m* take their cells from it, and it is
+        merged into the kept table, which the new rows of width *m* use.
+        A width without a kept table builds its table over every longer
+        segment when new rows of that width arrive, and keeps it.
+        *every_longer* lists the longer bins in the kept tables' column
+        order: per length, the old bin before the new.
+        """
+        tasks = []
+        kept = self._tables.get(m)  # only widths the matrix holds have one
+        if new_longer and old is not None:
+            extension = self._build(new_longer, m)
+            tasks.append(_cross_task(old, new_longer, extension))
+            if kept is not None:
+                self.windows_added += kept.extend(extension)
+        if new is not None and every_longer:
+            if kept is None:
+                kept = self._tables[m] = _KeptTable(m)
+                self.windows_added += kept.extend(self._build(every_longer, m))
+            tasks.append(_cross_task(new, every_longer, kept.table()))
+        return tasks
+
+    def evict(self, bound: float) -> None:
+        """Drop the largest tables until the rest hold at most *bound* bytes."""
+        sizes = {m: table.nbytes for m, table in self._tables.items()}
+        total = sum(sizes.values())
+        for m in sorted(sizes, key=lambda m: (-sizes[m], m)):
+            if total <= bound:
+                break
+            del self._tables[m]
+            total -= sizes[m]
 
 
 def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
@@ -420,15 +629,18 @@ def _compute_tile_into(
     from its first row on and the transpose of the part right of its
     own rows), and an "eqcross" or "cross" tile owns its rows' cells
     and their transposes, so concurrent workers never write the same
-    cell.  A "cross" tile builds its task's window table itself, so
-    only in-flight tiles hold one; it returns the table's ``windows``
-    and ``unique_windows`` counts for its ``matrix.bin`` span (other
-    kinds return no counts).
+    cell.  A "cross" tile of a build builds its task's window table
+    itself, so only in-flight tiles hold one (an append's tasks carry
+    theirs); it returns the table's ``windows`` and ``unique_windows``
+    counts for its ``matrix.bin`` span (other kinds return no counts).
+    The writes scatter through broadcast intp row and column indices.
     """
     table_counts = {}
     first = row_start if task.band else 0
     if task.kind == "cross":
-        table = window_table(task.blocks_b, task.block_a.shape[1])
+        table = task.table
+        if table is None:
+            table = window_table(task.blocks_b, task.block_a.shape[1])
         tile = cross_length_rows(
             task.block_a,
             table,
@@ -451,11 +663,11 @@ def _compute_tile_into(
         )
     rows = task.rows[row_start:row_stop]
     cols = task.cols[first:]
-    values[np.ix_(rows, cols)] = tile
+    values[rows[:, np.newaxis], cols] = tile
     if task.kind != "same" or task.band:
         # A band tile's first columns are its own rows, written above.
         skip = row_stop - row_start if task.band else 0
-        values[np.ix_(cols[skip:], rows)] = tile[:, skip:].T
+        values[cols[skip:, np.newaxis], rows] = tile[:, skip:].T
     return table_counts
 
 
@@ -607,28 +819,24 @@ def _run_threaded(
 
 def _compute_new_cells(
     values: np.ndarray,
-    old_segments: list[UniqueSegment],
-    new_segments: list[UniqueSegment],
+    tasks: list[_BinTask],
+    old_count: int,
     penalty_factor: float,
     options: MatrixBuildOptions,
     span,
 ) -> bool:
-    """Fill every cell of *values* with a new segment on at least one side.
+    """Run *tasks*, filling every cell of *values* with a new segment.
 
     The single compute path behind :meth:`DissimilarityMatrix.build`
-    (no old segments) and :meth:`AppendableMatrix.append`.  The new
-    segments take the indices after the old ones.  The tile queue runs
-    on the thread pool when more than one worker is resolved, there are
-    at least two tiles and their summed cost reaches
-    :data:`THREAD_POOL_MIN_CELLS`, inline otherwise.  Sets where
-    *values* live and the work counts on the build's *span*; returns
-    whether the pool ran.
+    (no old segments) and :meth:`AppendableMatrix.append`; *tasks* come
+    from :func:`_append_tasks`, and the new segments take the indices
+    from *old_count* on.  The tile queue runs on the thread pool when
+    more than one worker is resolved, there are at least two tiles and
+    their summed cost reaches :data:`THREAD_POOL_MIN_CELLS`, inline
+    otherwise.  Sets where *values* live and the work counts on the
+    build's *span*; returns whether the pool ran.
     """
-    old_count = len(old_segments)
-    count = old_count + len(new_segments)
-    tasks = _append_tasks(
-        _length_bins(old_segments), _length_bins(new_segments, offset=old_count)
-    )
+    count = values.shape[0]
     tiles = _task_tiles(tasks)
     workers = options.effective_workers()
     threaded = (
@@ -753,6 +961,11 @@ class DissimilarityMatrix:
     _knn_columns: np.ndarray | None = field(
         default=None, repr=False, compare=False
     )
+    #: Algorithm 1's results on these values, keyed by the arguments of
+    #: :func:`repro.core.autoconf.configure`, which fills and reads it;
+    #: :meth:`AppendableMatrix.replace_segments` carries it, an append
+    #: starts empty.
+    _autoconfigs: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -805,8 +1018,9 @@ class DissimilarityMatrix:
                     return cls(segments=segments, values=values)
 
             values = _allocate_values(len(segments), options.dtype, options.storage)
+            tasks = _append_tasks({}, _length_bins(segments))
             threaded = _compute_new_cells(
-                values, [], segments, penalty_factor, options, span
+                values, tasks, 0, penalty_factor, options, span
             )
             span.set(backend="parallel" if threaded else "serial")
 
@@ -900,6 +1114,15 @@ class AppendableMatrix:
     cached k-NN columns are folded forward with a rank-k merge instead
     of re-partitioning every old row.
 
+    What an append does not change is kept: the segments' per-length
+    blocks, and for every short width the window table of every longer
+    segment (:class:`_KeptTable`), which an append extends by the
+    windows of its new segments instead of rebuilding.  A window's mean
+    does not depend on the table row that holds it and a minimum does
+    not depend on order, so the cells are the bytes a rebuilt table
+    gives.  The tables hold at most :data:`KEPT_TABLE_SHARE` of the
+    backing's bytes; the largest are dropped past it.
+
     The live view is :attr:`matrix`; views handed out before an append
     stay valid (their old-vs-old cells are never rewritten), so a
     snapshot taken at n segments keeps describing those n segments.
@@ -926,6 +1149,8 @@ class AppendableMatrix:
             segments=segments, values=self._backing[:count, :count]
         )
         self._matrix._knn_columns = built._knn_columns
+        self._bins = _length_bins(segments)
+        self._tables = _KeptTables()
 
     @property
     def matrix(self) -> DissimilarityMatrix:
@@ -980,8 +1205,26 @@ class AppendableMatrix:
             self._ensure_capacity(count)
             values = self._backing[:count, :count]
             old_segments = self._matrix.segments
-            _compute_new_cells(
-                values, old_segments, new_segments, self.penalty_factor, options, span
+            new_bins = _length_bins(new_segments, offset=old_count)
+            tables = self._tables
+            tables.built = tables.windows_added = 0
+            try:
+                tasks = _append_tasks(self._bins, new_bins, tables)
+                _compute_new_cells(
+                    values, tasks, old_count, self.penalty_factor, options, span
+                )
+            except BaseException:
+                # The tables may already hold segments this append
+                # does not commit.
+                self._tables = _KeptTables()
+                raise
+            self._bins = _merged_bins(self._bins, new_bins)
+            tables.evict(KEPT_TABLE_SHARE * self._backing.nbytes)
+            span.set(
+                tables=len(tables),
+                tables_built=tables.built,
+                windows_added=tables.windows_added,
+                table_bytes=tables.nbytes,
             )
 
             merged_knn = self._merged_knn_columns(values, old_count, count)
@@ -1036,7 +1279,8 @@ class AppendableMatrix:
         The session uses this after merging occurrence lists: the byte
         values (and therefore every dissimilarity and the cache key)
         must be unchanged, position by position — only metadata like
-        occurrence tuples may differ.
+        occurrence tuples may differ.  The new view keeps the cached
+        k-NN columns and auto-configurations, which read only values.
         """
         segments = list(segments)
         if len(segments) != self._count:
@@ -1044,12 +1288,13 @@ class AppendableMatrix:
                 f"expected {self._count} replacement segments, got {len(segments)}"
             )
         for position, (old, new) in enumerate(zip(self._matrix.segments, segments)):
-            if old.data != new.data:
+            if old is not new and old.data != new.data:
                 raise ValueError(
                     f"replacement segment {position} changes the byte value"
                 )
         matrix = DissimilarityMatrix(segments=segments, values=self._matrix.values)
         matrix._knn_columns = self._matrix._knn_columns
+        matrix._autoconfigs = self._matrix._autoconfigs
         self._matrix = matrix
         return matrix
 

@@ -251,6 +251,7 @@ class FieldTypeClusterer:
                 knees=len(auto.knees),
                 k=auto.k,
                 fallback=auto.fallback_used,
+                reused=auto.reused,
             )
         with tracer.span("dbscan") as dbscan_span:
 

@@ -526,6 +526,11 @@ class AnalysisSession:
         #: data -> occurrences, insertion = global first-occurrence
         #: order; mirrors ``unique_segments(segments, min_length=1)``.
         self._registry: dict[bytes, list[Segment]] = {}
+        #: data -> matrix row, for the analyzable unique segments.
+        self._rows: dict[bytes, int] = {}
+        #: Matrix rows whose occurrence lists grew since the last
+        #: refresh (see :meth:`_refresh_segments`).
+        self._grown: set[int] = set()
         self._appendable: AppendableMatrix | None = None
         self._result: ClusteringResult | None = None
         #: Matrix rows covered by the confirmed clustering.
@@ -724,10 +729,12 @@ class AnalysisSession:
             }
 
     def _matrix_sha(self) -> str | None:
+        """SHA-256 of the clustered matrix's bytes, hashed from one
+        contiguous copy of the live view (hashlib reads its buffer)."""
         if self._result is None:
             return None
         return hashlib.sha256(
-            np.ascontiguousarray(self._result.matrix.values).tobytes()
+            np.ascontiguousarray(self._result.matrix.values)
         ).hexdigest()
 
     # -- the incremental core -----------------------------------------
@@ -835,6 +842,9 @@ class AnalysisSession:
                 fresh.append(segment.data)
             else:
                 occurrences.append(segment)
+                row = self._rows.get(segment.data)
+                if row is not None:
+                    self._grown.add(row)
         new_uniques = [
             UniqueSegment(data=data, occurrences=tuple(self._registry[data]))
             for data in fresh
@@ -842,6 +852,9 @@ class AnalysisSession:
         ]
 
         if new_uniques:
+            first_row = self.unique_segment_count
+            for row, unique in enumerate(new_uniques, first_row):
+                self._rows[unique.data] = row
             if self._appendable is None:
                 self._appendable = AppendableMatrix(
                     new_uniques,
@@ -991,18 +1004,19 @@ class AnalysisSession:
         matrix keep their construction-time tuples.  Refinement's split
         heuristic weighs occurrence counts, so a recluster must see the
         merged state — same byte values, so the matrix is untouched.
+        Only the rows whose occurrence lists grew since the last refresh
+        are rebuilt; every other row's tuple is already current.
         """
-        if self._appendable is None:
+        if self._appendable is None or not self._grown:
             return
-        self._appendable.replace_segments(
-            [
-                UniqueSegment(
-                    data=segment.data,
-                    occurrences=tuple(self._registry[segment.data]),
-                )
-                for segment in self._appendable.segments
-            ]
-        )
+        segments = list(self._appendable.segments)
+        for row in self._grown:
+            data = segments[row].data
+            segments[row] = UniqueSegment(
+                data=data, occurrences=tuple(self._registry[data])
+            )
+        self._grown.clear()
+        self._appendable.replace_segments(segments)
 
     def _label_provisional(self) -> None:
         """Label unconfirmed rows against the confirmed clustering."""

@@ -6,8 +6,10 @@ batch :meth:`~repro.core.matrix.DissimilarityMatrix.build` over the
 union produces — every cell depends only on its two segments' bytes and
 goes through the same binned kernel.  These tests pin that promise
 (hypothesis over arbitrary splits, including an empty start, plus the
-threaded tile queue), the rectangular equal-length kernel the appends
-run on, and the rank-k k-NN column merge.
+threaded tile queue), the window tables an append keeps and extends
+(widths that first appear late, long segments after short ones,
+eviction), the rectangular equal-length kernel the appends run on, and
+the rank-k k-NN column merge.
 """
 
 import numpy as np
@@ -15,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import matrix as matrix_mod
+from repro.core.autoconf import configure
 from repro.core.canberra import (
     equal_length_cross_block_reference,
     equal_length_cross_rows,
@@ -160,6 +164,152 @@ class TestAppendBitIdentity:
         assert np.asarray(old.values).tobytes() == old_bytes
 
 
+def grow(segments, cuts, options=SERIAL):
+    """An AppendableMatrix over *segments*, appended at the sorted *cuts*,
+    and the ``matrix.append`` spans' attributes."""
+    edges = [0, *sorted(set(cuts)), len(segments)]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        appendable = AppendableMatrix(segments[: edges[1]], options=options)
+        for start, stop in zip(edges[1:], edges[2:]):
+            if stop > start:
+                appendable.append(segments[start:stop])
+    return appendable, [span.attributes for span in tracer.find("matrix.append")]
+
+
+def assert_batch_bytes(appendable, segments):
+    batch = DissimilarityMatrix.build(segments, options=SERIAL)
+    assert [s.data for s in appendable.segments] == [s.data for s in segments]
+    assert (
+        np.asarray(appendable.matrix.values).tobytes()
+        == np.asarray(batch.values).tobytes()
+    )
+
+
+#: Ragged segments over a small alphabet, so windows repeat across
+#: segments, offsets and appends, plus a few long ones.
+ragged_strategy = st.lists(
+    st.one_of(
+        st.binary(min_size=1, max_size=9).map(lambda b: bytes(x % 4 for x in b)),
+        st.binary(min_size=10, max_size=40),
+    ),
+    min_size=4,
+    max_size=40,
+    unique=True,
+)
+
+
+class TestKeptWindowTables:
+    @given(
+        ragged_strategy,
+        st.sampled_from(["arrival", "short_first", "long_first"]),
+        st.sampled_from([None, 0.0, 100.0]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_chunking_matches_batch(self, datas, order, share, data):
+        # "short_first" makes long segments arrive after short ones (the
+        # kept tables gain new lengths); "long_first" makes short widths
+        # first appear late, against a matrix of longer segments.  A
+        # share of 0 keeps no table (every width rebuilt each append);
+        # the default bound drops some tables of matrices this small,
+        # and a share of 100 none, so every table is extended by every
+        # later append.
+        segments = distinct_segments(datas)
+        if order == "short_first":
+            segments.sort(key=lambda s: s.length)
+        elif order == "long_first":
+            segments.sort(key=lambda s: -s.length)
+        cuts = data.draw(
+            st.lists(st.integers(1, len(segments) - 1), min_size=1, max_size=6)
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            if share is not None:
+                patch.setattr(matrix_mod, "KEPT_TABLE_SHARE", share)
+            appendable, appends = grow(segments, cuts)
+        assert_batch_bytes(appendable, segments)
+        if share == 0.0:
+            assert all(a["tables"] == 0 and a["table_bytes"] == 0 for a in appends)
+        if share == 100.0:
+            counts = [a["tables"] for a in appends]
+            assert counts == sorted(counts)
+
+    def test_extensions_add_only_unseen_windows(self, monkeypatch):
+        # Every segment draws its bytes from {0, 1}, so the kept table
+        # of width m can hold at most 2**m windows, however many
+        # segments the appends bring.
+        rng = np.random.default_rng(7)
+        datas = [
+            bytes(rng.integers(0, 2, size=rng.integers(2, 12), dtype=np.uint8))
+            for _ in range(400)
+        ]
+        segments = distinct_segments(datas)
+        cuts = range(150, len(segments), 8)
+        appendable, appends = grow(segments, cuts)
+        assert_batch_bytes(appendable, segments)
+        kept = appendable._tables._tables
+        assert {m: kept[m].count for m in (4, 5, 6)} == {4: 16, 5: 32, 6: 64}
+        assert [a["tables"] for a in appends] == sorted(a["tables"] for a in appends)
+        assert 0 < appends[-1]["table_bytes"] <= appendable._backing.nbytes
+        # Without kept tables the same appends build every width's full
+        # table again each time.
+        monkeypatch.setattr(matrix_mod, "KEPT_TABLE_SHARE", 0.0)
+        _, rebuilt = grow(segments, cuts)
+        kept_built = sum(a["tables_built"] for a in appends)
+        assert kept_built < sum(a["tables_built"] for a in rebuilt)
+
+    def test_late_width_and_long_segments_after_short(self):
+        short = distinct_segments([bytes([i, i ^ 3]) for i in range(40)])
+        middle = distinct_segments([bytes([i, 7, i, 9, i]) for i in range(40)])
+        long = distinct_segments([bytes(range(i, i + 20)) for i in range(30)])
+        late = distinct_segments([bytes([i, 1, 2]) for i in range(30)])
+        segments = short[:20] + middle[:20] + short[20:] + long + middle[20:] + late
+        cuts = [20, 40, 60, 90, 110]
+        appendable, appends = grow(segments, cuts)
+        assert_batch_bytes(appendable, segments)
+        # Width 3 first appears in the last append, against kept widths.
+        assert appends[-1]["tables"] == 3
+
+    def test_eviction_drops_the_largest_table_first(self, monkeypatch):
+        twos = distinct_segments([bytes([i % 7, i % 5]) for i in range(35)])
+        fours = distinct_segments([bytes([i, i, i, i]) for i in range(20)])
+        longs = distinct_segments([bytes(range(i, i + 30)) for i in range(60)])
+        segments = twos[:20] + longs + fours + twos[20:]
+        # Widths 4, then 2, get new rows once longer segments exist.
+        appendable, _ = grow(segments, [20, 80, 100])
+        sizes = {m: t.nbytes for m, t in appendable._tables._tables.items()}
+        assert sorted(sizes) == [2, 4] and sizes[2] > sizes[4]
+        # A new width-3 table and the extended width-2 table are both
+        # larger than the width-4 one, which the bound still admits.
+        monkeypatch.setattr(
+            matrix_mod, "KEPT_TABLE_SHARE", (sizes[4] + 1) / appendable._backing.nbytes
+        )
+        extra = distinct_segments([bytes([250, i, 251]) for i in range(5)])
+        appendable.append(extra)
+        assert list(appendable._tables._tables) == [4]
+        assert appendable._tables.nbytes == sizes[4]
+        assert_batch_bytes(appendable, segments + extra)
+        # The dropped widths are built again when they next get rows.
+        more = distinct_segments([bytes([240, i]) for i in range(5)])
+        appendable.append(more)
+        assert_batch_bytes(appendable, segments + extra + more)
+
+    def test_failed_append_keeps_no_tables(self, monkeypatch):
+        segments = distinct_segments([bytes(range(i, i + n)) for n in (2, 5, 9) for i in range(20)])
+        appendable = AppendableMatrix(segments[:30], options=SERIAL)
+        appendable.append(segments[30:45])
+        assert len(appendable._tables)
+
+        def broken(*args):
+            raise RuntimeError("injected tile fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matrix_mod, "_compute_tile_into", broken)
+            with pytest.raises(RuntimeError):
+                appendable.append(segments[45:50])
+        assert not len(appendable._tables)
+
+
 class TestKnnMerge:
     def test_merged_columns_match_fresh_partition(self):
         rng = np.random.default_rng(3)
@@ -242,6 +392,21 @@ class TestLifecycle:
             appendable.replace_segments(richer[:2])
         with pytest.raises(ValueError):
             appendable.replace_segments([*richer[:2], unique(b"zz")])
+
+    def test_autoconfig_follows_values_not_views(self):
+        segments = distinct_segments([bytes([i, 3 * i % 256, 9]) for i in range(40)])
+        appendable = AppendableMatrix(segments[:30], options=SERIAL)
+        first = configure(appendable.matrix)
+        again = configure(appendable.matrix)
+        assert not first.reused and again.reused and again == first
+        # A different argument is a different configuration.
+        assert not configure(appendable.matrix, sensitivity=2.0).reused
+        # Same values under refreshed segments: kept.
+        appendable.replace_segments(list(appendable.segments))
+        assert configure(appendable.matrix).reused
+        # New values: computed again.
+        appendable.append(segments[30:])
+        assert not configure(appendable.matrix).reused
 
     def test_persist_seeds_batch_cache(self, tmp_path):
         options = MatrixBuildOptions(

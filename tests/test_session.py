@@ -10,10 +10,11 @@ provisional labels, checkpoint resume, and the ``run_analysis``
 quarantine regression this PR fixes.
 """
 
+import hashlib
 import json
 import random
 import shutil
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import run_analysis
+from repro.core import autoconf as autoconf_mod
+from repro.core import matrix as matrix_mod
 from repro.core.pipeline import ClusteringConfig
 from repro.errors import QuarantineReport
 from repro.net.trace import Trace, TraceMessage
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.protocols import get_model
 from repro.session import (
     SESSION_APPENDS_METRIC,
     SESSION_RECLUSTERS_METRIC,
@@ -406,6 +410,124 @@ class TestWalRotation:
         split.append(messages[:13])
         split.append(messages[13:])
         assert one.digest() == split.digest()
+
+
+def dns_stream(seed: int) -> list[TraceMessage]:
+    return get_model("dns").generate(600, seed=seed).messages
+
+
+def stream_outputs(messages: list[TraceMessage]) -> tuple[list[dict], int]:
+    """Every SessionUpdate of 10-message appends and a digest after every
+    10th append (the ``repro serve`` benchmark stream's shape), and how
+    many window tables the matrix kept at the end."""
+    session = AnalysisSession(protocol="dns")
+    outputs = []
+    for number, start in enumerate(range(0, len(messages), 10), 1):
+        outputs.append(asdict(session.append(messages[start : start + 10])))
+        if number % 10 == 0:
+            outputs.append(session.digest())
+    return outputs, len(session._appendable._tables)
+
+
+class TestIncrementalState:
+    """What an append keeps (window tables, occurrence tuples, the drift
+    gate's auto-configuration) changes no output."""
+
+    @pytest.mark.parametrize("seed", [924, 101])
+    def test_dns_streams_match_rebuilt_tables_and_batch(self, monkeypatch, seed):
+        messages = dns_stream(seed)
+        kept, tables = stream_outputs(messages)
+        assert tables > 0
+        monkeypatch.setattr(matrix_mod, "KEPT_TABLE_SHARE", 0.0)
+        assert stream_outputs(messages) == (kept, 0)
+        digests = [output for output in kept if "matrix_sha256" in output]
+        assert len(digests) == 6
+        for digest in digests:
+            batch = run_analysis(
+                Trace(messages=messages[: digest["messages"]], protocol="dns")
+            ).result
+            values = np.ascontiguousarray(batch.matrix.values)
+            assert digest["matrix_sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
+            assert digest["epsilon"] == batch.epsilon
+            assert digest["cluster_count"] == batch.cluster_count
+            clusters = sorted(sorted(int(i) for i in c) for c in batch.clusters)
+            assert digest["clusters_sha256"] == hashlib.sha256(
+                json.dumps(clusters, separators=(",", ":")).encode()
+            ).hexdigest()
+
+    def test_refreshed_occurrences_equal_a_full_rebuild(self, monkeypatch):
+        session = AnalysisSession(protocol="dns", recluster_fraction=0.1)
+        real = AnalysisSession._refresh_segments
+        rebuilt = []
+
+        def checked(self):
+            before = list(self._appendable.segments) if self._appendable else []
+            real(self)
+            segments = self._appendable.segments
+            for segment in segments:
+                assert segment.occurrences == tuple(self._registry[segment.data])
+            rebuilt.append(sum(a is not b for a, b in zip(before, segments)))
+
+        monkeypatch.setattr(AnalysisSession, "_refresh_segments", checked)
+        messages = dns_stream(924)[:300]
+        for start in range(0, len(messages), 10):
+            session.append(messages[start : start + 10])
+        session.digest()
+        assert session.reclusters == len(rebuilt) > 3
+        # Only grown rows were rebuilt: some, never all.
+        assert 0 < max(rebuilt) < session.unique_segment_count
+
+    def test_recluster_after_epsilon_drift_reuses_the_gates_autoconfig(
+        self, monkeypatch
+    ):
+        session = AnalysisSession(
+            protocol="p", recluster_fraction=1e9, epsilon_tolerance=0.0
+        )
+        session.append(make_messages(120, seed=6))
+        smooths = []
+        real_smooth = autoconf_mod.smooth_ecdf
+
+        def counted_smooth(*args, **kwargs):
+            smooths.append(1)
+            return real_smooth(*args, **kwargs)
+
+        gate = []
+        real_configure = autoconf_mod.configure
+
+        def gate_configure(*args, **kwargs):
+            gate.append(real_configure(*args, **kwargs))
+            return gate[-1]
+
+        reclusters = []
+        real_recluster = AnalysisSession._recluster
+
+        def counted_recluster(self, reason):
+            before = len(smooths)
+            real_recluster(self, reason)
+            reclusters.append((reason, len(smooths) - before))
+
+        monkeypatch.setattr(autoconf_mod, "smooth_ecdf", counted_smooth)
+        monkeypatch.setattr("repro.session.configure", gate_configure)
+        monkeypatch.setattr(AnalysisSession, "_recluster", counted_recluster)
+        tracer = Tracer()
+        session._tracer = tracer
+        update = session.append(make_messages(20, seed=7))
+        assert update.reason == "epsilon_drift"
+        assert session.result.retrims == 0
+        assert reclusters == [("epsilon_drift", 0)]
+        assert session.result.autoconfig == gate[-1]
+        (span,) = tracer.find("autoconf")
+        assert span.attributes["reused"] is True
+
+    def test_digest_hashes_the_contiguous_matrix(self):
+        session = AnalysisSession(protocol="p")
+        session.append(make_messages(40, seed=21))
+        session.append(make_messages(15, seed=22))
+        digest = session.digest()
+        values = session.result.matrix.values
+        assert not values.flags.c_contiguous  # a view of the larger backing
+        old = hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+        assert digest["matrix_sha256"] == old
 
 
 class TestQuarantineRegression:
