@@ -132,11 +132,11 @@ def timed(fn, *args, **kwargs):
 def bench_size(n: int, memory_bound_bytes: int) -> dict:
     print(f"[bench] n={n}: building matrix ...", flush=True)
     segments = synthetic_trace(n)
-    matrix, matrix_seconds = timed(
-        DissimilarityMatrix.build,
-        segments,
-        options=MatrixBuildOptions(use_cache=False),
-    )
+    options = MatrixBuildOptions(use_cache=False)
+    # The post-matrix scans run on the default workers too, as the
+    # pipeline runs them (threads where the matrix's pool rule allows).
+    workers = options.effective_workers()
+    matrix, matrix_seconds = timed(DissimilarityMatrix.build, segments, options=options)
     count = len(matrix)
     k_hi = min(max(2, round(math.log(count))), count - 1)
     record: dict = {
@@ -154,7 +154,7 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
         record["seconds"]["knn_legacy"] = round(legacy_seconds, 4)
     matrix._knn_columns = None
     columns, partition_seconds = timed(
-        matrix.knn_distances_all, k_hi, memory_bound_bytes
+        matrix.knn_distances_all, k_hi, memory_bound_bytes, workers
     )
     record["seconds"]["knn_partition"] = round(partition_seconds, 4)
     if "knn_legacy" in record["seconds"]:
@@ -176,6 +176,7 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
             auto.epsilon,
             auto.min_samples,
             memory_bound_bytes=memory_bound_bytes,
+            workers=workers,
         )
     record["seconds"]["dbscan"] = round(dbscan_seconds, 4)
     record["dbscan_rss_delta_bytes"] = max(0, sampler.peak - before)
@@ -210,6 +211,7 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
         segments,
         link_cap=1.5 * auto.epsilon,
         memory_bound_bytes=memory_bound_bytes,
+        workers=workers,
     )
     record["seconds"]["refine"] = round(refine_seconds, 4)
     record["clusters_refined"] = len(refined)
@@ -296,6 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     bound = args.memory_bound_mb * 1024 * 1024
+    # The library imports its spline module when Algorithm 1 first
+    # smooths an ECDF; load it before timing, so the first size's
+    # autoconf times the stage and not that one-off import.
+    import scipy.interpolate  # noqa: F401
 
     results = [bench_size(n, bound) for n in args.sizes]
 

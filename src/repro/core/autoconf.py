@@ -64,24 +64,38 @@ def configure(
     smoothness: float | None = None,
     trim_at: float | None = None,
     grid_points: int = 200,
+    memory_bound_bytes: int | None = None,
+    workers: int = 1,
 ) -> AutoConfig:
     """Run Algorithm 1 on the dissimilarity matrix.
 
     *trim_at* restricts every k-NN ECDF to dissimilarities strictly
     below the given value (the fallback re-run).  When no knee can be
     detected (degenerate distributions), epsilon falls back to the
-    median k-NN dissimilarity, flagged via ``fallback_used``.
+    median k-NN dissimilarity, flagged via ``fallback_used``.  The k-NN
+    selection keeps its row blocks under *memory_bound_bytes* and runs
+    them on up to *workers* threads (see
+    :meth:`~repro.core.matrix.DissimilarityMatrix.knn_distances_all`).
 
-    The result depends only on the matrix values and these arguments,
-    so it is kept on *matrix*, keyed by them: a second call returns it
-    again, flagged ``reused`` (a session's drift gate and the recluster
-    after it configure the same matrix).
+    The result depends only on the matrix values and the arguments that
+    shape Algorithm 1, so it is kept on *matrix*, keyed by them (not by
+    the bound or the workers, which change no value): a second call
+    returns it again, flagged ``reused`` (a session's drift gate and the
+    recluster after it configure the same matrix).
     """
     key = (sensitivity, smoothness, trim_at, grid_points)
     kept = matrix._autoconfigs.get(key)
     if kept is not None:
         return replace(kept, reused=True)
-    auto = _configure(matrix, sensitivity, smoothness, trim_at, grid_points)
+    auto = _configure(
+        matrix,
+        sensitivity,
+        smoothness,
+        trim_at,
+        grid_points,
+        memory_bound_bytes,
+        workers,
+    )
     matrix._autoconfigs[key] = auto
     return auto
 
@@ -92,6 +106,8 @@ def _configure(
     smoothness: float | None,
     trim_at: float | None,
     grid_points: int,
+    memory_bound_bytes: int | None,
+    workers: int,
 ) -> AutoConfig:
     """Algorithm 1 itself; see :func:`configure`."""
     count = len(matrix)
@@ -119,7 +135,7 @@ def _configure(
     # with a trim_at reuse the columns instead of re-scanning O(n²)
     # values per k).  Column k-1 is bit-identical to the per-k
     # full-sort reference ``matrix.knn_distances(k)``.
-    knn_columns = matrix.knn_distances_all(k_hi)
+    knn_columns = matrix.knn_distances_all(k_hi, memory_bound_bytes, workers)
     best: tuple[float, int, Ecdf, np.ndarray, np.ndarray] | None = None
     for k in range(2, k_hi + 1):
         ecdf = Ecdf.from_samples(knn_columns[:, k - 1])

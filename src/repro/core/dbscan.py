@@ -38,6 +38,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from repro.core.matrix import pool_workers, run_blocks, scan_blocks
 from repro.core.membound import rows_per_block
 from repro.obs.tracer import get_tracer
 
@@ -86,32 +87,54 @@ def _neighborhoods(
     distances: np.ndarray,
     epsilon: float,
     weights: np.ndarray | None,
-    block: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR epsilon-adjacency in row blocks: (indptr, indices, neighbor_counts).
+    memory_bound_bytes: int | None,
+    workers: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """CSR epsilon-adjacency in row blocks: (indptr, indices,
+    neighbor_counts, threads).
 
-    Column indices come out of ``np.flatnonzero`` in ascending order per
-    row and are stored as int32 (a matrix never has 2**31 rows).
-    Unweighted neighbor counts are the row lengths; weighted ones are
-    the reference's ``mask @ weights`` contraction.
+    The row blocks run through :func:`repro.core.matrix.run_blocks`,
+    each returning its rows' part, which are joined in row order: on the
+    pool, the short blocks of :func:`repro.core.matrix.scan_blocks`;
+    inline, the fewest blocks the bound admits.  Column indices come out of
+    ``np.flatnonzero`` in ascending order per row and are stored as
+    int32 (a matrix never has 2**31 rows).  Unweighted neighbor counts
+    are the row lengths; weighted ones are the reference's ``mask @
+    weights`` contraction.
     """
     count = distances.shape[0]
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    index_chunks: list[np.ndarray] = [np.empty(0, np.int32)]
-    weight_chunks: list[np.ndarray] = [np.empty(0, np.float64)]
-    for start in range(0, count, block):
-        stop = min(count, start + block)
+    # Working set per row: the distance row read, its boolean mask, the
+    # int64 flat positions and their int32 columns (worst case one per
+    # cell), and the float64 cast of the mask for a weighted count.
+    row_bytes = count * (
+        distances.dtype.itemsize + 1 + 8 + 4 + (8 if weights is not None else 0)
+    )
+    blocks = scan_blocks(0, count, row_bytes, memory_bound_bytes, workers)
+    used = pool_workers(workers, len(blocks), count * count)
+    if used == 1:
+        rows = rows_per_block(row_bytes, memory_bound_bytes)
+        blocks = [(begin, min(count, begin + rows)) for begin in range(0, count, rows)]
+
+    def scan(block: tuple[int, int]):
+        start, stop = block
         within = distances[start:stop] <= epsilon
-        if weights is not None:
-            weight_chunks.append(within @ weights)
-        indptr[start + 1 : stop + 1] = np.count_nonzero(within, axis=1)
+        weighted = within @ weights if weights is not None else None
+        lengths = np.count_nonzero(within, axis=1)
         # Flat positions within the block, reduced in place to columns.
         flat = np.flatnonzero(within)
-        index_chunks.append(np.remainder(flat, count, out=flat).astype(np.int32))
+        return lengths, np.remainder(flat, count, out=flat).astype(np.int32), weighted
+
+    parts = run_blocks(scan, blocks, used)
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    for (start, stop), (lengths, _, _) in zip(blocks, parts):
+        indptr[start + 1 : stop + 1] = lengths
     np.cumsum(indptr, out=indptr)
-    indices = np.concatenate(index_chunks)
-    counts = np.diff(indptr) if weights is None else np.concatenate(weight_chunks)
-    return indptr, indices, counts
+    indices = np.concatenate([np.empty(0, np.int32)] + [part[1] for part in parts])
+    if weights is None:
+        counts = np.diff(indptr)
+    else:
+        counts = np.concatenate([np.empty(0, np.float64)] + [part[2] for part in parts])
+    return indptr, indices, counts, used
 
 
 def _labels(indptr: np.ndarray, indices: np.ndarray, is_core: np.ndarray) -> np.ndarray:
@@ -163,6 +186,7 @@ def dbscan(
     min_samples: int,
     weights: np.ndarray | None = None,
     memory_bound_bytes: int | None = None,
+    workers: int = 1,
 ) -> DbscanResult:
     """Run DBSCAN on a square, symmetric distance matrix.
 
@@ -180,25 +204,22 @@ def dbscan(
     had participated at mutual distance zero.
 
     The epsilon-adjacency is built in row blocks that keep their
-    temporaries under *memory_bound_bytes*; the labels do not depend on
-    the bound.
+    temporaries under *memory_bound_bytes*, on up to *workers* threads
+    (the resolved count; the matrix's pool rule decides); the labels
+    depend on neither.
     """
     distances, weights = _validated(distances, weights)
     count = distances.shape[0]
     with get_tracer().span("dbscan.neighborhoods", rows=count) as span:
-        # Working set per row: the distance row read, its boolean mask,
-        # the int64 flat positions and their int32 columns (worst case
-        # one per cell), and the float64 cast of the mask for a
-        # weighted count.
-        row_bytes = count * (
-            distances.dtype.itemsize + 1 + 8 + 4 + (8 if weights is not None else 0)
-        )
-        block = rows_per_block(row_bytes, memory_bound_bytes)
-        indptr, indices, neighbor_counts = _neighborhoods(
-            distances, epsilon, weights, block
+        indptr, indices, neighbor_counts, used = _neighborhoods(
+            distances, epsilon, weights, memory_bound_bytes, workers
         )
         is_core = neighbor_counts >= min_samples
-        span.set(edges=int(indices.size), core=int(np.count_nonzero(is_core)))
+        span.set(
+            edges=int(indices.size),
+            core=int(np.count_nonzero(is_core)),
+            workers=used,
+        )
     labels = _labels(indptr, indices, is_core)
     return DbscanResult(labels=labels, epsilon=epsilon, min_samples=min_samples)
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import splev, splrep
 
 from repro.core.ecdf import Ecdf
 
@@ -112,6 +111,11 @@ def smooth_ecdf(
     default scales with the grid size (scipy's recommended heuristic
     applied to CDF-scale data).
     """
+    # Imported on first use: the spline module is most of the package's
+    # import time, and only this function needs it.  Outside the try
+    # below, so a failed import is not taken for a degenerate input.
+    from scipy.interpolate import splev, splrep
+
     x, y = ecdf.grid(points)
     if smoothness is None:
         smoothness = DEFAULT_SMOOTHNESS

@@ -46,6 +46,14 @@ every longer segment.  An append extends each table by the windows of
 its new segments on the calling thread, before its tiles run, instead
 of rebuilding it in every tile.
 
+The post-matrix row scans (the k-NN selection here, DBSCAN's
+ε-adjacency, refinement's merge scan) run on the same pool rule
+(:func:`pool_workers`) through one runner (:func:`run_blocks`): row
+blocks of at most :data:`SCAN_BLOCK_ROWS` rows (the inline ε-adjacency
+excepted), each writing or returning only its own rows' results, so a
+scan's output does not depend on whether its blocks ran inline or on
+threads.
+
 A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
 short-circuits the whole computation for a previously seen segment set
 + penalty factor.  The ``matrix.build`` / ``matrix.append`` span is the
@@ -64,7 +72,12 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import (
+    FIRST_EXCEPTION,
+    ThreadPoolExecutor,
+    as_completed,
+    wait,
+)
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,7 +93,7 @@ from repro.core.canberra import (
     equal_length_cross_rows,
     window_table,
 )
-from repro.core.membound import divide_bound, rows_per_block
+from repro.core.membound import divide_bound, resolve_bound, rows_per_block
 from repro.core.segments import UniqueSegment
 from repro.errors import ComputeError
 from repro.obs.metrics import get_metrics
@@ -119,15 +132,19 @@ CROSS_TILE_ROWS = 128
 #: NEMESYS segment subsets of NTP-700, SMB-240 and a 60-message SMB
 #: trace (seed 924, 2 vCPUs, median of 7 interleaved pairs): 0.49-1.09
 #: up to 1.6M cells, 0.94-1.29 from 2.6M to 8.1M, 1.29-1.98 from 27M
-#: on.  A ``repro serve`` append holds 0.02-0.15M cells.
+#: on.  A ``repro serve`` append holds 0.02-0.15M cells.  The post-matrix
+#: row scans count the matrix cells they read (:func:`pool_workers`).
 THREAD_POOL_MIN_CELLS = 4_000_000
 
-#: Most rows one k-NN selection block takes (below what
-#: ``memory_bound_bytes`` admits).  The selection copies its block, so
-#: short blocks keep the copy cache-resident and out of the peak RSS: on
-#: 4268 NTP segments, 64-256-row blocks selected 1.6x faster than one
-#: block of every row the default bound admits.
-KNN_BLOCK_ROWS = 256
+#: Most rows one block of a post-matrix row scan takes (below what its
+#: share of ``memory_bound_bytes`` admits).  Each block copies or
+#: gathers its rows, so short blocks keep the copy cache-resident and
+#: out of the peak RSS, and give a threaded scan blocks to balance.
+#: Inline on 4274 NTP segments (2 vCPUs, median of 9): 128-row blocks
+#: selected the k-NN columns in 0.064 s against 0.083 s for 256 rows.
+#: The inline ε-adjacency, whose blocks copy nothing, keeps the fewest
+#: blocks the bound admits.
+SCAN_BLOCK_ROWS = 128
 
 #: Growth factor of :class:`AppendableMatrix`'s backing capacity (and of
 #: its kept window tables' window buffers).
@@ -666,8 +683,10 @@ def _compute_tile_into(
     values[rows[:, np.newaxis], cols] = tile
     if task.kind != "same" or task.band:
         # A band tile's first columns are its own rows, written above.
+        # The transpose is copied first: the scatter then reads it row
+        # by row instead of one cache line per element.
         skip = row_stop - row_start if task.band else 0
-        values[cols[skip:, np.newaxis], rows] = tile[:, skip:].T
+        values[cols[skip:, np.newaxis], rows] = np.ascontiguousarray(tile[:, skip:].T)
     return table_counts
 
 
@@ -831,19 +850,16 @@ def _compute_new_cells(
     (no old segments) and :meth:`AppendableMatrix.append`; *tasks* come
     from :func:`_append_tasks`, and the new segments take the indices
     from *old_count* on.  The tile queue runs on the thread pool when
-    more than one worker is resolved, there are at least two tiles and
-    their summed cost reaches :data:`THREAD_POOL_MIN_CELLS`, inline
-    otherwise.  Sets where *values* live and the work counts on the
-    build's *span*; returns whether the pool ran.
+    :func:`pool_workers` allows it for the tiles and their summed cost,
+    inline otherwise.  Sets where *values* live and the work counts on
+    the build's *span*; returns whether the pool ran.
     """
     count = values.shape[0]
     tiles = _task_tiles(tasks)
-    workers = options.effective_workers()
-    threaded = (
-        workers > 1
-        and len(tiles) > 1
-        and sum(tile[3] for tile in tiles) >= THREAD_POOL_MIN_CELLS
+    workers = pool_workers(
+        options.effective_workers(), len(tiles), sum(tile[3] for tile in tiles)
     )
+    threaded = workers > 1
     if threaded:
         _run_threaded(tiles, values, penalty_factor, workers)
         span.set(tiles=len(tiles))
@@ -851,7 +867,7 @@ def _compute_new_cells(
         _run_inline(tiles, values, penalty_factor)
     span.set(
         storage=_storage(values),
-        workers=workers if threaded else 1,
+        workers=workers,
         tasks=len(tasks),
         # The tasks cover each pair with a new segment exactly once.
         pairs=count * (count - 1) // 2 - old_count * (old_count - 1) // 2,
@@ -859,14 +875,66 @@ def _compute_new_cells(
     return threaded
 
 
-def _knn_block_rows(width: int, itemsize: int, memory_bound_bytes: int | None) -> int:
-    """Rows per k-NN selection block of *width*-wide source rows.
+def pool_workers(workers: int, blocks: int, cells: int) -> int:
+    """The threads a queue of *blocks* over *cells* cells runs on.
 
-    A row costs its source row plus the partition's copy of it.
+    The rule of the tile queue and of every post-matrix row scan: the
+    thread pool runs only when more than one worker is resolved, there
+    are at least two blocks and the cells (estimated gather cells for
+    tiles, matrix cells read for a scan) reach
+    :data:`THREAD_POOL_MIN_CELLS`.  Returns *workers* then, 1 (inline)
+    otherwise.
     """
-    return min(
-        KNN_BLOCK_ROWS, rows_per_block(width * itemsize, memory_bound_bytes, copies=2)
-    )
+    if workers > 1 and blocks > 1 and cells >= THREAD_POOL_MIN_CELLS:
+        return workers
+    return 1
+
+
+def scan_blocks(
+    start: int,
+    stop: int,
+    row_bytes: int,
+    memory_bound_bytes: int | None,
+    workers: int,
+) -> list[tuple[int, int]]:
+    """Row blocks ``(begin, end)`` covering ``[start, stop)`` for a scan.
+
+    A block holds at most :data:`SCAN_BLOCK_ROWS` rows and keeps its
+    temporaries (*row_bytes* a row) under one worker's share of the
+    bound (:func:`repro.core.membound.divide_bound`), so *workers*
+    concurrent blocks together stay under *memory_bound_bytes*.
+    """
+    share = divide_bound(resolve_bound(memory_bound_bytes), workers)
+    rows = min(SCAN_BLOCK_ROWS, rows_per_block(row_bytes, share))
+    return [(begin, min(stop, begin + rows)) for begin in range(start, stop, rows)]
+
+
+def run_blocks(scan, blocks: list, workers: int) -> list:
+    """``[scan(block) for block in blocks]``, on *workers* threads if > 1.
+
+    The post-matrix stages' one runner; *workers* comes from
+    :func:`pool_workers`.  Blocks write disjoint outputs or return their
+    own, and results come back in block order, so nothing depends on
+    which thread ran a block or when.  As in the tile queue, a block
+    that raises fails the scan only after the blocks already running
+    have finished: every block not yet started is cancelled, then the
+    first failed block's error (in block order) is raised.
+    """
+    if workers <= 1:
+        return [scan(block) for block in blocks]
+    executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-scan")
+    try:
+        futures = [executor.submit(scan, block) for block in blocks]
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        if any(future.exception() is not None for future in done):
+            for future in futures:
+                future.cancel()
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+    for future in futures:
+        if not future.cancelled() and future.exception() is not None:
+            raise future.exception()
+    return [future.result() for future in futures]
 
 
 def _smallest_sorted(block: np.ndarray, count: int) -> np.ndarray:
@@ -887,22 +955,30 @@ def _knn_rows(
     columns: np.ndarray,
     start: int,
     memory_bound_bytes: int | None,
-) -> int:
+    workers: int,
+) -> tuple[int, int]:
     """Fill ``columns[start:]`` with the square *values*' k-NN distances.
 
-    k is ``columns.shape[1]``.  Row blocks of at most
-    :func:`_knn_block_rows` rows are selected one at a time; returns the
-    block height.
+    k is ``columns.shape[1]``.  Row blocks (:func:`scan_blocks`; a row
+    costs its source row plus the partition's copy of it) are selected
+    through :func:`run_blocks`, each into its own rows of *columns*;
+    returns the block height and the threads that ran them.
     """
     count, k = columns.shape
-    block = _knn_block_rows(count, values.dtype.itemsize, memory_bound_bytes)
-    for begin in range(start, count, block):
-        stop = min(count, begin + block)
+    blocks = scan_blocks(
+        start, count, 2 * count * values.dtype.itemsize, memory_bound_bytes, workers
+    )
+
+    def select(block: tuple[int, int]) -> None:
+        begin, stop = block
         # Sorted position 0 is the self-distance (diagonal zero); 1..k
         # are the k nearest other segments, exactly as in
         # :meth:`DissimilarityMatrix.knn_distances`.
         columns[begin:stop] = _smallest_sorted(values[begin:stop], k + 1)[:, 1:]
-    return block
+
+    used = pool_workers(workers, len(blocks), (count - start) * count)
+    run_blocks(select, blocks, used)
+    return blocks[0][1] - blocks[0][0], used
 
 
 def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
@@ -1058,7 +1134,10 @@ class DissimilarityMatrix:
         return ordered[:, k]
 
     def knn_distances_all(
-        self, k_max: int, memory_bound_bytes: int | None = None
+        self,
+        k_max: int,
+        memory_bound_bytes: int | None = None,
+        workers: int = 1,
     ) -> np.ndarray:
         """Every k-th-NN distance column for k in [1, k_max], at once.
 
@@ -1069,9 +1148,11 @@ class DissimilarityMatrix:
         takes one ``kth=k_max`` partition and sorts only its rows'
         ``k_max + 1`` smallest values: O(n²) in all instead of the
         reference's O(n² log n) full sort per k.  Blocks hold at most
-        :data:`KNN_BLOCK_ROWS` rows and stay under *memory_bound_bytes*
+        :data:`SCAN_BLOCK_ROWS` rows and stay under *memory_bound_bytes*
         (the partition copies its block, so a full-matrix pass would
-        transiently double the resident matrix).
+        transiently double the resident matrix); with *workers* > 1
+        resolved threads they run on the pool when :func:`pool_workers`
+        allows it, each under its share of the bound.
 
         The widest computed result is cached on the matrix: Algorithm 1
         retrims and repeated ``configure()`` calls reuse the columns
@@ -1087,8 +1168,10 @@ class DissimilarityMatrix:
             "matrix.knn", k_max=k_max, rows=count
         ) as span:
             columns = np.empty((count, k_max), dtype=self.values.dtype)
-            block = _knn_rows(self.values, columns, 0, memory_bound_bytes)
-            span.set(block_rows=block)
+            block, used = _knn_rows(
+                self.values, columns, 0, memory_bound_bytes, workers
+            )
+            span.set(block_rows=block, workers=used)
         self._knn_columns = columns
         return columns
 
@@ -1133,11 +1216,14 @@ class AppendableMatrix:
         segments: list[UniqueSegment],
         penalty_factor: float = DEFAULT_PENALTY_FACTOR,
         options: MatrixBuildOptions | None = None,
+        memory_bound_bytes: int | None = None,
     ) -> None:
         if options is None:
             options = MatrixBuildOptions()
         self.options = options
         self.penalty_factor = penalty_factor
+        #: The working-set bound of the k-NN merge's row blocks.
+        self.memory_bound_bytes = memory_bound_bytes
         segments = list(segments)
         built = DissimilarityMatrix.build(segments, penalty_factor, options)
         count = len(segments)
@@ -1246,9 +1332,11 @@ class AppendableMatrix:
         distances to the new rows) — the cached columns provably
         contain every union minimum that is an old segment.  New rows
         get one selection over their full rows, exactly as
-        :meth:`DissimilarityMatrix.knn_distances_all` would.  Both are
-        the same order statistics the batch path extracts, hence
-        bit-identical; only O(n·(k+m)) work instead of O(n²).
+        :meth:`DissimilarityMatrix.knn_distances_all` would, on the
+        matrix's workers.  Both are the same order statistics the batch
+        path extracts, hence bit-identical; only O(n·(k+m)) work instead
+        of O(n²).  Both keep their row blocks under the matrix's
+        ``memory_bound_bytes``.
         """
         cached = self._matrix._knn_columns
         if cached is None:
@@ -1256,13 +1344,13 @@ class AppendableMatrix:
         k = min(cached.shape[1], count - 1)
         if k < 1:
             return None
+        bound = self.memory_bound_bytes
+        workers = self.options.effective_workers()
         with get_tracer().span("matrix.knn_merge", k_max=k, rows=count):
             columns = np.empty((count, k), dtype=values.dtype)
-            block = _knn_block_rows(
-                k + count - old_count, values.dtype.itemsize, None
-            )
-            for start in range(0, old_count, block):
-                stop = min(old_count, start + block)
+            # A merged row costs its candidates plus the partition's copy.
+            row_bytes = 2 * (k + count - old_count) * values.dtype.itemsize
+            for start, stop in scan_blocks(0, old_count, row_bytes, bound, 1):
                 columns[start:stop] = _smallest_sorted(
                     np.concatenate(
                         [cached[start:stop, :k], values[start:stop, old_count:count]],
@@ -1270,7 +1358,7 @@ class AppendableMatrix:
                     ),
                     k,
                 )
-            _knn_rows(values[:count, :count], columns, old_count, None)
+            _knn_rows(values[:count, :count], columns, old_count, bound, workers)
         return columns
 
     def replace_segments(self, segments: list[UniqueSegment]) -> DissimilarityMatrix:

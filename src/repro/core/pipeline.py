@@ -235,8 +235,13 @@ class FieldTypeClusterer:
         return analyzable, excluded
 
     def _post_matrix(self, matrix, excluded, tracer, pipeline_span) -> ClusteringResult:
-        """Autoconf → DBSCAN (+ fallback) → refinement over *matrix*."""
+        """Autoconf → DBSCAN (+ fallback) → refinement over *matrix*.
+
+        The stages' row scans get the matrix's resolved worker count and
+        run on threads where the matrix's pool rule allows it.
+        """
         config = self.config
+        workers = self._workers()
         analyzable = matrix.segments
         weights = (
             np.array([u.count for u in analyzable], dtype=np.float64)
@@ -262,6 +267,7 @@ class FieldTypeClusterer:
                     min_samples,
                     weights=weights,
                     memory_bound_bytes=config.memory_bound_bytes,
+                    workers=workers,
                 )
 
             result = run_dbscan(auto.epsilon, auto.min_samples)
@@ -324,20 +330,18 @@ class FieldTypeClusterer:
                 noise=len(result.noise),
                 retrims=retrims,
             )
-        with tracer.span("refine") as refine_span:
-            clusters = result.clusters()
-            refined = refine(
-                matrix.values,
-                clusters,
-                analyzable,
-                eps_rho_threshold=config.eps_rho_threshold,
-                neighbor_density_threshold=config.neighbor_density_threshold,
-                merge=config.merge,
-                split=config.split,
-                link_cap=config.link_cap_factor * auto.epsilon,
-                memory_bound_bytes=config.memory_bound_bytes,
-            )
-            refine_span.set(clusters_in=len(clusters), clusters_out=len(refined))
+        refined = refine(
+            matrix.values,
+            result.clusters(),
+            analyzable,
+            eps_rho_threshold=config.eps_rho_threshold,
+            neighbor_density_threshold=config.neighbor_density_threshold,
+            merge=config.merge,
+            split=config.split,
+            link_cap=config.link_cap_factor * auto.epsilon,
+            memory_bound_bytes=config.memory_bound_bytes,
+            workers=workers,
+        )
         clustered = (
             np.concatenate(refined) if refined else np.array([], dtype=np.int64)
         )
@@ -361,6 +365,10 @@ class FieldTypeClusterer:
             excluded=excluded,
         )
 
+    def _workers(self) -> int:
+        """The worker count the matrix options resolve to."""
+        return (self.config.matrix_options or MatrixBuildOptions()).effective_workers()
+
     def _configure(self, matrix: DissimilarityMatrix, trim_at: float | None) -> AutoConfig:
         config = self.config
         auto = configure(
@@ -368,6 +376,8 @@ class FieldTypeClusterer:
             sensitivity=config.sensitivity,
             smoothness=config.smoothness,
             trim_at=trim_at,
+            memory_bound_bytes=config.memory_bound_bytes,
+            workers=self._workers(),
         )
         if config.fixed_epsilon is not None:
             auto = replace(auto, epsilon=config.fixed_epsilon)

@@ -675,6 +675,11 @@ def service_options_from_args(args) -> ServiceOptions:
 
 
 def run_server(args, config: ClusteringConfig | None = None) -> int:
+    # The library imports its spline module when it first clusters; load
+    # it before listening, so the first append that reclusters does not
+    # pay the import (about 0.3 s) inside its reply time.
+    import scipy.interpolate  # noqa: F401
+
     metrics = MetricsRegistry()
     session = make_session(args, config, metrics=metrics)
     server = SessionServer(session, service_options_from_args(args), metrics)

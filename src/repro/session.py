@@ -860,6 +860,7 @@ class AnalysisSession:
                     new_uniques,
                     penalty_factor=self.config.penalty_factor,
                     options=self.config.matrix_options,
+                    memory_bound_bytes=self.config.memory_bound_bytes,
                 )
             else:
                 self._appendable.append(new_uniques)
@@ -949,7 +950,9 @@ class AnalysisSession:
         k_hi = min(max(2, round(math.log(count))), count - 1)
         k_prime = min(count - 1, k_hi + self._knn_slack)
         self._appendable.matrix.knn_distances_all(
-            k_prime, self.config.memory_bound_bytes
+            k_prime,
+            self.config.memory_bound_bytes,
+            self._appendable.options.effective_workers(),
         )
 
     def _drift_gate(self) -> tuple[bool, str]:
@@ -967,6 +970,8 @@ class AnalysisSession:
                 self._appendable.matrix,
                 sensitivity=self.config.sensitivity,
                 smoothness=self.config.smoothness,
+                memory_bound_bytes=self.config.memory_bound_bytes,
+                workers=self._appendable.options.effective_workers(),
             ).epsilon
             if abs(estimate - base) > self.epsilon_tolerance * base:
                 return True, "epsilon_drift"

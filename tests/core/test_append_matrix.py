@@ -350,7 +350,7 @@ class TestKnnMerge:
         # 7-row blocks cut both the old-row merge and the new-row
         # selection into several blocks; the new rows' blocks start
         # mid-matrix, at a row that is not a multiple of 7.
-        monkeypatch.setattr("repro.core.matrix.KNN_BLOCK_ROWS", 7)
+        monkeypatch.setattr("repro.core.matrix.SCAN_BLOCK_ROWS", 7)
         rng = np.random.default_rng(11)
         alphabet = (0, 1, 2, 255)
         datas = [bytes(rng.choice(alphabet, size=rng.integers(2, 5))) for _ in range(120)]
@@ -360,6 +360,23 @@ class TestKnnMerge:
         k = 6
         appendable.matrix.knn_distances_all(k)
         appendable.append(segments[old_count:])
+        merged = appendable.matrix._knn_columns
+        for column in range(k):
+            assert (
+                merged[:, column].tobytes()
+                == appendable.matrix.knn_distances(column + 1).tobytes()
+            )
+
+    def test_merged_columns_under_a_one_byte_bound(self):
+        # One-row blocks in both the old-row merge and the new-row
+        # selection.
+        rng = np.random.default_rng(12)
+        datas = [bytes(rng.integers(0, 256, size=rng.integers(2, 6))) for _ in range(90)]
+        segments = distinct_segments(datas)
+        appendable = AppendableMatrix(segments[:40], options=SERIAL, memory_bound_bytes=1)
+        k = 5
+        appendable.matrix.knn_distances_all(k)
+        appendable.append(segments[40:])
         merged = appendable.matrix._knn_columns
         for column in range(k):
             assert (

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 
 import numpy as np
+import scipy.interpolate  # noqa: F401  (loaded before any allocation is traced)
 
 from repro.core.autoconf import configure, min_samples_for
 from repro.core.matrix import DissimilarityMatrix
@@ -93,3 +95,29 @@ class TestConfigure:
         if auto.knee is not None:
             assert auto.knees
             assert auto.knees[-1] == auto.knee
+
+
+class TestMemoryBound:
+    def test_knn_selection_stays_under_the_bound(self):
+        # Algorithm 1's k-NN selection copies each row block it
+        # partitions; under a 1 MiB bound its blocks must shrink to fit.
+        size = 2000
+        rng = np.random.default_rng(3)
+        values = rng.random((size, size))
+        values = (values + values.T) / 2
+        np.fill_diagonal(values, 0.0)
+        matrix = DissimilarityMatrix(segments=[None] * size, values=values)
+        tracemalloc.start()
+        try:
+            auto = configure(matrix, memory_bound_bytes=1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, f"peak {peak / 2**20:.2f} MiB"
+        unbounded = DissimilarityMatrix(segments=[None] * size, values=values)
+        other = configure(unbounded, workers=2)
+        assert (other.epsilon, other.k, other.min_samples) == (
+            auto.epsilon,
+            auto.k,
+            auto.min_samples,
+        )

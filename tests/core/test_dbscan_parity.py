@@ -11,14 +11,17 @@ extremes of the memory bound (one row per block vs everything in one
 block).
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dbscan import NOISE, dbscan, dbscan_reference
+from repro.core import refinement
+from repro.core.dbscan import NOISE, _neighborhoods, dbscan, dbscan_reference
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
-from repro.core.refinement import cluster_stats, link_segments
+from repro.core.refinement import link_segments_reference, merge_clusters
 from repro.core.segments import unique_segments
 
 #: One row per block vs one block for everything.
@@ -169,9 +172,9 @@ class TestBlockwiseRefinementParity:
         m = symmetric_matrix(seed, size)
         split = size // 2
         a, b = np.arange(split), np.arange(split, size)
-        reference = link_segments(m, a, b)
+        reference = link_segments_reference(m, a, b)
         for bound in BOUNDS:
-            assert link_segments(m, a, b, memory_bound_bytes=bound) == reference
+            assert link_segments_reference(m, a, b, memory_bound_bytes=bound) == reference
 
     def test_link_segments_tie_breaking(self):
         # Several equal minima: the blockwise scan must keep np.argmin's
@@ -183,20 +186,102 @@ class TestBlockwiseRefinementParity:
         m[2, 5] = m[5, 2] = 0.2
         a, b = np.array([0, 1, 2]), np.array([3, 4, 5])
         for bound in BOUNDS:
-            assert link_segments(m, a, b, memory_bound_bytes=bound) == (0, 3, 0.2)
+            assert link_segments_reference(m, a, b, memory_bound_bytes=bound) == (0, 3, 0.2)
 
     @given(seed=st.integers(0, 10_000), size=st.integers(2, 40))
     @settings(max_examples=40, deadline=None)
     def test_cluster_stats_blockwise_matches_exact(self, seed, size):
         m = symmetric_matrix(seed, size)
         indices = np.arange(size)
-        exact = cluster_stats(m, indices)
-        blockwise = cluster_stats(m, indices, memory_bound_bytes=1)
+        [(exact, _, _)], _ = refinement._scan_clusters(m, [indices], None, 1)
+        [(blockwise, _, _)], _ = refinement._scan_clusters(m, [indices], 1, 1)
         assert blockwise.mean_dissimilarity == pytest.approx(
             exact.mean_dissimilarity, rel=1e-12
         )
         assert blockwise.max_extent == exact.max_extent
         assert blockwise.minmed == exact.minmed
+
+
+def tied_matrix(size: int, dtype) -> np.ndarray:
+    """A quarter-step grid: long runs of equal distances in every row."""
+    m = np.round(symmetric_matrix(11, size) * 4) / 4
+    return np.minimum(m, m.T).astype(dtype)
+
+
+class TestInlineAdjacencyBlocks:
+    def test_fewest_blocks_the_bound_admits(self, monkeypatch):
+        # Inline, short blocks only add calls: under the default bound the
+        # whole matrix is one block, and a one-byte bound one row each.
+        module = sys.modules["repro.core.dbscan"]
+        run = module.run_blocks
+        seen = []
+
+        def spy(scan, blocks, workers):
+            seen.append((len(blocks), workers))
+            return run(scan, blocks, workers)
+
+        monkeypatch.setattr(module, "run_blocks", spy)
+        m = tied_matrix(300, np.float64)
+        for bound in BOUNDS:
+            _neighborhoods(m, 0.25, None, bound, 2)
+        assert seen == [(300, 1), (1, 1)]
+
+
+@pytest.mark.usefixtures("thread_pool_always")
+class TestThreadedScansParity:
+    """The row scans' threaded runs return the inline runs' bytes."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_knn_columns(self, dtype, bound):
+        m = tied_matrix(300, dtype)
+        columns = {}
+        for workers in (1, 2):
+            matrix = DissimilarityMatrix(segments=[None] * len(m), values=m)
+            columns[workers] = matrix.knn_distances_all(
+                9, memory_bound_bytes=bound, workers=workers
+            )
+        assert columns[2].dtype == dtype
+        assert columns[1].tobytes() == columns[2].tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bound", BOUNDS)
+    def test_epsilon_adjacency(self, dtype, bound, weighted):
+        m = tied_matrix(300, dtype)
+        weights = np.arange(1.0, 301.0) % 5 + 1 if weighted else None
+        inline = _neighborhoods(m, 0.25, weights, bound, 1)
+        threaded = _neighborhoods(m, 0.25, weights, bound, 2)
+        assert (inline[3], threaded[3]) == (1, 2)
+        for got, want in zip(threaded[:3], inline[:3]):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        labels = dbscan(m, 0.25, 4, weights=weights, memory_bound_bytes=bound, workers=2)
+        assert np.array_equal(labels.labels, dbscan_reference(m, 0.25, 4, weights).labels)
+
+
+    def test_many_threads_with_a_short_switch_interval(self):
+        # More threads than cores, one-row blocks and a thread switch
+        # every microsecond: a block writing outside its own rows, or
+        # parts joined out of order, would change the bytes.
+        m = tied_matrix(240, np.float64)
+        clusters = [np.arange(start, 240, 7) for start in range(7)]
+
+        def scans(workers):
+            matrix = DissimilarityMatrix(segments=[None] * len(m), values=m)
+            columns = matrix.knn_distances_all(9, memory_bound_bytes=1, workers=workers)
+            adjacency = _neighborhoods(m, 0.25, None, 1, workers)[:3]
+            merged = merge_clusters(m, clusters, memory_bound_bytes=1, workers=workers)
+            return [columns.tobytes(), *(a.tobytes() for a in adjacency), *map(bytes, merged)]
+
+        inline = scans(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert scans(8) == inline
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestKnnDistancesAllParity:

@@ -51,7 +51,7 @@ from repro.core.matrix import (
     DissimilarityMatrix,
     MatrixBuildOptions,
 )
-from repro.core.pipeline import ClusteringConfig
+from repro.core.pipeline import ClusteringConfig, FieldTypeClusterer
 from repro.core.segments import Segment, unique_segments
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import SPAN_SECONDS_METRIC, Tracer, use_tracer
@@ -366,6 +366,49 @@ class TestSchedule:
         for attributes in appends:
             assert attributes["workers"] == 1
             assert "tiles" not in attributes
+
+    @staticmethod
+    def scan_workers(tracer) -> dict:
+        """The threads each post-matrix row scan reported, by span name."""
+        return {
+            name: {span.attributes["workers"] for span in tracer.find(name)}
+            for name in ("matrix.knn", "dbscan.neighborhoods", "refine")
+        }
+
+    @pytest.mark.parametrize("workers, threads", [(2, 2), (0, 1)])
+    def test_field_scans_run_on_the_pool_unless_serial(self, workers, threads):
+        # NTP-700's 4274 segments: 18.3M cells a k-NN or ε-adjacency scan.
+        trace = get_model("ntp").generate(700, seed=924).preprocess()
+        config = ClusteringConfig(matrix_options=MatrixBuildOptions(workers=workers))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            FieldTypeClusterer(config).cluster(NemesysSegmenter().segment(trace))
+        (build,) = tracer.find("matrix.build")
+        assert build.attributes["unique_segments"] ** 2 >= matrix_mod.THREAD_POOL_MIN_CELLS
+        assert self.scan_workers(tracer) == {
+            "matrix.knn": {threads},
+            "dbscan.neighborhoods": {threads},
+            "refine": {threads},
+        }
+
+    def test_small_field_and_session_scans_run_inline(self):
+        # SMB-240 (about 1900 segments) and a 600-message DNS session's
+        # reclusters scan too few cells for the pool.
+        config = ClusteringConfig(matrix_options=MatrixBuildOptions(workers=2))
+        trace = get_model("smb").generate(240, seed=924).preprocess()
+        messages = get_model("dns").generate(600, seed=924).messages
+        tracer = Tracer()
+        with use_tracer(tracer):
+            FieldTypeClusterer(config).cluster(NemesysSegmenter().segment(trace))
+            session = AnalysisSession(config, protocol="dns")
+            for start in range(0, len(messages), 100):
+                session.append(messages[start : start + 100])
+        assert len(tracer.find("session.recluster")) >= 1
+        assert self.scan_workers(tracer) == {
+            "matrix.knn": {1},
+            "dbscan.neighborhoods": {1},
+            "refine": {1},
+        }
 
     @pytest.mark.parametrize("workers, backend", [(2, "parallel"), (0, "serial")])
     def test_field_build_runs_on_the_pool_unless_serial(

@@ -15,6 +15,7 @@ work; same process, so no sentinel files are needed.
 """
 
 import re
+import time
 
 import pytest
 
@@ -134,3 +135,37 @@ class TestThreadedTileFaults:
         (build,) = tracer.find("matrix.build")
         assert build.attributes["backend"] == "parallel"
         assert rebuilt.values.tobytes() == reference.values.tobytes()
+
+
+class TestScanFaults:
+    """The post-matrix row scans' runner keeps the tile queue's contract."""
+
+    def test_failed_block_raises_after_running_blocks_drain(self):
+        started, finished = [], []
+
+        def scan(block):
+            started.append(block)
+            if block == 0:
+                raise RuntimeError("injected scan fault")
+            time.sleep(0.2 if block == 1 else 0.05)
+            finished.append(block)
+
+        with pytest.raises(RuntimeError, match="injected scan fault"):
+            matrix_mod.run_blocks(scan, list(range(12)), 2)
+        # Block 1 was running when block 0 failed: it finished first.
+        assert 1 in finished
+        assert sorted(finished) == sorted(set(started) - {0})
+        # The blocks not yet started were cancelled.
+        assert len(started) < 12
+
+    def test_inline_failure_stops_the_scan(self):
+        started = []
+
+        def scan(block):
+            started.append(block)
+            if block == 3:
+                raise RuntimeError("injected scan fault")
+
+        with pytest.raises(RuntimeError, match="injected scan fault"):
+            matrix_mod.run_blocks(scan, list(range(12)), 1)
+        assert started == [0, 1, 2, 3]

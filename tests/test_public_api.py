@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -173,3 +176,24 @@ class TestDocstrings:
                 if name.startswith("_"):
                     continue
                 assert (member.__doc__ or "").strip(), f"{cls.__name__}.{name}"
+
+
+class TestImportCost:
+    def test_api_import_leaves_the_spline_module_out(self):
+        # The spline module is most of the package's import time and
+        # only Algorithm 1's smoothing uses it, which imports it itself.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.api; print('scipy.interpolate' in sys.modules)",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]

@@ -440,6 +440,30 @@ class TestRunServerErrors:
         assert "close failed" in capsys.readouterr().err
 
 
+class TestStartup:
+    def test_spline_module_loads_before_listening(self):
+        # In a fresh interpreter the library leaves the spline module
+        # unloaded until it first clusters; the server loads it before it
+        # listens, so no append's reply time pays the import.
+        code = (
+            "import sys\n"
+            "import repro.serve as serve\n"
+            "loaded = 'scipy.interpolate' in sys.modules\n"
+            "async def listen(self, host, port):\n"
+            "    print(loaded, 'scipy.interpolate' in sys.modules)\n"
+            "    return True\n"
+            "serve.SessionServer.serve = listen\n"
+            "serve.run_server(serve.build_parser().parse_args(['--port', '0']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
+
+
 class TestServeArgs:
     def test_parser_builds_session(self, tmp_path):
         args = build_parser().parse_args(
