@@ -142,7 +142,8 @@ NUMPY_PAIRWISE_SUM_MIN = 8
 
 _BYTE_TERM_LUT: np.ndarray | None = None
 
-#: Odd 64-bit multiplier folding a window's 8-byte words into one sort key.
+#: Odd 64-bit multiplier folding a wide window's 8-byte words into one
+#: sort key (:func:`_window_keys`).
 _WORD_FOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -229,11 +230,13 @@ def window_table(long_blocks, m: int) -> WindowTable:
     """The :class:`WindowTable` of width *m* over the rows of *long_blocks*.
 
     *long_blocks* is a sequence of ``(count, n)`` uint8 blocks with every
-    ``n > m``.  Windows are deduplicated exactly: each is keyed by its
-    8-byte words folded into one uint64, the keys are sorted, and a new
-    distinct window starts wherever a window's bytes differ from its
-    sorted predecessor's.  A key collision can therefore only leave a
-    window stored twice, never merge two different ones.
+    ``n > m``.  Windows are deduplicated exactly by sorting sort keys
+    (:func:`_window_keys`): a window of at most 8 bytes is its own key,
+    so equal keys are equal windows, and a wider window's key folds
+    several of its 8-byte words, so a new distinct window also starts
+    wherever a window's bytes differ from those of its sorted
+    predecessor with the same key.  A key collision can therefore only
+    leave a window stored twice, never merge two different ones.
     """
     blocks = [np.asarray(block) for block in long_blocks]
     if m < 1:
@@ -243,34 +246,56 @@ def window_table(long_blocks, m: int) -> WindowTable:
             raise ValueError(f"window tables take uint8 blocks, got {block.dtype}")
         if block.shape[1] <= m:
             raise ValueError(f"long block must be longer: {block.shape[1]} <= {m}")
-    # Every window in one gather from the segments' concatenated bytes,
-    # where window w of segment s starts at byte w + s * (m - 1).
+    # Window w of segment s starts at byte w + s * (m - 1) of the
+    # segments' concatenated bytes.
     data = np.concatenate([block.reshape(-1) for block in blocks])
     offsets = np.repeat(
         [block.shape[1] - m + 1 for block in blocks],
         [block.shape[0] for block in blocks],
     )
+    starts = np.arange(offsets.sum()) + np.repeat(
+        np.arange(offsets.size) * (m - 1), offsets
+    )
+    keys = _window_keys(data, starts, m)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
     windows = np.lib.stride_tricks.as_strided(
         data, (max(data.size - m + 1, 0), m), (1, 1), writeable=False
     )
-    flat = windows[
-        np.arange(offsets.sum()) + np.repeat(np.arange(offsets.size) * (m - 1), offsets)
-    ]
-    words = -(-m // 8)
-    padded = np.zeros((flat.shape[0], 8 * words), dtype=np.uint8)
-    padded[:, 8 * words - m :] = flat
-    keys = padded.view(">u8").astype(np.uint64)
-    key = keys[:, 0]
-    for word in range(1, words):
-        key = key * _WORD_FOLD + keys[:, word]
-    order = np.argsort(key)
-    ordered = flat[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    if m > 8:
+        tied = np.flatnonzero(~first[1:]) + 1
+        first[tied] = (
+            windows[starts[order[tied]]] != windows[starts[order[tied - 1]]]
+        ).any(axis=1)
     index = np.empty(order.size, dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     shapes = tuple((block.shape[0], block.shape[1]) for block in blocks)
-    return WindowTable(ordered[first], index, shapes)
+    return WindowTable(windows[starts[order[first]]], index, shapes)
+
+
+def _window_keys(data: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray:
+    """A uint64 sort key for the width-*m* window at each of *starts*.
+
+    Every byte position's 8-byte big-endian word is read in one pass,
+    through an unaligned view of the zero-padded bytes.  A window of at
+    most 8 bytes is keyed by its own bytes, its word's top *m* bytes; a
+    wider one folds its words at offsets 0, 8, 16, ... and ``m - 8``
+    with :data:`_WORD_FOLD`, touching O(m / 8) words a window instead of
+    all of its bytes.
+    """
+    padded = np.zeros(data.size + 7, dtype=np.uint8)
+    padded[: data.size] = data
+    words = np.ndarray(
+        (data.size,), dtype=">u8", buffer=padded, strides=(1,)
+    ).astype(np.uint64)
+    if m <= 8:
+        return words[starts] >> np.uint64(8 * (8 - m))
+    key = words[starts]
+    for offset in [*range(8, m - 8, 8), m - 8]:
+        key = key * _WORD_FOLD + words[starts + offset]
+    return key
 
 
 def cross_length_rows(
@@ -287,7 +312,8 @@ def cross_length_rows(
     *short_block* is ``(a, m)`` uint8 and *table* is the
     :func:`window_table` of width ``m`` over the longer segments.  Returns
     the ``(row_stop - row_start, segments)`` matrix of length-tolerant
-    Canberra dissimilarities.  The mean term of each distinct window
+    Canberra dissimilarities, in Fortran order (the matrix builder
+    writes its transpose too).  The mean term of each distinct window
     against each short row sums the window's ``m`` LUT terms in the
     order the per-pair definition does (:func:`_lut_means`), and each
     long segment's sliding minimum gathers those means at its own
@@ -311,7 +337,9 @@ def cross_length_rows(
             f"tile rows [{row_start}, {row_stop}) outside block of {a} rows"
         )
     segments = sum(count for count, _ in table.shapes)
-    out = np.empty((row_stop - row_start, segments), dtype=np.float64)
+    # Laid out segment by segment (the transpose of a C-order array), so
+    # each segment's minima land in one contiguous run.
+    out = np.empty((segments, row_stop - row_start), dtype=np.float64).T
     lengths = np.concatenate(
         [np.full(count, n, dtype=np.int64) for count, n in table.shapes]
     )[:, np.newaxis]

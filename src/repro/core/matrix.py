@@ -9,11 +9,11 @@ unequal-length pairs use the sliding/penalty extension.
 Every cell is filled by the vectorized **binned** kernel (see
 :mod:`repro.core.canberra`): Canberra terms come from a byte-term
 lookup table (summed plane by plane for segments narrower than
-``NUMPY_PAIRWISE_SUM_MIN`` bytes), an equal-length bin computes full
-rows of itself through the one rectangular kernel (a wider bin, whose
-cells cost more than a mirrored write, its upper band and the band's
-mirror) and writes each cell once, and unequal lengths run through
-window tables — the distinct width-``m`` windows of the longer
+``NUMPY_PAIRWISE_SUM_MIN`` bytes), an equal-length bin runs as bands —
+each tile computes its rows from its first row on through the one
+rectangular kernel and writes the part right of its own rows again,
+transposed (the LUT is exactly symmetric) — and unequal lengths run
+through window tables — the distinct width-``m`` windows of the longer
 segments, each one's mean against a short row computed once, with
 every long segment's sliding minimum gathered from its own window
 indices.  The per-pair reference oracle
@@ -27,18 +27,25 @@ tasks covering the cells with at least one new segment
 matrix): per length an equal-length square and rectangle, and one
 cross-length task per short length, row side and window-table group,
 whose longer segments a build caps at ``CHUNK_CELL_BUDGET // 4`` window
-bytes so each tile can build its table itself.  It sub-tiles every
-task along its rows to the kernel's ~160 MB temporary budget, and runs
-the tiles either inline — one worker, one tile, or fewer estimated
-gather cells than :data:`THREAD_POOL_MIN_CELLS` — or longest-processing-
-time-first on a :class:`concurrent.futures.ThreadPoolExecutor`.  The
-numpy LUT gathers release the GIL, so worker threads share the uint8
-blocks and the output matrix (RAM or memmap) zero-copy: each tile is
-written straight into its disjoint cells of the output — no result
-shipping, no pickling.  Tile boundaries are deterministic (worker-count
-independent) and every cell is the same reduction either way, so the
-bytes are identical regardless of worker count, completion order, or
-whether the matrix was built at once or grown by appends.
+bytes, since each task's table lives from its first tile to its last.
+It sub-tiles every task along its rows into tiles of at most
+:data:`TILE_ROWS` rows inside the kernel's ~160 MB temporary budget,
+and runs the tiles either inline — one worker, one tile, or fewer
+estimated gather cells than :data:`THREAD_POOL_MIN_CELLS` — or
+longest-processing-time-first, each task's tiles together, on a
+:class:`concurrent.futures.ThreadPoolExecutor`.  The numpy LUT gathers
+release the GIL, so worker threads share the uint8 blocks and the
+output matrix (RAM or memmap) zero-copy: each tile is written straight
+into its disjoint cells of the output — no result shipping, no
+pickling.  While the tiles run, the new segments' columns follow a
+**working layout** in which each length's segments are one column
+range, so a tile and its mirror write a fancy row index against a
+column slice instead of scattering; one pass over row blocks then puts
+the columns back in segment order (:func:`permute_columns`, which the
+matrix cache also uses).  Tile boundaries are deterministic
+(worker-count independent) and every cell is the same reduction either
+way, so the bytes are identical regardless of worker count, completion
+order, or whether the matrix was built at once or grown by appends.
 
 :class:`AppendableMatrix` keeps what an append does not change: its
 segments' per-length blocks and, per short width, the window table of
@@ -56,7 +63,8 @@ threads.
 
 A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
 short-circuits the whole computation for a previously seen segment set
-+ penalty factor.  The ``matrix.build`` / ``matrix.append`` span is the
++ penalty factor; storing or loading an entry holds about two matrices
+(:func:`_permuted`).  The ``matrix.build`` / ``matrix.append`` span is the
 one record of a build: which path ran, where the values live, how much
 work it did and, like every other layer's span, how long it took.
 Worker threads are the one place that times its own work: a thread
@@ -87,7 +95,6 @@ from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
-    NUMPY_PAIRWISE_SUM_MIN,
     WindowTable,
     cross_length_rows,
     equal_length_cross_rows,
@@ -117,13 +124,13 @@ STORAGE_RAM = "ram"
 STORAGE_MEMMAP = "memmap"
 STORAGES = (STORAGE_RAM, STORAGE_MEMMAP)
 
-#: Most short rows in one "cross" tile.  A cross task spans every longer
-#: length of its short length, so its rows are split into tiles the
-#: threaded schedule can balance.  Each tile of a build rebuilds the
-#: task's window table (~100 ns a window) and then gathers at least one
-#: cell per window and row, so tiles this tall keep the rebuilds a small
-#: share.
-CROSS_TILE_ROWS = 128
+#: Most rows in one tile of any task.  Tasks are split along their rows
+#: into tiles the threaded schedule can balance, and short tiles keep an
+#: equal-length bin's temporaries small: 1,400 random three-byte
+#: segments built as one full-square tile held 63 MiB above the matrix,
+#: as 128-row bands 6.3 MiB.  A "cross" tile reuses its task's window
+#: table, so the height does not spread the table's cost.
+TILE_ROWS = 128
 
 #: Least summed tile ``cost`` (estimated gather cells, see
 #: :func:`_task_tiles`) for which a build with more than one worker and
@@ -145,6 +152,12 @@ THREAD_POOL_MIN_CELLS = 4_000_000
 #: The inline ε-adjacency, whose blocks copy nothing, keeps the fewest
 #: blocks the bound admits.
 SCAN_BLOCK_ROWS = 128
+
+#: Most bytes one step of :func:`permute_columns` copies, so that its
+#: gather and the write-back stay in a core's cache.  A serial pass over
+#: 4274 columns (2 vCPUs, median of 9) took 28 ms in 16-row (512 KiB)
+#: steps against 43 ms in 128-row ones.
+PERMUTE_STEP_BYTES = 1 << 19
 
 #: Growth factor of :class:`AppendableMatrix`'s backing capacity (and of
 #: its kept window tables' window buffers).
@@ -227,23 +240,29 @@ class MatrixBuildOptions:
         return int(self.workers) or 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _BinTask:
     """One independent work item: the cells between two segment groups.
 
     *kind* is "same" (one equal-length group against itself; both sides
     carry the same block and indices), "eqcross" (two disjoint groups of
     one length — an append's new-vs-old rectangle) or "cross" (segments
-    of one short length against a group of longer segments, whose
-    window table each of the task's tiles builds, or an append built
-    before its tiles run).  The blocks are the groups' raw
+    of one short length against a group of longer segments, through the
+    group's window table).  The blocks are the groups' raw
     ``(count, length)`` uint8 rows — *blocks_b* holds the longer
     segments' blocks, in column order, for "cross", the one column block
-    otherwise; *rows* and *cols* are the global matrix indices (intp)
-    they scatter to, so a task's row and column sets may come from
-    different segment generations.  *table* is a "cross" task's window
-    table over *blocks_b* when it is built before the tiles run; a build
-    leaves it None, and each tile builds it.
+    otherwise.  *rows* and *cols* are the two sides' matrix rows (intp),
+    and *row_columns* and *columns* their columns in the build's working
+    layout (:func:`_append_tasks`): a ``range`` for new segments, which
+    lie side by side there, the matrix rows again for old ones.  So a
+    task's row and column sets may come from different segment
+    generations, and a tile writes a fancy row index against a column
+    slice wherever its columns are new.
+
+    A "cross" task's window table over *blocks_b* is built by the first
+    of its tiles to ask for it (:meth:`window_table`), the others wait
+    for it, and the last tile to finish drops it (:meth:`tile_done`);
+    an append passes in the table it built before its tiles run.
     """
 
     kind: str
@@ -251,24 +270,20 @@ class _BinTask:
     blocks_b: tuple[np.ndarray, ...]
     rows: np.ndarray
     cols: np.ndarray
+    row_columns: range | np.ndarray
+    columns: range | np.ndarray
     table: WindowTable | None = None
+    #: Tiles not yet finished (set by :func:`_task_tiles`).
+    pending: int = 0
+    #: Whether one of the task's tiles built its window table.
+    built: bool = False
+    _error: BaseException | None = field(default=None, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def lengths(self) -> tuple[int, int]:
         """The row length and the longest column length."""
         return self.block_a.shape[1], max(block.shape[1] for block in self.blocks_b)
-
-    @property
-    def band(self) -> bool:
-        """Whether a "same" task's tiles compute only their upper band.
-
-        Narrower than ``NUMPY_PAIRWISE_SUM_MIN`` bytes, a plane-sum cell
-        costs less than a mirrored write, so tiles compute full rows; a
-        wider, gathered cell costs more, so they compute their rows from
-        their first row on and write the part right of their rows again,
-        transposed.
-        """
-        return self.kind == "same" and self.block_a.shape[1] >= NUMPY_PAIRWISE_SUM_MIN
 
     @property
     def window_cells(self) -> int:
@@ -277,6 +292,34 @@ class _BinTask:
         return sum(
             block.shape[0] * (block.shape[1] - m + 1) * m for block in self.blocks_b
         )
+
+    def window_table(self) -> WindowTable:
+        """The "cross" task's window table, built once for all its tiles.
+
+        A tile that asks while another builds it waits on the task's
+        lock; after a failed build every tile of the task raises
+        instead of building the table again.
+        """
+        with self._lock:
+            if self.table is None:
+                if self._error is not None:
+                    raise RuntimeError(
+                        f"window table failed in another tile: {self._error}"
+                    ) from self._error
+                try:
+                    self.table = window_table(self.blocks_b, self.block_a.shape[1])
+                except BaseException as error:
+                    self._error = error
+                    raise
+                self.built = True
+            return self.table
+
+    def tile_done(self) -> None:
+        """Count one finished tile; the last one drops the window table."""
+        with self._lock:
+            self.pending -= 1
+            if self.pending <= 0:
+                self.table = None
 
 
 def _length_bins(
@@ -316,24 +359,27 @@ def _merged_bins(
     return bins
 
 
-def _cross_tasks(
-    short: tuple[np.ndarray, np.ndarray],
-    longs: list[tuple[np.ndarray, np.ndarray]],
-) -> list[_BinTask]:
+#: One side of a task: its segments' matrix indices (intp), their
+#: ``(count, length)`` uint8 rows, and their columns in the working layout
+#: (:func:`_append_tasks`).
+_Side = tuple[np.ndarray, np.ndarray, "range | np.ndarray"]
+
+
+def _cross_tasks(short: _Side, longs: list[_Side]) -> list[_BinTask]:
     """"cross" tasks of one short side against the longer sides *longs*.
 
     The longer segments are cut, in order, into consecutive groups of at
     most ``CHUNK_CELL_BUDGET // 4`` window bytes (a segment whose own
-    windows exceed that forms a group alone), one task each: a tile
-    builds its task's window table, so the cap bounds every table
-    whatever the trace's length spread.
+    windows exceed that forms a group alone), one task each: each task's
+    window table is alive from its first tile to its last, so the cap
+    bounds every table whatever the trace's length spread.
     """
     m = short[1].shape[1]
     cap = CHUNK_CELL_BUDGET // 4
     tasks = []
-    group: list[tuple[np.ndarray, np.ndarray]] = []
+    group: list[_Side] = []
     cells = 0
-    for indices, block in longs:
+    for indices, block, columns in longs:
         per_segment = (block.shape[1] - m + 1) * m
         start = 0
         while start < len(indices):
@@ -341,7 +387,9 @@ def _cross_tasks(
                 tasks.append(_cross_task(short, group))
                 group, cells = [], 0
             stop = min(len(indices), start + max(1, (cap - cells) // per_segment))
-            group.append((indices[start:stop], block[start:stop]))
+            group.append(
+                (indices[start:stop], block[start:stop], columns[start:stop])
+            )
             cells += (stop - start) * per_segment
             start = stop
     if group:
@@ -350,20 +398,36 @@ def _cross_tasks(
 
 
 def _cross_task(
-    short: tuple[np.ndarray, np.ndarray],
-    longs: list[tuple[np.ndarray, np.ndarray]],
-    table: WindowTable | None = None,
+    short: _Side, longs: list[_Side], table: WindowTable | None = None
 ) -> _BinTask:
     """One "cross" task of *short*'s rows against the rows of *longs*,
     bin after bin."""
+    parts = [columns for *_, columns in longs]
+    if all(isinstance(part, range) for part in parts):
+        # New bins lie side by side in the working layout, lengths
+        # ascending, which is the order *longs* lists them in.
+        columns = range(parts[0].start, parts[-1].stop)
+    else:
+        columns = np.concatenate(
+            [np.arange(p.start, p.stop) if isinstance(p, range) else p for p in parts]
+        )
     return _BinTask(
         "cross",
         short[1],
-        tuple(block for _, block in longs),
+        tuple(block for _, block, _ in longs),
         short[0],
-        np.concatenate([indices for indices, _ in longs]),
+        np.concatenate([indices for indices, *_ in longs]),
+        short[2],
+        columns,
         table,
     )
+
+
+def _working_order(new_bins: dict[int, tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The new segments' matrix indices in working-layout column order:
+    their bins side by side, lengths ascending."""
+    indices = [new_bins[length][0] for length in sorted(new_bins)]
+    return np.concatenate(indices) if indices else np.empty(0, dtype=np.intp)
 
 
 def _append_tasks(
@@ -381,30 +445,49 @@ def _append_tasks(
     against the new longer ones.  Old-vs-old cells already hold their
     final values and are never touched, which is what keeps concurrent
     tile writes disjoint from the live matrix view.  A batch build
-    passes no old bins and no *tables*, and its tiles build their
-    capped window tables (:func:`_cross_tasks`); an append passes its
-    kept *tables*, which build or extend each width's tables now
+    passes no old bins and no *tables*, and each of its "cross" tasks
+    builds its capped window table in its first tile
+    (:func:`_cross_tasks`); an append passes its kept *tables*, which
+    build or extend each width's tables now
     (:meth:`_KeptTables.cross_tasks`).  Every cell goes through the same
     kernel reduction either way, which makes an appended matrix
     bit-identical to a from-scratch build.
+
+    While the tiles run, the new segments' columns follow the **working
+    layout** (:func:`_working_order`): after the old segments' columns,
+    which keep their indices, the new bins lie side by side, lengths
+    ascending, so a new bin and any run of consecutive new longer bins
+    are one column range.  Rows keep the matrix order.
+    :func:`_compute_new_cells` puts the new columns back in segment order
+    after the tiles.
     """
+    old_count = sum(indices.size for indices, _ in old_bins.values())
+    old_sides = {n: (*old_bins[n], old_bins[n][0]) for n in old_bins}
+    new_sides = {}
+    start = old_count
+    for length in sorted(new_bins):
+        indices, block = new_bins[length]
+        new_sides[length] = (indices, block, range(start, start + indices.size))
+        start += indices.size
     tasks = []
     lengths = sorted(set(old_bins) | set(new_bins))
     for li, length in enumerate(lengths):
-        old = old_bins.get(length)
-        new = new_bins.get(length)
+        old = old_sides.get(length)
+        new = new_sides.get(length)
         longer = lengths[li + 1 :]
         if new:
-            tasks.append(_BinTask("same", new[1], (new[1],), new[0], new[0]))
+            tasks.append(_BinTask("same", new[1], (new[1],), new[0], new[0], new[2], new[2]))
         if new and old:
-            tasks.append(_BinTask("eqcross", new[1], (old[1],), new[0], old[0]))
+            tasks.append(
+                _BinTask("eqcross", new[1], (old[1],), new[0], old[0], new[2], old[2])
+            )
         every_longer = [
-            bins[n] for n in longer for bins in (old_bins, new_bins) if n in bins
+            sides[n] for n in longer for sides in (old_sides, new_sides) if n in sides
         ]
         if tables is None:  # a batch build: every bin is new
             tasks.extend(_cross_tasks(new, every_longer))
         else:
-            new_longer = [new_bins[n] for n in longer if n in new_bins]
+            new_longer = [new_sides[n] for n in longer if n in new_sides]
             tasks.extend(
                 tables.cross_tasks(length, old, new, new_longer, every_longer)
             )
@@ -517,17 +600,17 @@ class _KeptTables:
     def nbytes(self) -> int:
         return sum(table.nbytes for table in self._tables.values())
 
-    def _build(self, longs: list[tuple[np.ndarray, np.ndarray]], m: int) -> WindowTable:
+    def _build(self, longs: list[_Side], m: int) -> WindowTable:
         self.built += 1
-        return window_table([block for _, block in longs], m)
+        return window_table([block for _, block, _ in longs], m)
 
     def cross_tasks(
         self,
         m: int,
-        old: tuple[np.ndarray, np.ndarray] | None,
-        new: tuple[np.ndarray, np.ndarray] | None,
-        new_longer: list[tuple[np.ndarray, np.ndarray]],
-        every_longer: list[tuple[np.ndarray, np.ndarray]],
+        old: _Side | None,
+        new: _Side | None,
+        new_longer: list[_Side],
+        every_longer: list[_Side],
     ) -> list[_BinTask]:
         """The "cross" tasks of short width *m* in an append.
 
@@ -567,15 +650,16 @@ class _KeptTables:
 def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
     """The engine's work queue: ``(task, row_start, row_stop, cost)``.
 
-    Each task is sub-tiled along its rows so one tile's gather stays
-    inside the kernel's fixed temporary budget
-    (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`, ~160 MB of float64
-    cells; a "cross" row costs its group's window bytes), and a "cross"
-    tile takes at most :data:`CROSS_TILE_ROWS` rows.  Boundaries depend
-    only on the task shapes, never on the worker count, so the queue is
-    deterministic; *cost* estimates the tile's gather cells (for
-    "cross", as if no window repeated) and drives the threaded
-    longest-processing-time-first schedule.
+    Each task is sub-tiled along its rows into tiles of at most
+    :data:`TILE_ROWS` rows whose gather stays inside the kernel's fixed
+    temporary budget (:data:`repro.core.canberra.CHUNK_CELL_BUDGET`,
+    ~160 MB of float64 cells; a "cross" row costs its group's window
+    bytes), a task's tiles listed together in row order.  Boundaries
+    depend only on the task shapes, never on the worker count, so the
+    queue is deterministic; *cost* estimates the tile's gather cells (a
+    "same" tile's band, for "cross" as if no window repeated) and drives
+    the threaded longest-processing-time-first schedule.  Sets each
+    task's :attr:`_BinTask.pending` to its tile count.
     """
     tiles = []
     for task in tasks:
@@ -584,16 +668,15 @@ def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
             cells_per_row = max(1, task.window_cells)
         else:
             cells_per_row = max(1, len(task.cols) * m)
-        tile_rows = max(1, CHUNK_CELL_BUDGET // cells_per_row)
-        if task.kind == "cross":
-            tile_rows = min(tile_rows, CROSS_TILE_ROWS)
+        tile_rows = max(1, min(TILE_ROWS, CHUNK_CELL_BUDGET // cells_per_row))
         for start in range(0, rows, tile_rows):
             stop = min(rows, start + tile_rows)
-            if task.band:
+            if task.kind == "same":
                 cost = (stop - start) * (rows - start) * m
             else:
                 cost = (stop - start) * cells_per_row
             tiles.append((task, start, stop, cost))
+        task.pending = -(-rows // tile_rows)
     return tiles
 
 
@@ -602,19 +685,16 @@ def _bin_attributes(task: _BinTask, row_start: int, row_stop: int) -> dict:
 
     *cells* counts the matrix cells the tile writes: its rows' cells,
     plus their mirror for the kinds whose columns are other segments
-    (for a band tile, its rows from its first row on, plus the mirror of
-    the part right of its own rows).  *pairs* counts the distinct
-    segment pairs, giving a "same" tile the pairs of its rows with the
-    rows after them, so both sum exactly over a build's tiles (to
-    ``n * n`` cells and ``n * (n - 1) / 2`` pairs).
+    (for a "same" tile, its band — its rows from its first row on —
+    plus the mirror of the part right of its own rows).  *pairs* counts
+    the distinct segment pairs, giving a "same" tile the pairs of its
+    rows with the rows after them, so both sum exactly over a build's
+    tiles (to ``n * n`` cells and ``n * (n - 1) / 2`` pairs).
     """
     rows = row_stop - row_start
     if task.kind == "same":
         count = task.block_a.shape[0]
-        if task.band:
-            cells = rows * (2 * count - row_start - row_stop)
-        else:
-            cells = rows * count
+        cells = rows * (2 * count - row_start - row_stop)
         pairs = rows * (2 * count - row_start - row_stop - 1) // 2
     else:
         cells = 2 * rows * len(task.cols)
@@ -630,6 +710,20 @@ def _bin_attributes(task: _BinTask, row_start: int, row_stop: int) -> dict:
     }
 
 
+def _write(
+    values: np.ndarray, rows: np.ndarray, columns: range | np.ndarray, block
+) -> None:
+    """``values[rows[i], columns[j]] = block[i, j]``: a fancy row index
+    against a column slice where *columns* is a range, which copies
+    each row's run at once even from a transposed *block*, and a
+    broadcast scatter where it is an index array, which reads *block*
+    cell by cell, so from a contiguous copy."""
+    if isinstance(columns, range):
+        values[rows, columns.start : columns.stop] = block
+    else:
+        values[rows[:, np.newaxis], columns] = np.ascontiguousarray(block)
+
+
 def _compute_tile_into(
     values: np.ndarray,
     task: _BinTask,
@@ -642,30 +736,31 @@ def _compute_tile_into(
 
     The engine's unit of work, inline or on a worker thread.  Tiles of
     one build write disjoint cells of *values*, each cell once: a "same"
-    tile owns full rows of its equal-length bin (a band tile, its rows
-    from its first row on and the transpose of the part right of its
-    own rows), and an "eqcross" or "cross" tile owns its rows' cells
-    and their transposes, so concurrent workers never write the same
-    cell.  A "cross" tile of a build builds its task's window table
-    itself, so only in-flight tiles hold one (an append's tasks carry
-    theirs); it returns the table's ``windows`` and ``unique_windows``
-    counts for its ``matrix.bin`` span (other kinds return no counts).
-    The writes scatter through broadcast intp row and column indices.
+    tile owns its band of its equal-length bin (its rows from its first
+    row on) and the transpose of the part right of its own rows, and an
+    "eqcross" or "cross" tile owns its rows' cells and their
+    transposes, so concurrent workers never write the same cell.  Cells
+    go to the working layout's columns (:func:`_append_tasks`).  A
+    "cross" tile takes its task's window table (built by the first tile
+    that asks, dropped after the last) and returns the table's
+    ``windows`` and ``unique_windows`` counts for its ``matrix.bin``
+    span (other kinds return no counts).
     """
     table_counts = {}
-    first = row_start if task.band else 0
+    first = row_start if task.kind == "same" else 0
     if task.kind == "cross":
-        table = task.table
-        if table is None:
-            table = window_table(task.blocks_b, task.block_a.shape[1])
-        tile = cross_length_rows(
-            task.block_a,
-            table,
-            row_start,
-            row_stop,
-            penalty_factor=penalty_factor,
-            cells_budget=cells_budget,
-        )
+        try:
+            table = task.window_table()
+            tile = cross_length_rows(
+                task.block_a,
+                table,
+                row_start,
+                row_stop,
+                penalty_factor=penalty_factor,
+                cells_budget=cells_budget,
+            )
+        finally:
+            task.tile_done()
         table_counts = {
             "windows": table.index.size,
             "unique_windows": table.windows.shape[0],
@@ -678,15 +773,17 @@ def _compute_tile_into(
             row_stop,
             cells_budget=cells_budget,
         )
-    rows = task.rows[row_start:row_stop]
-    cols = task.cols[first:]
-    values[rows[:, np.newaxis], cols] = tile
-    if task.kind != "same" or task.band:
-        # A band tile's first columns are its own rows, written above.
-        # The transpose is copied first: the scatter then reads it row
-        # by row instead of one cache line per element.
-        skip = row_stop - row_start if task.band else 0
-        values[cols[skip:, np.newaxis], rows] = np.ascontiguousarray(tile[:, skip:].T)
+    _write(values, task.rows[row_start:row_stop], task.columns[first:], tile)
+    # The mirror: the column segments' rows at the row segments'
+    # columns.  A "same" tile's first columns are its own rows, written
+    # above.
+    skip = row_stop - row_start if task.kind == "same" else 0
+    _write(
+        values,
+        task.cols[first + skip :],
+        task.row_columns[row_start:row_stop],
+        tile[:, skip:].T,
+    )
     return table_counts
 
 
@@ -766,11 +863,12 @@ def _run_threaded(
 ) -> None:
     """Run the tile queue on a thread pool, writing into *values*.
 
-    Tiles are submitted longest-processing-time-first (by estimated
-    gather cells), so the big bins start immediately and the small ones
-    backfill — the classic LPT bound keeps the makespan within 4/3 of
-    optimal.  Workers share the uint8 blocks and the output matrix
-    zero-copy; the kernel's temporary budget is divided across workers
+    Tasks are submitted longest-processing-time-first (by their largest
+    tile's estimated gather cells), each task's tiles together, so the
+    big bins start immediately and the small ones backfill, and a
+    "cross" task's tiles share one window table while it is alive.
+    Workers share the uint8 blocks and the output matrix zero-copy; the
+    kernel's temporary budget is divided across workers
     (:func:`repro.core.membound.divide_bound`) so aggregate peak memory
     matches the inline run's.
 
@@ -779,8 +877,19 @@ def _run_threaded(
     the scheduler cancels every not-yet-started tile, drains the ones
     already running, and only then raises.
     """
-    # LPT: largest estimated tile first, index as deterministic tie-break.
-    order = sorted(range(len(tiles)), key=lambda i: (-tiles[i][3], i))
+    # LPT over tasks, by their largest estimated tile, with each task's
+    # tiles queued together in row order, so only about *workers*
+    # window tables are alive at once; ties keep the queue's order.
+    by_task: dict[_BinTask, list[int]] = {}
+    for i, tile in enumerate(tiles):
+        by_task.setdefault(tile[0], []).append(i)
+    order = [
+        i
+        for group in sorted(
+            by_task.values(), key=lambda group: -max(tiles[i][3] for i in group)
+        )
+        for i in group
+    ]
     cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers)
     tracer = get_tracer()
     futures = {}
@@ -839,7 +948,7 @@ def _run_threaded(
 def _compute_new_cells(
     values: np.ndarray,
     tasks: list[_BinTask],
-    old_count: int,
+    new_bins: dict[int, tuple[np.ndarray, np.ndarray]],
     penalty_factor: float,
     options: MatrixBuildOptions,
     span,
@@ -848,23 +957,31 @@ def _compute_new_cells(
 
     The single compute path behind :meth:`DissimilarityMatrix.build`
     (no old segments) and :meth:`AppendableMatrix.append`; *tasks* come
-    from :func:`_append_tasks`, and the new segments take the indices
-    from *old_count* on.  The tile queue runs on the thread pool when
+    from :func:`_append_tasks` over the *new_bins*, whose segments take
+    the last indices.  The tile queue runs on the thread pool when
     :func:`pool_workers` allows it for the tiles and their summed cost,
-    inline otherwise.  Sets where *values* live and the work counts on
-    the build's *span*; returns whether the pool ran.
+    inline otherwise; then one pass (:func:`permute_columns`) puts the
+    new columns, in the working layout while the tiles ran, back in
+    segment order.  Sets where *values* live and the work counts on the
+    build's *span*; returns whether the pool ran.
     """
     count = values.shape[0]
     tiles = _task_tiles(tasks)
-    workers = pool_workers(
-        options.effective_workers(), len(tiles), sum(tile[3] for tile in tiles)
-    )
+    resolved = options.effective_workers()
+    workers = pool_workers(resolved, len(tiles), sum(tile[3] for tile in tiles))
     threaded = workers > 1
     if threaded:
         _run_threaded(tiles, values, penalty_factor, workers)
         span.set(tiles=len(tiles))
     else:
         _run_inline(tiles, values, penalty_factor)
+    order = _working_order(new_bins)
+    old_count = count - order.size
+    if not np.array_equal(order, np.arange(old_count, count)):
+        # Column old_count + p holds new segment order[p].
+        place = np.empty(order.size, dtype=np.intp)
+        place[order - old_count] = np.arange(order.size)
+        permute_columns(values, place, old_count, resolved)
     span.set(
         storage=_storage(values),
         workers=workers,
@@ -873,6 +990,32 @@ def _compute_new_cells(
         pairs=count * (count - 1) // 2 - old_count * (old_count - 1) // 2,
     )
     return threaded
+
+
+def permute_columns(
+    values: np.ndarray, columns: np.ndarray, start: int = 0, workers: int = 1
+) -> None:
+    """``values[:, start:] = values[:, start:][:, columns]``, in place.
+
+    One pass over row blocks of at least :data:`SCAN_BLOCK_ROWS` rows
+    (run through :func:`run_blocks` on the :func:`pool_workers` rule),
+    each taking its rows' columns into a copy of at most
+    :data:`PERMUTE_STEP_BYTES` at a time and writing it back, so the
+    pass holds one such copy per thread on top of *values*.  Restores
+    segment order after a build's tiles, and permutes the matrix cache's
+    entries in and out of canonical order after one row ``take``.
+    """
+    rows = values.shape[0]
+    step = max(1, PERMUTE_STEP_BYTES // (columns.size * values.dtype.itemsize))
+    height = max(step, SCAN_BLOCK_ROWS)
+    blocks = [(begin, min(rows, begin + height)) for begin in range(0, rows, height)]
+
+    def permute(block: tuple[int, int]) -> None:
+        for begin in range(*block, step):
+            stop = min(block[1], begin + step)
+            values[begin:stop, start:] = values[begin:stop, start:].take(columns, axis=1)
+
+    run_blocks(permute, blocks, pool_workers(workers, len(blocks), rows * columns.size))
 
 
 def pool_workers(workers: int, blocks: int, cells: int) -> int:
@@ -1021,6 +1164,15 @@ def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
         ) from error
 
 
+def _permuted(values: np.ndarray, order: np.ndarray, workers: int) -> np.ndarray:
+    """``values[order][:, order]`` with one n² copy: a row ``take``,
+    then its columns permuted in place (:func:`permute_columns`), so
+    *values* and the result are all it holds beyond one row block."""
+    permuted = values.take(order, axis=0)
+    permute_columns(permuted, order, 0, workers)
+    return permuted
+
+
 def _storage(values: np.ndarray) -> str:
     """Where *values* live: :func:`_allocate_values` may fall back to RAM."""
     return STORAGE_MEMMAP if isinstance(values, np.memmap) else STORAGE_RAM
@@ -1080,9 +1232,9 @@ class DissimilarityMatrix:
                 if canonical is not None and canonical.shape[0] == len(segments):
                     # Stored in canonical (byte-sorted) order; permute back
                     # to the caller's segment order.
-                    rank = np.empty(len(segments), dtype=np.int64)
+                    rank = np.empty(len(segments), dtype=np.intp)
                     rank[order] = np.arange(len(segments))
-                    values = canonical.take(rank, axis=0).take(rank, axis=1)
+                    values = _permuted(canonical, rank, options.effective_workers())
                     span.set(
                         backend="cache",
                         cache_hit=True,
@@ -1094,14 +1246,20 @@ class DissimilarityMatrix:
                     return cls(segments=segments, values=values)
 
             values = _allocate_values(len(segments), options.dtype, options.storage)
-            tasks = _append_tasks({}, _length_bins(segments))
+            bins = _length_bins(segments)
+            tasks = _append_tasks({}, bins)
             threaded = _compute_new_cells(
-                values, tasks, 0, penalty_factor, options, span
+                values, tasks, bins, penalty_factor, options, span
             )
-            span.set(backend="parallel" if threaded else "serial")
+            span.set(
+                backend="parallel" if threaded else "serial",
+                tables_built=sum(task.built for task in tasks),
+            )
 
             if order is not None:
-                canonical = values.take(order, axis=0).take(order, axis=1)
+                canonical = _permuted(
+                    values, np.array(order, dtype=np.intp), options.effective_workers()
+                )
                 matrixcache.store_matrix(cache_key, canonical, options.cache_dir)
             return cls(segments=segments, values=values)
 
@@ -1297,7 +1455,7 @@ class AppendableMatrix:
             try:
                 tasks = _append_tasks(self._bins, new_bins, tables)
                 _compute_new_cells(
-                    values, tasks, old_count, self.penalty_factor, options, span
+                    values, tasks, new_bins, self.penalty_factor, options, span
                 )
             except BaseException:
                 # The tables may already hold segments this append
@@ -1400,6 +1558,9 @@ class AppendableMatrix:
             self.penalty_factor,
             dtype=self.options.dtype,
         )
-        values = self._matrix.values
-        canonical = values.take(order, axis=0).take(order, axis=1)
+        canonical = _permuted(
+            self._matrix.values,
+            np.array(order, dtype=np.intp),
+            self.options.effective_workers(),
+        )
         matrixcache.store_matrix(key, canonical, cache_dir or self.options.cache_dir)

@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from repro.errors import CacheError
 from repro.obs.metrics import Counter, get_metrics
@@ -196,6 +197,29 @@ def load_matrix(key: str, cache_dir: str | Path | None = None) -> np.ndarray | N
     return values
 
 
+def _write_npz(handle, values: np.ndarray) -> None:
+    """The ``np.savez(handle, values=..., checksum=...)`` archive, with
+    the values' ``.npy`` payload written from the array's own buffer:
+    ``np.savez`` copies it out in 16 MiB chunks, which would add half
+    an SMB-240 matrix to the peak of every store.
+
+    Uncompressed on purpose: dissimilarity values are near-incompressible
+    float64 noise, and warm-cache loads should cost a read, not a
+    decompress.
+    """
+    values = np.ascontiguousarray(values)
+    with zipfile.ZipFile(
+        handle, mode="w", compression=zipfile.ZIP_STORED, allowZip64=True
+    ) as archive:
+        with archive.open("values.npy", "w", force_zip64=True) as entry:
+            npy_format.write_array_header_1_0(
+                entry, npy_format.header_data_from_array_1_0(values)
+            )
+            entry.write(values.data)
+        with archive.open("checksum.npy", "w", force_zip64=True) as entry:
+            npy_format.write_array(entry, np.array(matrix_checksum(values)))
+
+
 def store_matrix(
     key: str, values: np.ndarray, cache_dir: str | Path | None = None
 ) -> Path | None:
@@ -208,14 +232,7 @@ def store_matrix(
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                # Uncompressed on purpose: dissimilarity values are
-                # near-incompressible float64 noise, and warm-cache loads
-                # should cost a read, not a decompress.
-                np.savez(
-                    handle,
-                    values=values,
-                    checksum=np.array(matrix_checksum(values)),
-                )
+                _write_npz(handle, values)
             os.replace(temp_name, path)
         except BaseException:
             try:

@@ -154,6 +154,37 @@ class TestAppendBitIdentity:
             == np.asarray(batch.values).tobytes()
         )
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.integers(1, 199), min_size=1, max_size=4, unique=True),
+        st.sampled_from([SERIAL, THREADED]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_interleaved_appends_match_batch_and_keep_old_views(
+        self, seed, cuts, options
+    ):
+        # A 150-row bin of 9-byte segments (band tiles, and "eqcross"
+        # rectangles of more than one tile) among ragged 1-20-byte ones,
+        # shuffled: every append brings interleaved lengths, whose new
+        # columns the working layout reorders while its tiles run.
+        rng = np.random.default_rng(seed)
+        datas = {bytes(rng.integers(0, 256, 9, dtype=np.uint8)) for _ in range(150)}
+        datas |= {bytes(rng.integers(0, 256, n, dtype=np.uint8)) for n in rng.integers(1, 21, 50)}
+        datas = sorted(datas)
+        rng.shuffle(datas)
+        segments = distinct_segments(datas)
+        edges = [0, *sorted(cuts), len(segments)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
+            appendable = AppendableMatrix(segments[: edges[1]], options=options)
+            for start, stop in zip(edges[1:], edges[2:]):
+                view = appendable.matrix.values
+                before = view.tobytes()
+                appendable.append(segments[start:stop])
+                assert view.tobytes() == before
+        batch = DissimilarityMatrix.build(segments, options=SERIAL)
+        assert appendable.matrix.values.tobytes() == batch.values.tobytes()
+
     def test_old_views_stay_valid_across_growth(self):
         segments = distinct_segments([bytes([i, i + 1, i + 2]) for i in range(30)])
         appendable = AppendableMatrix(segments[:10], options=SERIAL)

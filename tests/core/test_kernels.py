@@ -14,6 +14,7 @@ the kernel rewrite changed the numerics and every downstream stage
 """
 
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,8 @@ from repro.core.canberra import (
 )
 from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, UniqueSegment, unique_segments
+from repro.errors import ComputeError
+from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.tracer import Tracer, use_tracer
 
 
@@ -507,3 +510,183 @@ class TestWindowTableMemory:
         finally:
             tracemalloc.stop()
         assert peak - matrix.values.nbytes <= 4 * budget * 8
+
+
+def layout_datas(seed, width, rows):
+    """A bin of *rows* random *width*-byte segments (more than one tile
+    of ``TILE_ROWS``) plus ragged segments of 1-20 bytes, several of
+    them alone at their length, shuffled so that lengths interleave."""
+    rng = np.random.default_rng(seed)
+    datas = set()
+    while len(datas) < rows:
+        datas.add(bytes(rng.integers(0, 256, width, dtype=np.uint8)))
+    for length in rng.integers(1, 21, size=40):
+        values = int(rng.choice([2, 256]))
+        datas.add(bytes(rng.integers(0, values, length, dtype=np.uint8)))
+    datas = sorted(datas)
+    rng.shuffle(datas)
+    return datas
+
+
+class TestWorkingLayout:
+    """Tiles write new columns in the working layout (bins side by side,
+    lengths ascending) through column slices, every equal-length bin
+    runs as bands of at most ``TILE_ROWS`` rows, and one pass puts the
+    columns back in segment order: the bytes stay the oracle's."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([3, 9]),
+        rows=st.integers(129, 150),
+    )
+    def test_build_returns_the_oracle_bytes(self, seed, width, rows):
+        datas = layout_datas(seed, width, rows)
+        assert len({len(d) for d in datas}) > 5
+        expected = reference(datas)
+        assert_same_bytes(build(datas, workers=0).values, expected)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
+            threaded, _ = traced_build(datas, 2)
+        assert_same_bytes(threaded.values, expected)
+        narrow = build(datas, workers=0, dtype="float32")
+        assert_same_bytes(narrow.values, expected.astype(np.float32))
+        for dtype, cast in (("float64", expected), ("float32", narrow.values)):
+            stored = build(datas, workers=0, dtype=dtype, storage="memmap")
+            assert isinstance(stored.values, np.memmap)
+            assert_same_bytes(np.asarray(stored.values), cast)
+
+    @pytest.mark.parametrize("width", [3, 9])
+    def test_band_tiles_write_every_cell_once(self, width):
+        datas = layout_datas(7, width, 300)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            matrix = build(datas, workers=0)
+        tiles = tracer.find("matrix.bin")
+        same = [
+            span.attributes for span in tiles if span.attributes["len_a"] == width
+            and span.attributes["kind"] == "same"
+        ]
+        assert len(same) == 3  # 300 rows in tiles of 128, 128 and 44
+        for attributes in same:
+            start, _, stop = attributes["tile"].partition(":")
+            assert int(stop) - int(start) <= matrix_mod.TILE_ROWS
+        assert sum(span.attributes["cells"] for span in tiles) == len(datas) ** 2
+        assert_same_bytes(matrix.values, reference(datas))
+
+    def test_tasks_carry_column_ranges_of_the_working_layout(self):
+        datas = layout_datas(3, 9, 140)
+        bins = matrix_mod._length_bins(as_unique_segments(datas))
+        tasks = matrix_mod._append_tasks({}, bins)
+        order = matrix_mod._working_order(bins)
+        lengths = [len(d) for d in (as_unique_segments(datas)[i].data for i in order)]
+        assert lengths == sorted(lengths)
+        for task in tasks:
+            # Every column range holds exactly the task's column segments.
+            assert isinstance(task.columns, range)
+            assert np.array_equal(order[task.columns.start : task.columns.stop], task.cols)
+            assert np.array_equal(
+                order[task.row_columns.start : task.row_columns.stop], task.rows
+            )
+
+
+class TestTaskTables:
+    """Each "cross" task builds its window table once, in the first of
+    its tiles to run, for all of them."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_table_per_cross_task(self, thread_pool_always, monkeypatch, workers):
+        monkeypatch.setattr(matrix_mod, "TILE_ROWS", 4)
+        built = []
+
+        def counted(blocks, m):
+            built.append(id(blocks))
+            return window_table(blocks, m)
+
+        monkeypatch.setattr(matrix_mod, "window_table", counted)
+        datas = make_repetitive_datas(120, seed=5, max_length=20)
+        segments = as_unique_segments(datas)
+        tasks = matrix_mod._append_tasks({}, matrix_mod._length_bins(segments))
+        cross = sum(task.kind == "cross" for task in tasks)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            matrix = build(datas, workers=workers)
+        (span,) = tracer.find("matrix.build")
+        cross_tiles = [s for s in tracer.find("matrix.bin") if s.attributes["kind"] == "cross"]
+        assert len(cross_tiles) > cross
+        assert span.attributes["tables_built"] == cross == len(built) == len(set(built))
+        assert_same_bytes(matrix.values, reference(datas))
+
+    def test_failed_table_fails_the_bin_without_a_rebuild(
+        self, thread_pool_always, monkeypatch
+    ):
+        # One cross task of ten two-row tiles, queued first: its first
+        # tile's table build fails slowly, while its second tile, on the
+        # other worker, waits for the table.
+        monkeypatch.setattr(matrix_mod, "TILE_ROWS", 2)
+        rng = np.random.default_rng(8)
+        datas = [bytes([i, 255 - i]) for i in range(20)]
+        datas += [bytes(rng.integers(0, 256, 10, dtype=np.uint8)) for _ in range(5)]
+        built = []
+
+        def failing(blocks, m):
+            built.append(id(blocks))
+            time.sleep(0.05)
+            raise RuntimeError("injected table fault")
+
+        monkeypatch.setattr(matrix_mod, "window_table", failing)
+        registry = MetricsRegistry()
+        with use_metrics(registry), pytest.raises(ComputeError) as exc:
+            build(datas, workers=2)
+        message = str(exc.value)
+        assert "failed in the threaded build" in message
+        assert "injected table fault" in message
+        assert built == built[:1]
+        # The waiting tile (and any the workers took before the queue
+        # was cancelled) raised too, instead of building the table.
+        counter = registry.counter(matrix_mod.FAULTS_METRIC)
+        assert counter.value(kind="bin_error") >= 2
+
+    def test_every_colliding_key_stays_exact(self, monkeypatch):
+        # Wide windows compare bytes between sorted neighbours whose
+        # keys are equal; with every key equal, no two different windows
+        # may share a row.
+        monkeypatch.setattr(
+            "repro.core.canberra._window_keys",
+            lambda data, starts, m: np.zeros(starts.size, dtype=np.uint64),
+        )
+        rng = np.random.default_rng(21)
+        for m in (9, 12, 17):
+            longs = [uint8_block(rng, 5, m + e, values=2) for e in (1, 3, 6)]
+            table = window_table(longs, m)
+            every = np.concatenate(
+                [
+                    np.lib.stride_tricks.sliding_window_view(long, m, axis=1).reshape(-1, m)
+                    for long in longs
+                ]
+            )
+            assert np.array_equal(table.windows[table.index], every)
+            short = uint8_block(rng, 3, m)
+            assert_same_bytes(
+                cross_length_rows(short, table, 0, 3), cross_reference(short, longs)
+            )
+
+
+class TestBandMemory:
+    def test_a_large_equal_length_bin_builds_in_small_tiles(self):
+        # 1,400 three-byte segments: one bin, 11 band tiles of at most
+        # 128 rows.  A full-square tile held about 3 x 15.7 MB of
+        # temporaries above the matrix.
+        rng = np.random.default_rng(4)
+        datas = set()
+        while len(datas) < 1400:
+            datas.add(bytes(rng.integers(0, 256, 3, dtype=np.uint8)))
+        segments = [UniqueSegment(data=d) for d in datas]
+        options = MatrixBuildOptions(workers=0, use_cache=False)
+        tracemalloc.start()
+        try:
+            matrix = DissimilarityMatrix.build(segments, options=options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix.values.nbytes <= 8 * 2**20

@@ -1,13 +1,19 @@
+import io
+import tracemalloc
+import zipfile
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from repro.core.canberra import canberra_dissimilarity
+from repro.core import matrixcache
+from repro.core.canberra import DEFAULT_PENALTY_FACTOR, canberra_dissimilarity
 from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
 from repro.core.segments import Segment, UniqueSegment, unique_segments
 from repro.errors import ComputeError
 from repro.obs.tracer import Tracer, use_tracer
+from repro.protocols import get_model
+from repro.segmenters import NemesysSegmenter
 
 
 def build(datas, **options):
@@ -25,6 +31,15 @@ def traced(datas, **options):
     tracer = Tracer()
     with use_tracer(tracer):
         matrix = build(datas, **options)
+    (span,) = tracer.find("matrix.build")
+    return matrix, span.attributes
+
+
+def traced_segments(segments, options):
+    """A build over *segments* and its ``matrix.build`` span's attributes."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        matrix = DissimilarityMatrix.build(segments, options=options)
     (span,) = tracer.find("matrix.build")
     return matrix, span.attributes
 
@@ -189,3 +204,71 @@ class TestUnallocatableMatrix:
             grown._ensure_capacity(self.COUNT)
         self.assert_names_the_way_out(exc.value)
         assert len(grown) == 4
+
+
+@pytest.fixture(scope="module")
+def smb_segments():
+    """The NEMESYS unique segments of SMB-240 (seed 924): a 28.6 MiB matrix."""
+    trace = get_model("smb").generate(240, seed=924).preprocess()
+    return unique_segments(NemesysSegmenter().segment(trace))
+
+
+class TestCacheMemory:
+    """The cache permutes a matrix in and out of canonical order with one
+    n² copy (a row ``take``, then its columns in place), so a cold or a
+    warm build holds about two matrices, not three."""
+
+    def peak_and_matrix(self, segments, options):
+        tracemalloc.start()
+        try:
+            matrix, record = traced_segments(segments, options)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, matrix, record
+
+    def test_cold_and_warm_builds_peak_near_two_matrices(self, smb_segments, tmp_path):
+        options = MatrixBuildOptions(workers=0, use_cache=True, cache_dir=tmp_path)
+        cold_peak, cold, record = self.peak_and_matrix(smb_segments, options)
+        assert not record["cache_hit"]
+        warm_peak, warm, record = self.peak_and_matrix(smb_segments, options)
+        assert record["cache_hit"]
+        assert warm.values.tobytes() == cold.values.tobytes()
+        assert cold_peak <= 2.2 * cold.values.nbytes
+        assert warm_peak <= 2.2 * cold.values.nbytes
+
+    def test_stored_entry_is_the_canonical_matrix(self, tmp_path):
+        segments = unique_segments(
+            [Segment(message_index=i, offset=0, data=d) for i, d in enumerate(ladder())]
+        )
+        segments = segments[::-1] + [UniqueSegment(data=b"\x07\x00")]
+        for dtype in ("float64", "float32"):
+            options = MatrixBuildOptions(
+                workers=0, use_cache=True, cache_dir=tmp_path, dtype=dtype
+            )
+            matrix, record = traced_segments(segments, options)
+            key, order = matrixcache.canonical_order_key(
+                [s.data for s in segments], DEFAULT_PENALTY_FACTOR, dtype=dtype
+            )
+            assert record["cache_key"] == key
+            with np.load(matrixcache.cache_path(key, tmp_path)) as archive:
+                stored = archive["values"]
+                checksum = str(archive["checksum"])
+            assert stored.dtype == np.dtype(dtype)
+            expected = matrix.values[np.ix_(order, order)]
+            assert stored.tobytes() == expected.tobytes()
+            assert checksum == matrixcache.matrix_checksum(expected)
+
+    def test_archive_members_are_the_savez_bytes(self, tmp_path):
+        values = np.random.default_rng(2).random((37, 37))
+        for dtype in (np.float64, np.float32):
+            array = values.astype(dtype)
+            ours, theirs = io.BytesIO(), io.BytesIO()
+            matrixcache._write_npz(ours, array)
+            np.savez(
+                theirs, values=array, checksum=np.array(matrixcache.matrix_checksum(array))
+            )
+            with zipfile.ZipFile(ours) as mine, zipfile.ZipFile(theirs) as numpys:
+                assert mine.namelist() == numpys.namelist()
+                for name in numpys.namelist():
+                    assert mine.read(name) == numpys.read(name)
