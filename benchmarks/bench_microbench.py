@@ -25,7 +25,11 @@ from repro.core import matrix as matrix_mod
 from repro.core.autoconf import configure
 from repro.core.canberra import dissimilarity_matrix_reference
 from repro.core.dbscan import dbscan
-from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import (
+    DissimilarityMatrix,
+    MatrixBuildOptions,
+    knn_distances_reference,
+)
 from repro.core.matrixcache import cache_counters, cache_path, matrix_checksum
 from repro.core.segments import Segment, unique_segments
 from repro.obs.tracer import Tracer, use_tracer
@@ -101,7 +105,7 @@ def test_matrix_build(benchmark, ntp_segments, matrix_options):
 
 
 def test_knn_distances(benchmark, ntp_matrix):
-    knn = benchmark(ntp_matrix.knn_distances, 2)
+    knn = benchmark(knn_distances_reference, ntp_matrix.values, 2)
     assert knn.shape == (len(ntp_matrix),)
 
 

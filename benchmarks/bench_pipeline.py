@@ -45,7 +45,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.autoconf import configure  # noqa: E402
 from repro.core.dbscan import dbscan, dbscan_reference  # noqa: E402
-from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions  # noqa: E402
+from repro.core.matrix import (  # noqa: E402
+    DissimilarityMatrix,
+    MatrixBuildOptions,
+    knn_distances_reference,
+)
 from repro.core.membound import DEFAULT_MEMORY_BOUND_BYTES  # noqa: E402
 from repro.core.refinement import refine  # noqa: E402
 from repro.core.segments import Segment, unique_segments  # noqa: E402
@@ -149,7 +153,10 @@ def bench_size(n: int, memory_bound_bytes: int) -> dict:
     # --- autoconf: legacy per-k full sorts vs one partition pass -------
     if count <= MAX_LEGACY_SIZE:
         _, legacy_seconds = timed(
-            lambda: [matrix.knn_distances(k) for k in range(2, k_hi + 1)]
+            lambda: [
+                knn_distances_reference(matrix.values, k)
+                for k in range(2, k_hi + 1)
+            ]
         )
         record["seconds"]["knn_legacy"] = round(legacy_seconds, 4)
     matrix._knn_columns = None

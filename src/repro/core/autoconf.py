@@ -134,7 +134,7 @@ def _configure(
     # matrix caches it, so the Section III-E retrims that re-enter here
     # with a trim_at reuse the columns instead of re-scanning O(n²)
     # values per k).  Column k-1 is bit-identical to the per-k
-    # full-sort reference ``matrix.knn_distances(k)``.
+    # full-sort reference :func:`repro.core.matrix.knn_distances_reference`.
     knn_columns = matrix.knn_distances_all(k_hi, memory_bound_bytes, workers)
     best: tuple[float, int, Ecdf, np.ndarray, np.ndarray] | None = None
     for k in range(2, k_hi + 1):

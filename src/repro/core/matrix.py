@@ -30,9 +30,10 @@ whose longer segments a build caps at ``CHUNK_CELL_BUDGET // 4`` window
 bytes, since each task's table lives from its first tile to its last.
 It sub-tiles every task along its rows into tiles of at most
 :data:`TILE_ROWS` rows inside the kernel's ~160 MB temporary budget,
-and runs the tiles either inline — one worker, one tile, or fewer
-estimated gather cells than :data:`THREAD_POOL_MIN_CELLS` — or
-longest-processing-time-first, each task's tiles together, on a
+and runs the tiles longest-processing-time-first, each task's tiles
+together, through the matrix's one runner (:func:`run_blocks`):
+inline — one worker, one tile, or fewer estimated gather cells than
+:data:`THREAD_POOL_MIN_CELLS` — or on a
 :class:`concurrent.futures.ThreadPoolExecutor`.  The numpy LUT gathers
 release the GIL, so worker threads share the uint8 blocks and the
 output matrix (RAM or memmap) zero-copy: each tile is written straight
@@ -55,7 +56,7 @@ of rebuilding it in every tile.
 
 The post-matrix row scans (the k-NN selection here, DBSCAN's
 ε-adjacency, refinement's merge scan) run on the same pool rule
-(:func:`pool_workers`) through one runner (:func:`run_blocks`): row
+(:func:`pool_workers`) through the same runner: row
 blocks of at most :data:`SCAN_BLOCK_ROWS` rows (the inline ε-adjacency
 excepted), each writing or returning only its own rows' results, so a
 scan's output does not depend on whether its blocks ran inline or on
@@ -67,9 +68,11 @@ short-circuits the whole computation for a previously seen segment set
 (:func:`_permuted`).  The ``matrix.build`` / ``matrix.append`` span is the
 one record of a build: which path ran, where the values live, how much
 work it did and, like every other layer's span, how long it took.
-Worker threads are the one place that times its own work: a thread
-cannot reach the caller's tracer, so each tile measures itself and the
-main thread attaches it as a ``matrix.bin`` span.
+Tiles are the one place that times its own work: a worker thread
+cannot reach the caller's tracer or metrics registry, so every tile,
+inline or threaded, measures itself, and the calling thread records
+the finished ones as closed ``matrix.bin`` spans and counts the failed
+ones.
 """
 
 from __future__ import annotations
@@ -80,12 +83,7 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    ThreadPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -657,8 +655,9 @@ def _task_tiles(tasks: list[_BinTask]) -> list[tuple[_BinTask, int, int, int]]:
     bytes), a task's tiles listed together in row order.  Boundaries
     depend only on the task shapes, never on the worker count, so the
     queue is deterministic; *cost* estimates the tile's gather cells (a
-    "same" tile's band, for "cross" as if no window repeated) and drives
-    the threaded longest-processing-time-first schedule.  Sets each
+    "same" tile's band, for "cross" as if no window repeated), picks
+    inline or threaded (:func:`pool_workers`) and orders the
+    longest-processing-time-first run (:func:`_run_tiles`).  Sets each
     task's :attr:`_BinTask.pending` to its tile count.
     """
     tiles = []
@@ -800,149 +799,82 @@ def _bin_error(
     )
 
 
-def _run_tile(
-    values: np.ndarray,
-    tile: tuple[_BinTask, int, int, int],
-    penalty_factor: float,
-    cells_budget: int,
-    enqueued: float,
-) -> dict:
-    """Thread worker wrapper: compute + measure one tile.
-
-    Returns the observability record the main thread turns into a
-    ``matrix.bin`` span — workers never touch the tracer or metrics
-    registry themselves (both are bound via :mod:`contextvars`, which
-    executor threads do not inherit, and neither is thread-safe).
-    """
-    task, row_start, row_stop, _ = tile
-    started = time.perf_counter()
-    started_unix = time.time()
-    table_counts = _compute_tile_into(
-        values, task, row_start, row_stop, penalty_factor, cells_budget
-    )
-    return {
-        "worker": threading.current_thread().name,
-        "queue_seconds": started - enqueued,
-        "wall_seconds": time.perf_counter() - started,
-        "started_unix": started_unix,
-        "table_counts": table_counts,
-    }
-
-
-def _run_inline(
-    tiles: list[tuple[_BinTask, int, int, int]],
-    values: np.ndarray,
-    penalty_factor: float,
-) -> None:
-    """Run the tile queue in order on the calling thread.
-
-    Each tile gets a ``matrix.bin`` child span; a tile that raises
-    fails the build with the same :class:`ComputeError` the threaded
-    scheduler raises, and the tiles after it are never started.
-    """
-    tracer = get_tracer()
-    for position, tile in enumerate(tiles):
-        task, row_start, row_stop, _ = tile
-        with tracer.span("matrix.bin", **_bin_attributes(*tile[:3])) as span:
-            try:
-                table_counts = _compute_tile_into(
-                    values, task, row_start, row_stop, penalty_factor, CHUNK_CELL_BUDGET
-                )
-            except Exception as error:
-                _count_fault("bin_error")
-                drained = len(tiles) - position - 1
-                raise _bin_error(tile, "inline", drained, error) from error
-            span.set(**table_counts)
-
-
-def _run_threaded(
+def _run_tiles(
     tiles: list[tuple[_BinTask, int, int, int]],
     values: np.ndarray,
     penalty_factor: float,
     workers: int,
 ) -> None:
-    """Run the tile queue on a thread pool, writing into *values*.
+    """Run the tile queue through :func:`run_blocks` on *workers* threads.
 
-    Tasks are submitted longest-processing-time-first (by their largest
-    tile's estimated gather cells), each task's tiles together, so the
-    big bins start immediately and the small ones backfill, and a
-    "cross" task's tiles share one window table while it is alive.
-    Workers share the uint8 blocks and the output matrix zero-copy; the
-    kernel's temporary budget is divided across workers
-    (:func:`repro.core.membound.divide_bound`) so aggregate peak memory
-    matches the inline run's.
+    Tasks run longest-processing-time-first (by their largest tile's
+    estimated gather cells), each task's tiles together in row order, so
+    the big bins start first, the small ones backfill and only about
+    *workers* window tables are alive at once.  The kernel's temporary
+    budget is divided across the workers
+    (:func:`repro.core.membound.divide_bound`), so their aggregate peak
+    memory matches an inline run's.
 
-    A tile that raises fails the whole build with a
-    :class:`ComputeError` naming its bin: threads cannot be killed, so
-    the scheduler cancels every not-yet-started tile, drains the ones
-    already running, and only then raises.
+    Each tile times itself and files its outcome under its queue
+    position.  Only then does the calling thread record a closed
+    ``matrix.bin`` span for every tile that finished and count every
+    failed one: a worker thread cannot reach the caller's tracer or
+    metrics registry (both are bound through :mod:`contextvars`, and
+    neither is thread-safe).  A failed tile fails the build with one
+    :class:`ComputeError` naming the first failed tile's bin and the
+    tiles never started.
     """
-    # LPT over tasks, by their largest estimated tile, with each task's
-    # tiles queued together in row order, so only about *workers*
-    # window tables are alive at once; ties keep the queue's order.
-    by_task: dict[_BinTask, list[int]] = {}
-    for i, tile in enumerate(tiles):
-        by_task.setdefault(tile[0], []).append(i)
-    order = [
-        i
-        for group in sorted(
-            by_task.values(), key=lambda group: -max(tiles[i][3] for i in group)
-        )
-        for i in group
-    ]
+    largest: dict[_BinTask, int] = {}
+    for task, *_, cost in tiles:
+        largest[task] = max(largest.get(task, 0), cost)
+    # A stable sort: each task's tiles stay together, in row order, and
+    # ties keep the queue's order.
+    queue = sorted(tiles, key=lambda tile: -largest[tile[0]])
+    threaded = workers > 1
     cells_budget = divide_bound(CHUNK_CELL_BUDGET, workers)
-    tracer = get_tracer()
-    futures = {}
-    failure: tuple[tuple[_BinTask, int, int, int], Exception] | None = None
-    drained = 0
-    executor = ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-matrix"
-    )
-    try:
-        for i in order:
-            tile = tiles[i]
-            futures[
-                executor.submit(
-                    _run_tile,
-                    values,
-                    tile,
-                    penalty_factor,
-                    cells_budget,
-                    time.perf_counter(),
-                )
-            ] = tile
-        for future in as_completed(futures):
-            tile = futures[future]
-            if future.cancelled():
-                # CancelledError is a BaseException; count the tile as
-                # drained instead of letting result() raise it.
-                drained += 1
-                continue
-            try:
-                record = future.result()
-            except Exception as error:
-                _count_fault("bin_error")
-                if failure is None:
-                    failure = (tile, error)
-                    # Threads cannot be killed: cancel everything still
-                    # queued, let in-flight tiles finish, then raise.
-                    for pending in futures:
-                        pending.cancel()
-                continue
-            tracer.record(
-                "matrix.bin",
-                wall_seconds=record["wall_seconds"],
-                started_unix=record["started_unix"],
-                worker=record["worker"],
-                queue_seconds=round(record["queue_seconds"], 6),
-                **_bin_attributes(*tile[:3]),
-                **record["table_counts"],
+    outcomes: list[dict | Exception | None] = [None] * len(queue)
+
+    def run(position: int) -> None:
+        task, row_start, row_stop, _ = queue[position]
+        started = time.perf_counter()
+        started_unix = time.time()
+        try:
+            table_counts = _compute_tile_into(
+                values, task, row_start, row_stop, penalty_factor, cells_budget
             )
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+        except Exception as error:
+            outcomes[position] = error
+            raise
+        outcome = {
+            "wall_seconds": time.perf_counter() - started,
+            "started_unix": started_unix,
+            **table_counts,
+        }
+        if threaded:
+            outcome["worker"] = threading.current_thread().name
+            outcome["queue_seconds"] = round(started - enqueued, 6)
+        outcomes[position] = outcome
+
+    enqueued = time.perf_counter()
+    try:
+        run_blocks(run, range(len(queue)), workers)
+    except Exception:
+        # Every failed tile filed its error in *outcomes*; an error no
+        # tile filed (a thread that could not start) is raised as it is.
+        if not any(isinstance(outcome, Exception) for outcome in outcomes):
+            raise
+    tracer = get_tracer()
+    failure = None
+    for tile, outcome in zip(queue, outcomes):
+        if isinstance(outcome, dict):
+            tracer.record("matrix.bin", **_bin_attributes(*tile[:3]), **outcome)
+        elif outcome is not None:
+            _count_fault("bin_error")
+            failure = failure or (tile, outcome)
     if failure is not None:
         tile, error = failure
-        raise _bin_error(tile, "threaded", drained, error) from error
+        mode = "threaded" if threaded else "inline"
+        raise _bin_error(tile, mode, outcomes.count(None), error) from error
 
 
 def _compute_new_cells(
@@ -958,9 +890,10 @@ def _compute_new_cells(
     The single compute path behind :meth:`DissimilarityMatrix.build`
     (no old segments) and :meth:`AppendableMatrix.append`; *tasks* come
     from :func:`_append_tasks` over the *new_bins*, whose segments take
-    the last indices.  The tile queue runs on the thread pool when
-    :func:`pool_workers` allows it for the tiles and their summed cost,
-    inline otherwise; then one pass (:func:`permute_columns`) puts the
+    the last indices.  The tile queue runs (:func:`_run_tiles`) on the
+    thread pool when :func:`pool_workers` allows it for the tiles and
+    their summed cost, inline otherwise; then one pass
+    (:func:`permute_columns`) puts the
     new columns, in the working layout while the tiles ran, back in
     segment order.  Sets where *values* live and the work counts on the
     build's *span*; returns whether the pool ran.
@@ -969,12 +902,10 @@ def _compute_new_cells(
     tiles = _task_tiles(tasks)
     resolved = options.effective_workers()
     workers = pool_workers(resolved, len(tiles), sum(tile[3] for tile in tiles))
+    _run_tiles(tiles, values, penalty_factor, workers)
     threaded = workers > 1
     if threaded:
-        _run_threaded(tiles, values, penalty_factor, workers)
         span.set(tiles=len(tiles))
-    else:
-        _run_inline(tiles, values, penalty_factor)
     order = _working_order(new_bins)
     old_count = count - order.size
     if not np.array_equal(order, np.arange(old_count, count)):
@@ -1005,6 +936,8 @@ def permute_columns(
     segment order after a build's tiles, and permutes the matrix cache's
     entries in and out of canonical order after one row ``take``.
     """
+    if not columns.size:
+        return
     rows = values.shape[0]
     step = max(1, PERMUTE_STEP_BYTES // (columns.size * values.dtype.itemsize))
     height = max(step, SCAN_BLOCK_ROWS)
@@ -1055,17 +988,19 @@ def scan_blocks(
 def run_blocks(scan, blocks: list, workers: int) -> list:
     """``[scan(block) for block in blocks]``, on *workers* threads if > 1.
 
-    The post-matrix stages' one runner; *workers* comes from
+    The matrix's one runner, of the tile queue (:func:`_run_tiles`) and
+    of the post-matrix row scans; *workers* comes from
     :func:`pool_workers`.  Blocks write disjoint outputs or return their
     own, and results come back in block order, so nothing depends on
-    which thread ran a block or when.  As in the tile queue, a block
-    that raises fails the scan only after the blocks already running
-    have finished: every block not yet started is cancelled, then the
-    first failed block's error (in block order) is raised.
+    which thread ran a block or when.  A block that raises fails the run
+    only after the blocks already running have finished: every block not
+    yet started is cancelled, then the first failed block's error (in
+    block order) is raised.  Inline, the blocks after a failed one never
+    start.
     """
     if workers <= 1:
         return [scan(block) for block in blocks]
-    executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-scan")
+    executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-matrix")
     try:
         futures = [executor.submit(scan, block) for block in blocks]
         done, _ = wait(futures, return_when=FIRST_EXCEPTION)
@@ -1116,12 +1051,37 @@ def _knn_rows(
         begin, stop = block
         # Sorted position 0 is the self-distance (diagonal zero); 1..k
         # are the k nearest other segments, exactly as in
-        # :meth:`DissimilarityMatrix.knn_distances`.
+        # :func:`knn_distances_reference`.
         columns[begin:stop] = _smallest_sorted(values[begin:stop], k + 1)[:, 1:]
 
     used = pool_workers(workers, len(blocks), (count - start) * count)
     run_blocks(select, blocks, used)
     return blocks[0][1] - blocks[0][0], used
+
+
+def knn_distances_reference(values: np.ndarray, k: int) -> np.ndarray:
+    """Dissimilarity of every segment to its k-th nearest neighbor.
+
+    Neighbors exclude the segment itself (k=1 is the closest other
+    segment) in the square matrix *values*.  Requires
+    ``1 <= k < len(values)``.
+
+    The full-sort reference oracle, with no runtime caller: tests pin
+    :meth:`DissimilarityMatrix.knn_distances_all`'s columns against it,
+    and ``benchmarks/bench_pipeline.py`` gates the one-pass extraction
+    at >=5x faster than it.  Runtime code reads
+    :meth:`DissimilarityMatrix.knn_distances_all`, which returns the
+    identical columns from one selection pass and caches them on the
+    matrix.
+    """
+    count = len(values)
+    if not 1 <= k < count:
+        raise ValueError(f"k must be in [1, {count - 1}], got {k}")
+    ordered = np.sort(values, axis=1)
+    # Column 0 is the self-distance (diagonal zero); column k is the
+    # k-th nearest other segment.  Duplicate zero distances cannot
+    # occur because segments are unique values.
+    return ordered[:, k]
 
 
 def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
@@ -1269,28 +1229,6 @@ class DissimilarityMatrix:
     def distance(self, i: int, j: int) -> float:
         return float(self.values[i, j])
 
-    def knn_distances(self, k: int) -> np.ndarray:
-        """Dissimilarity of every segment to its k-th nearest neighbor.
-
-        Neighbors exclude the segment itself (k=1 is the closest other
-        segment).  Requires ``k < len(self)``.
-
-        This is the full-sort reference implementation, with no runtime
-        caller: tests pin :meth:`knn_distances_all`'s columns against
-        it, and ``benchmarks/bench_pipeline.py`` gates the one-pass
-        extraction at >=5x faster than it.  Runtime code reads
-        :meth:`knn_distances_all`, which returns the identical columns
-        from one selection pass and caches them on the matrix.
-        """
-        count = len(self)
-        if not 1 <= k < count:
-            raise ValueError(f"k must be in [1, {count - 1}], got {k}")
-        ordered = np.sort(self.values, axis=1)
-        # Column 0 is the self-distance (diagonal zero); column k is the
-        # k-th nearest other segment.  Duplicate zero distances cannot
-        # occur because segments are unique values.
-        return ordered[:, k]
-
     def knn_distances_all(
         self,
         k_max: int,
@@ -1300,9 +1238,10 @@ class DissimilarityMatrix:
         """Every k-th-NN distance column for k in [1, k_max], at once.
 
         Returns a ``(n, k_max)`` array whose column ``k - 1`` equals
-        ``knn_distances(k)`` — the k-th order statistic of a row is the
-        same value whether it comes from a full sort or a selection, so
-        the columns are bit-identical to the reference.  Each row block
+        :func:`knn_distances_reference` at ``k`` — the k-th order
+        statistic of a row is the same value whether it comes from a
+        full sort or a selection, so the columns are bit-identical to
+        the reference.  Each row block
         takes one ``kth=k_max`` partition and sorts only its rows'
         ``k_max + 1`` smallest values: O(n²) in all instead of the
         reference's O(n² log n) full sort per k.  Blocks hold at most
@@ -1332,9 +1271,6 @@ class DissimilarityMatrix:
             span.set(block_rows=block, workers=used)
         self._knn_columns = columns
         return columns
-
-    def submatrix(self, indices: list[int]) -> np.ndarray:
-        return self.values[np.ix_(indices, indices)]
 
     def condensed(self) -> np.ndarray:
         """Upper-triangle distances as a flat vector (scipy convention)."""

@@ -177,10 +177,14 @@ def _blockwise_stats(
     without holding all the pairs; the blocks' float64 sums make the
     mean, so the block boundaries stay fixed.  ``np.ix_`` gathers just
     the block's cells (a row take first would copy its full rows, more
-    than the bound counts).
+    than the bound counts).  A block row holds its gathered cells and,
+    for values narrower than float64, their float64 copy too.
     """
     size = len(indices)
-    block = rows_per_block(size * values.dtype.itemsize, memory_bound_bytes)
+    row_bytes = size * values.dtype.itemsize
+    if values.dtype != np.float64:
+        row_bytes += size * np.dtype(np.float64).itemsize
+    block = rows_per_block(row_bytes, memory_bound_bytes)
     total = 0.0
     max_extent = 0.0
     nearest = np.empty(size, dtype=np.float64)

@@ -194,15 +194,16 @@ class Tracer:
     ) -> Span:
         """Attach one already-measured, closed span to the active span.
 
-        The threaded matrix scheduler uses this: worker threads run in
-        their own :mod:`contextvars` context (so ``get_tracer()`` there
-        would miss the caller's binding) and the tracer itself is not
-        thread-safe, so workers only *measure* their tiles and the main
-        thread records them after each completion.  The span is created
-        closed, with the caller-supplied wall clock; CPU seconds and
-        peak RSS are process-wide quantities that per-thread tiles
-        cannot attribute, so they stay zero/None.  Like a span closed
-        by :meth:`span`, it feeds ``repro_span_seconds``.
+        The matrix's tile queue uses this: worker threads run in their
+        own :mod:`contextvars` context (so ``get_tracer()`` there would
+        miss the caller's binding) and the tracer itself is not
+        thread-safe, so tiles, inline or threaded, only *measure*
+        themselves and the calling thread records them once the queue
+        has run.  The span is created closed, with the caller-supplied
+        wall clock; CPU seconds and peak RSS are process-wide quantities
+        that per-thread tiles cannot attribute, so they stay zero/None.
+        Like a span closed by :meth:`span`, it feeds
+        ``repro_span_seconds``.
         """
         span = Span(name=name, attributes=dict(attributes))
         span.started_unix = time.time() if started_unix is None else started_unix

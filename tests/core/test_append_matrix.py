@@ -27,6 +27,7 @@ from repro.core.matrix import (
     AppendableMatrix,
     DissimilarityMatrix,
     MatrixBuildOptions,
+    knn_distances_reference,
 )
 from repro.core.segments import Segment, UniqueSegment
 from repro.obs.tracer import Tracer, use_tracer
@@ -373,7 +374,7 @@ class TestKnnMerge:
         for column in range(k):
             assert (
                 merged[:, column].tobytes()
-                == appendable.matrix.knn_distances(column + 1).tobytes()
+                == knn_distances_reference(appendable.matrix.values, column + 1).tobytes()
             )
 
     @pytest.mark.parametrize("old_count", [30, 45])
@@ -395,7 +396,7 @@ class TestKnnMerge:
         for column in range(k):
             assert (
                 merged[:, column].tobytes()
-                == appendable.matrix.knn_distances(column + 1).tobytes()
+                == knn_distances_reference(appendable.matrix.values, column + 1).tobytes()
             )
 
     def test_merged_columns_under_a_one_byte_bound(self):
@@ -412,7 +413,7 @@ class TestKnnMerge:
         for column in range(k):
             assert (
                 merged[:, column].tobytes()
-                == appendable.matrix.knn_distances(column + 1).tobytes()
+                == knn_distances_reference(appendable.matrix.values, column + 1).tobytes()
             )
 
     def test_append_without_cache_leaves_no_columns(self):

@@ -20,7 +20,11 @@ from hypothesis import strategies as st
 
 from repro.core import refinement
 from repro.core.dbscan import NOISE, _neighborhoods, dbscan, dbscan_reference
-from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import (
+    DissimilarityMatrix,
+    MatrixBuildOptions,
+    knn_distances_reference,
+)
 from repro.core.refinement import link_segments_reference, merge_clusters
 from repro.core.segments import unique_segments
 
@@ -293,7 +297,7 @@ class TestKnnDistancesAllParity:
         columns = matrix.knn_distances_all(k_max, memory_bound_bytes=bound)
         assert columns.shape == (len(matrix), k_max)
         for k in range(1, k_max + 1):
-            assert np.array_equal(columns[:, k - 1], matrix.knn_distances(k))
+            assert np.array_equal(columns[:, k - 1], knn_distances_reference(matrix.values, k))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("bound", BOUNDS)
@@ -310,7 +314,7 @@ class TestKnnDistancesAllParity:
         columns = matrix.knn_distances_all(k_max, memory_bound_bytes=bound)
         assert columns.dtype == dtype
         for k in range(1, k_max + 1):
-            assert columns[:, k - 1].tobytes() == matrix.knn_distances(k).tobytes()
+            assert columns[:, k - 1].tobytes() == knn_distances_reference(matrix.values, k).tobytes()
 
     def test_memmap_storage(self):
         from repro.protocols import get_model
@@ -326,7 +330,7 @@ class TestKnnDistancesAllParity:
         k_max = min(8, len(matrix) - 1)
         columns = matrix.knn_distances_all(k_max)
         for k in range(1, k_max + 1):
-            assert columns[:, k - 1].tobytes() == matrix.knn_distances(k).tobytes()
+            assert columns[:, k - 1].tobytes() == knn_distances_reference(matrix.values, k).tobytes()
 
     def test_cache_reused_and_extended(self):
         matrix = golden_matrix("ntp")

@@ -8,7 +8,12 @@ import pytest
 
 from repro.core import matrixcache
 from repro.core.canberra import DEFAULT_PENALTY_FACTOR, canberra_dissimilarity
-from repro.core.matrix import AppendableMatrix, DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import (
+    AppendableMatrix,
+    DissimilarityMatrix,
+    MatrixBuildOptions,
+    knn_distances_reference,
+)
 from repro.core.segments import Segment, UniqueSegment, unique_segments
 from repro.errors import ComputeError
 from repro.obs.tracer import Tracer, use_tracer
@@ -70,22 +75,35 @@ class TestBuild:
 class TestKnn:
     def test_knn_first_neighbor(self):
         matrix = build([b"\x01\x02", b"\x01\x03", b"\xf0\xf1"])
-        knn1 = matrix.knn_distances(1)
+        knn1 = knn_distances_reference(matrix.values, 1)
         # Closest other segment for index 0 is index 1.
         assert knn1[0] == pytest.approx(matrix.distance(0, 1))
 
     def test_knn_bounds(self):
         matrix = build([b"\x01\x02", b"\x01\x03", b"\xf0\xf1"])
         with pytest.raises(ValueError):
-            matrix.knn_distances(0)
+            knn_distances_reference(matrix.values, 0)
         with pytest.raises(ValueError):
-            matrix.knn_distances(3)
+            knn_distances_reference(matrix.values, 3)
 
     def test_knn_monotone_in_k(self):
         matrix = build([bytes([i, 2 * i]) for i in range(1, 14)])
-        knn1 = matrix.knn_distances(1)
-        knn2 = matrix.knn_distances(2)
+        knn1 = knn_distances_reference(matrix.values, 1)
+        knn2 = knn_distances_reference(matrix.values, 2)
         assert np.all(knn2 >= knn1)
+
+
+class TestEmptySegmentSet:
+    def test_cache_and_persist_permute_no_columns(self, tmp_path):
+        # The matrix cache permutes a matrix in and out of canonical
+        # order; with no segments that permutation has no columns.
+        options = MatrixBuildOptions(use_cache=True, cache_dir=tmp_path)
+        matrix, record = traced([], use_cache=True, cache_dir=tmp_path)
+        assert matrix.values.shape == (0, 0) and not record["cache_hit"]
+        assert len(AppendableMatrix([], options=options)) == 0
+        AppendableMatrix([]).persist(tmp_path)
+        again, record = traced([], use_cache=True, cache_dir=tmp_path)
+        assert again.values.shape == (0, 0) and record["cache_hit"]
 
 
 class TestCondensed:

@@ -33,6 +33,7 @@ The golden-trace corpus rides through the threaded backend in
 
 import argparse
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -327,6 +328,37 @@ class TestThreadedObservability:
         )
         assert cells == len(segments) ** 2 - old**2
         assert appended.values.tobytes() == built.values.tobytes()
+
+    def test_inline_and_threaded_runs_record_the_same_tiles(self, monkeypatch):
+        # One runner for both modes: a build and an append give the same
+        # bytes and, apart from the thread's name and its queue wait,
+        # the same tile spans.
+        monkeypatch.setattr(matrix_mod, "CHUNK_CELL_BUDGET", 256)
+        segments = as_unique_segments(make_ragged_datas(count=90, seed=67))
+        old = 50
+        runs = {}
+        for workers in (0, 2):
+            options = MatrixBuildOptions(workers=workers, use_cache=False)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                built = DissimilarityMatrix.build(segments, options=options)
+                appended = AppendableMatrix(segments[:old], options=options).append(
+                    segments[old:]
+                )
+            builds = tracer.find("matrix.build") + tracer.find("matrix.append")
+            assert {span.attributes["workers"] for span in builds} == {workers or 1}
+            tiles = Counter(
+                tuple(
+                    sorted(
+                        (key, value)
+                        for key, value in span.attributes.items()
+                        if key not in ("worker", "queue_seconds")
+                    )
+                )
+                for span in tracer.find("matrix.bin")
+            )
+            runs[workers] = (built.values.tobytes(), appended.values.tobytes(), tiles)
+        assert runs[0] == runs[2]
 
     def test_serial_build_has_no_threaded_artifacts(self):
         datas = make_ragged_datas(count=20, seed=53)

@@ -73,7 +73,9 @@ def parent_cluster_stats(values, indices, memory_bound_bytes=None):
         return ClusterStats(
             indices, float(pairwise.mean()), float(pairwise.max()), float(np.median(nearest))
         )
-    block = rows_per_block(size * itemsize, memory_bound_bytes)
+    # A block row holds its cells and, below float64, their float64 copy.
+    row_bytes = size * (itemsize if itemsize == 8 else itemsize + 8)
+    block = rows_per_block(row_bytes, memory_bound_bytes)
     total = max_extent = 0.0
     nearest = np.empty(size, dtype=np.float64)
     for start in range(0, size, block):
@@ -301,29 +303,32 @@ class TestClusterStats:
     def test_blockwise_path_stays_near_the_bound(self):
         # A quarter of the rows, too many for the exact path: each block
         # gathers only its cluster cells, never the block's full rows,
-        # and is released before the next one is gathered.
+        # and is released before the next one is gathered.  A float32
+        # block is summed from its float64 copy, which its rows count.
         size = 2000
-        values = random_symmetric(size, seed=8)
         order = np.random.default_rng(9).permutation(size)
         clusters = [np.sort(order[:500]), np.sort(order[500:600]), np.sort(order[600:640])]
-        bound = 2**20
-        assert len(clusters[0]) ** 2 * values.itemsize > bound
-        expected = parent_cluster_stats(values, clusters[0], bound)
-        tracemalloc.start()
-        try:
-            scanned, _ = refinement._scan_clusters(values, clusters, bound, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # The bound plus the fancy index's fixed iteration buffers.
-        allowed = bound + 256 * 1024
-        assert peak <= allowed, f"peak {peak / 2**20:.2f} MiB > {allowed / 2**20:.2f} MiB"
-        stats = scanned[0][0]
-        assert (stats.mean_dissimilarity, stats.max_extent, stats.minmed) == (
-            expected.mean_dissimilarity,
-            expected.max_extent,
-            expected.minmed,
-        )
+        for dtype, bound in ((np.float64, 2**20), (np.float32, 2**19)):
+            values = random_symmetric(size, seed=8, dtype=dtype)
+            assert len(clusters[0]) ** 2 * values.itemsize > bound
+            expected = parent_cluster_stats(values, clusters[0], bound)
+            tracemalloc.start()
+            try:
+                scanned, _ = refinement._scan_clusters(values, clusters, bound, 1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # The bound plus the fancy index's fixed iteration buffers.
+            allowed = bound + 256 * 1024
+            assert peak <= allowed, (
+                f"{values.dtype}: peak {peak / 2**20:.2f} MiB > {allowed / 2**20:.2f} MiB"
+            )
+            stats = scanned[0][0]
+            assert (stats.mean_dissimilarity, stats.max_extent, stats.minmed) == (
+                expected.mean_dissimilarity,
+                expected.max_extent,
+                expected.minmed,
+            )
 
     def test_singleton(self):
         values = matrix_of([[0.0, 0.5], [0.5, 0.0]])

@@ -1,7 +1,7 @@
 import numpy as np
 
 from repro.core.ecdf import Ecdf
-from repro.core.matrix import DissimilarityMatrix
+from repro.core.matrix import DissimilarityMatrix, knn_distances_reference
 from repro.core.segments import segments_from_fields, unique_segments
 from repro.eval.coverage_experiment import run_coverage_comparison
 from repro.eval.figures import run_figure2, run_figure3
@@ -82,7 +82,7 @@ class TestFigures:
             )
         ]
         matrix = DissimilarityMatrix.build(unique_segments(segments))
-        reference_x, reference_y = Ecdf.from_samples(matrix.knn_distances(fig.k)).step_points
+        reference_x, reference_y = Ecdf.from_samples(knn_distances_reference(matrix.values, fig.k)).step_points
         assert fig.ecdf_x.tobytes() == reference_x.tobytes()
         assert fig.ecdf_y.tobytes() == reference_y.tobytes()
 

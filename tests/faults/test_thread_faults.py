@@ -15,7 +15,9 @@ work; same process, so no sentinel files are needed.
 """
 
 import re
+import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -107,6 +109,44 @@ class TestThreadedTileFaults:
         with pytest.raises(ComputeError):
             DissimilarityMatrix.build(_segments(), options=_options(workers=2))
         assert calls["count"] >= 1
+
+    def test_recorded_spans_are_the_tiles_that_finished(
+        self, monkeypatch, many_tiles
+    ):
+        # The calling thread records a span for every tile that finished
+        # before the raise, the in-flight ones included, and for no
+        # other; the error counts the tiles that never started.
+        lock = threading.Lock()
+        calls, failed = [], []
+
+        def flaky(values, task, row_start, row_stop, penalty_factor, cells_budget):
+            tile = (task.kind, *task.lengths, f"{row_start}:{row_stop}")
+            with lock:
+                first = not calls
+                calls.append(tile)
+            if first:
+                failed.append(tile)
+                raise RuntimeError("injected tile fault")
+            time.sleep(0.01)
+            return _REAL_TILE(
+                values, task, row_start, row_stop, penalty_factor, cells_budget
+            )
+
+        monkeypatch.setattr(matrix_mod, "_compute_tile_into", flaky)
+        segments = _segments()
+        tiles = matrix_mod._task_tiles(
+            matrix_mod._append_tasks({}, matrix_mod._length_bins(segments))
+        )
+        tracer = Tracer()
+        with use_tracer(tracer), pytest.raises(ComputeError) as exc:
+            DissimilarityMatrix.build(segments, options=_options(workers=2))
+        recorded = Counter(
+            tuple(span.attributes[key] for key in ("kind", "len_a", "len_b", "tile"))
+            for span in tracer.find("matrix.bin")
+        )
+        assert recorded == Counter(calls) - Counter(failed)
+        drained = int(re.search(r"(\d+) queued tiles drained", str(exc.value))[1])
+        assert drained == len(tiles) - len(calls)
 
     def test_bin_error_counted_once_and_no_ladder_kinds(
         self, monkeypatch, many_tiles
