@@ -5,22 +5,20 @@ true repeated-timing benchmarks of the hot paths: Canberra dissimilarity
 matrix construction (binned kernel serial vs threaded, against the
 serial per-pair reference oracle, on random segments, on segments all
 8 bytes or wider, and on the cross-length-heavy segments of an SMB
-capture — all persisted to ``BENCH_matrix.json`` as the perf trajectory
-baseline), the warm matrix cache, k-NN extraction, DBSCAN, and the
-NEMESYS segmenter against its per-message reference loop.
+capture — all persisted to ``BENCH_matrix.json`` through the benchmark
+harness), the warm matrix cache, k-NN extraction, DBSCAN, and the
+NEMESYS segmenter against its per-message reference loop.  Every
+timing is a span's wall time (``harness.Case``).
 """
 
-import json
-import os
-import platform
 import statistics
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import attach_matrix_stats, traced_build
+from conftest import attach_matrix_stats
+from harness import Case, traced_build, write
 from repro.core import matrix as matrix_mod
 from repro.core.autoconf import configure
 from repro.core.canberra import dissimilarity_matrix_reference
@@ -32,7 +30,6 @@ from repro.core.matrix import (
 )
 from repro.core.matrixcache import cache_counters, cache_path, matrix_checksum
 from repro.core.segments import Segment, unique_segments
-from repro.obs.tracer import Tracer, use_tracer
 from repro.protocols import get_model
 from repro.segmenters import CspSegmenter, NemesysSegmenter
 from repro.segmenters.base import boundaries_to_segments
@@ -52,17 +49,6 @@ MIN_SINGLE_CORE_SPEEDUP = 5.0
 #: Floor on how many times fewer LUT cells the window tables gather than
 #: one gather per (short row, long window) would on the SMB segments.
 MIN_CROSS_GATHER_REDUCTION = 3.0
-
-
-def write_bench_matrix(**sections) -> None:
-    """Update *sections* of ``BENCH_matrix.json``, keeping the others."""
-    payload = {}
-    if BENCH_MATRIX_PATH.exists():
-        payload = json.loads(BENCH_MATRIX_PATH.read_text())
-    if payload.get("schema") != "repro.bench-matrix/v4":
-        payload = {"schema": "repro.bench-matrix/v4"}
-    payload.update(sections)
-    BENCH_MATRIX_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def synthetic_unique_segments(
@@ -140,28 +126,32 @@ MIN_PARALLEL_SPEEDUP_2CORE = 1.2
 SCALING_PAIRS = 5
 
 
-def interleaved_builds(segments, serial_options, parallel_options, check):
-    """Median seconds per backend and the median serial/threaded ratio.
+def runs(case: Case, stage: str) -> list[float]:
+    """Wall seconds of each run of *case*'s *stage*, in run order."""
+    return [span.wall_seconds for span in case.tracer.find(stage)]
 
-    Runs :data:`SCALING_PAIRS` serial and threaded builds in turn and
-    calls *check(backend, matrix, build)* on every result, *build* being
-    the attributes of its ``matrix.build`` span.
+
+def median_ratio(case: Case, slow: str, fast: str) -> float:
+    """Median of the ratios of *case*'s interleaved *slow* and *fast* runs."""
+    return statistics.median(s / f for s, f in zip(runs(case, slow), runs(case, fast)))
+
+
+def interleaved_builds(case, segments, serial_options, parallel_options, check):
+    """The median serial/threaded ratio of interleaved builds.
+
+    Runs :data:`SCALING_PAIRS` serial and threaded builds in turn, as
+    *case*'s stages ``serial`` and ``parallel``, and calls
+    *check(backend, matrix, build)* on every result, *build* being the
+    attributes of its ``matrix.build`` span.
     """
-    seconds = {"serial": [], "parallel": []}
     for _ in range(SCALING_PAIRS):
         for backend, options in (
             ("serial", serial_options),
             ("parallel", parallel_options),
         ):
-            started = time.perf_counter()
-            matrix, build = traced_build(segments, options)
-            seconds[backend].append(time.perf_counter() - started)
-            check(backend, matrix, build)
-    ratio = statistics.median(
-        serial / parallel for serial, parallel in zip(seconds["serial"], seconds["parallel"])
-    )
-    medians = {backend: statistics.median(runs) for backend, runs in seconds.items()}
-    return medians, ratio
+            matrix = case.stage(backend, DissimilarityMatrix.build, segments, options=options)
+            check(backend, matrix, case.tracer.find("matrix.build")[-1].attributes)
+    return median_ratio(case, "serial", "parallel")
 
 
 def test_matrix_kernel_grid(benchmark, monkeypatch):
@@ -179,36 +169,24 @@ def test_matrix_kernel_grid(benchmark, monkeypatch):
     ``workers=4`` explicitly, lower ``THREAD_POOL_MIN_CELLS`` to 0 so
     even the n=200 build has enough work for the pool, and record the
     backend that *actually* ran (read from the ``matrix.build`` span),
-    ``cpus`` records both ``os.cpu_count()`` and the scheduler affinity,
     and a parallel row silently degrading to serial fails the bench
     outright — a baseline that says "parallel" must have run parallel.
     The threaded binned build additionally has a scaling floor at
     n=1000 (≥2× on ≥4 usable cores, ≥1.2× on 2–3), so a scheduler
-    regression cannot hide behind a green parity run.  Each
-    backend's seconds are the median of :data:`SCALING_PAIRS`
-    interleaved builds, and the scaling ratio the median of the pairs'
-    ratios.
+    regression cannot hide behind a green parity run.  Each row's
+    ``seconds`` sum :data:`SCALING_PAIRS` interleaved builds per
+    backend (their medians are recorded beside them); the single-core
+    speed-up divides the oracle's seconds by the median serial build,
+    and the scaling ratio is the median of the pairs' ratios.
     """
     monkeypatch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
-    cases = []
-    speedups = {}
+    rows = []
     cpus = available_cpus()
     for n in KERNEL_GRID_SIZES:
         segments = synthetic_unique_segments(n, seed=3)
-        started = time.perf_counter()
-        reference = dissimilarity_matrix_reference([s.data for s in segments])
-        oracle_seconds = time.perf_counter() - started
-        cases.append(
-            {
-                "n": n,
-                "kernel": "pairwise",
-                "requested_backend": "serial",
-                "backend": "serial",
-                "workers": 1,
-                "tiles": 0,
-                "pairs_vectorized": 0,
-                "seconds": round(oracle_seconds, 4),
-            }
+        case = Case(f"grid n={n}")
+        reference = case.stage(
+            "pairwise", dissimilarity_matrix_reference, [s.data for s in segments]
         )
         builds = {}
 
@@ -228,30 +206,30 @@ def test_matrix_kernel_grid(benchmark, monkeypatch):
                 )
             builds[backend] = build
 
-        seconds, parallel_scaling = interleaved_builds(
+        parallel_scaling = interleaved_builds(
+            case,
             segments,
             MatrixBuildOptions(workers=1, use_cache=False),
             MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False),
             check,
         )
-        for backend, build in builds.items():
-            cases.append(
-                {
-                    "n": n,
-                    "kernel": "binned",
-                    "requested_backend": backend,
-                    "backend": build["backend"],
-                    "workers": build["workers"],
-                    "tiles": build.get("tiles", 0),
-                    "pairs_vectorized": build["pairs"],
-                    "seconds": round(seconds[backend], 4),
+        single_core = runs(case, "pairwise")[0] / statistics.median(runs(case, "serial"))
+        case.ratios.update(
+            {
+                "pairwise/serial": round(single_core, 1),
+                "serial/parallel": round(parallel_scaling, 2),
+            }
+        )
+        case.recorded.update(
+            {
+                backend: {
+                    "median_seconds": round(statistics.median(runs(case, backend)), 4),
+                    **{key: build.get(key, 0) for key in ("backend", "workers", "tiles")},
                 }
-            )
-        single_core = oracle_seconds / seconds["serial"]
-        speedups[str(n)] = {
-            "binned_vs_pairwise_serial": round(single_core, 1),
-            "binned_parallel_vs_serial": round(parallel_scaling, 2),
-        }
+                for backend, build in builds.items()
+            }
+        )
+        rows.append(case.row())
         assert single_core >= MIN_SINGLE_CORE_SPEEDUP, (
             f"binned kernel only {single_core:.1f}x faster than the per-pair "
             f"oracle at n={n} (floor: {MIN_SINGLE_CORE_SPEEDUP}x single-core)"
@@ -270,15 +248,7 @@ def test_matrix_kernel_grid(benchmark, monkeypatch):
                 )
         benchmark.extra_info[f"speedup_serial_n{n}"] = round(single_core, 1)
         benchmark.extra_info[f"scaling_parallel_n{n}"] = round(parallel_scaling, 2)
-    write_bench_matrix(
-        python=platform.python_version(),
-        numpy=np.__version__,
-        cpus=os.cpu_count(),
-        cpus_available=cpus,
-        grid_workers=GRID_WORKERS,
-        cases=cases,
-        speedups=speedups,
-    )
+    write(BENCH_MATRIX_PATH, rows)
     # Register one timed binned serial build in the benchmark report.
     segments = synthetic_unique_segments(KERNEL_GRID_SIZES[0], seed=3)
     _, build = benchmark.pedantic(
@@ -287,13 +257,14 @@ def test_matrix_kernel_grid(benchmark, monkeypatch):
     attach_matrix_stats(benchmark, build)
 
 
-def gathered_cells(tracer: Tracer) -> tuple[int, int]:
-    """LUT cells of the cross tiles: one per (row, window) vs per distinct window."""
+def gathered_cells(root) -> tuple[int, int]:
+    """LUT cells of the cross tiles under span *root*: one per (row,
+    window) vs one per distinct window."""
     every = distinct = 0
-    for span in tracer.find("matrix.bin"):
-        attributes = span.attributes
-        if attributes["kind"] != "cross":
+    for span in root.walk():
+        if span.name != "matrix.bin" or span.attributes["kind"] != "cross":
             continue
+        attributes = span.attributes
         start, _, stop = attributes["tile"].partition(":")
         rows_by_m = (int(stop) - int(start)) * attributes["len_a"]
         every += rows_by_m * attributes["windows"]
@@ -317,19 +288,14 @@ def test_matrix_cross_heavy(benchmark, monkeypatch):
     monkeypatch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
     trace = get_model("smb").generate(240, seed=3).preprocess()
     segments = unique_segments(NemesysSegmenter().segment(trace))
-    seconds = {}
+    case = Case("cross_heavy")
     for backend, options in (
         ("serial", MatrixBuildOptions(workers=1, use_cache=False)),
         ("parallel", MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False)),
     ):
-        tracer = Tracer()
-        started = time.perf_counter()
-        with use_tracer(tracer):
-            matrix = DissimilarityMatrix.build(segments, options=options)
-        seconds[backend] = time.perf_counter() - started
-        (build,) = tracer.find("matrix.build")
-        assert build.attributes["backend"] == backend
-        every, distinct = gathered_cells(tracer)
+        matrix = case.stage(backend, DissimilarityMatrix.build, segments, options=options)
+        assert case.tracer.find("matrix.build")[-1].attributes["backend"] == backend
+        every, distinct = gathered_cells(case.tracer.roots[-1])
 
     sample = np.random.default_rng(0).choice(len(segments), size=160, replace=False)
     sample.sort()
@@ -341,23 +307,18 @@ def test_matrix_cross_heavy(benchmark, monkeypatch):
         f"window tables gather only {reduction:.2f}x fewer LUT cells "
         f"({distinct} vs {every}; floor {MIN_CROSS_GATHER_REDUCTION}x)"
     )
-    lengths = len({segment.length for segment in segments})
-    write_bench_matrix(
-        cross_heavy={
-            "trace": "smb n=240 seed=3, nemesys",
-            "n": len(segments),
-            "lengths": lengths,
-            "cross_cells_every_window": every,
-            "cross_cells_distinct_windows": distinct,
-            "cross_gather_reduction": round(reduction, 2),
-            "serial_seconds": round(seconds["serial"], 4),
-            "parallel_seconds": round(seconds["parallel"], 4),
-            "parallel_workers": GRID_WORKERS,
-        }
+    case.counts.update(
+        n=len(segments),
+        lengths=len({segment.length for segment in segments}),
+        cross_cells_every_window=every,
+        cross_cells_distinct_windows=distinct,
     )
+    case.ratios["cross_gather_reduction"] = round(reduction, 2)
+    case.recorded.update(trace="smb n=240 seed=3, nemesys", parallel_workers=GRID_WORKERS)
+    write(BENCH_MATRIX_PATH, [case.row()])
     benchmark.extra_info["cross_gather_reduction"] = round(reduction, 2)
-    benchmark.extra_info["serial_seconds"] = round(seconds["serial"], 4)
-    benchmark.extra_info["parallel_seconds"] = round(seconds["parallel"], 4)
+    benchmark.extra_info["serial_seconds"] = round(runs(case, "serial")[0], 4)
+    benchmark.extra_info["parallel_seconds"] = round(runs(case, "parallel")[0], 4)
     _, build = benchmark.pedantic(
         traced_build, args=(segments, SERIAL), rounds=1, iterations=1
     )
@@ -369,16 +330,6 @@ def test_matrix_cross_heavy(benchmark, monkeypatch):
 WIDE_WIDTHS = (8, 12, 16, 24)
 
 
-def median_serial_seconds(segments, runs=3) -> tuple[float, DissimilarityMatrix]:
-    """Median seconds of *runs* serial builds, and the last matrix."""
-    seconds = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        matrix = DissimilarityMatrix.build(segments, options=SERIAL)
-        seconds.append(time.perf_counter() - started)
-    return statistics.median(seconds), matrix
-
-
 def test_matrix_wide_segments(benchmark):
     """The gather kernel's cases: random segments of 8 bytes and more.
 
@@ -386,30 +337,29 @@ def test_matrix_wide_segments(benchmark):
     show that the wide path kept its speed: 2000 segments of widths
     8/12/16/24, and 1500 of width 16 alone, whose one equal-length bin
     runs as upper-band tiles.  Each build must return the oracle's bytes
-    on a row sample; the medians of three serial builds are recorded in
-    ``BENCH_matrix.json``.
+    on a row sample; three serial builds of each are recorded in
+    ``BENCH_matrix.json``, with their medians.
     """
     cases = {
         "mixed": synthetic_unique_segments(2000, seed=7, lengths=WIDE_WIDTHS),
         "single_width": synthetic_unique_segments(1500, seed=7, lengths=(16,)),
     }
-    seconds = {}
+    case = Case("wide")
     for name, segments in cases.items():
-        seconds[name], matrix = median_serial_seconds(segments)
+        for _ in range(3):
+            matrix = case.stage(name, DissimilarityMatrix.build, segments, options=SERIAL)
         sample = np.random.default_rng(1).choice(len(segments), size=160, replace=False)
         sample.sort()
         reference = dissimilarity_matrix_reference([segments[i].data for i in sample])
         assert matrix.values[np.ix_(sample, sample)].tobytes() == reference.tobytes()
-    write_bench_matrix(
-        wide={
-            "segments": "random; mixed: 2000 of widths 8/12/16/24, "
-            "single_width: 1500 of width 16; seed 7",
-            "mixed_serial_seconds": round(seconds["mixed"], 4),
-            "single_width_serial_seconds": round(seconds["single_width"], 4),
-        }
+        median = round(statistics.median(runs(case, name)), 4)
+        case.recorded[f"{name}_median_seconds"] = median
+        benchmark.extra_info[f"{name}_serial_seconds"] = median
+    case.recorded["segments"] = (
+        "random; mixed: 2000 of widths 8/12/16/24, "
+        "single_width: 1500 of width 16; seed 7"
     )
-    for name, value in seconds.items():
-        benchmark.extra_info[f"{name}_serial_seconds"] = round(value, 4)
+    write(BENCH_MATRIX_PATH, [case.row()])
     _, build = benchmark.pedantic(
         traced_build, args=(cases["mixed"], SERIAL), rounds=1, iterations=1
     )
@@ -437,7 +387,8 @@ def test_matrix_build_parallel(benchmark, monkeypatch):
             assert np.array_equal(built[backend][0].values, matrix.values)
         built[backend] = matrix, build
 
-    seconds, speedup = interleaved_builds(segments, SERIAL, parallel_options, check)
+    case = Case("parallel")
+    speedup = interleaved_builds(case, segments, SERIAL, parallel_options, check)
     (serial, _), (parallel, build) = built["serial"], built["parallel"]
     # Register one timed parallel build in the benchmark report too.
     matrix, _ = benchmark.pedantic(
@@ -446,8 +397,9 @@ def test_matrix_build_parallel(benchmark, monkeypatch):
 
     assert np.array_equal(serial.values, parallel.values)
     assert np.array_equal(serial.values, matrix.values)
-    benchmark.extra_info["serial_seconds"] = round(seconds["serial"], 3)
-    benchmark.extra_info["parallel_seconds"] = round(seconds["parallel"], 3)
+    for backend in ("serial", "parallel"):
+        seconds = statistics.median(runs(case, backend))
+        benchmark.extra_info[f"{backend}_seconds"] = round(seconds, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
     benchmark.extra_info["backend"] = build["backend"]
     attach_matrix_stats(benchmark, build)
@@ -468,17 +420,10 @@ def test_matrix_build_parallel(benchmark, monkeypatch):
 MAX_WARM_OVER_LOAD = 3.0
 
 
-def load_and_verify_seconds(path) -> float:
-    """Best of three ``np.load`` + ``matrix_checksum`` of one cache entry."""
-    runs = []
-    for _ in range(3):
-        started = time.perf_counter()
-        with np.load(path) as archive:
-            assert matrix_checksum(np.asarray(archive["values"])) == str(
-                archive["checksum"]
-            )
-        runs.append(time.perf_counter() - started)
-    return min(runs)
+def load_and_verify(path) -> None:
+    """``np.load`` + ``matrix_checksum`` of one cache entry."""
+    with np.load(path) as archive:
+        assert matrix_checksum(np.asarray(archive["values"])) == str(archive["checksum"])
 
 
 def test_matrix_cache_warm(benchmark, tmp_path):
@@ -487,26 +432,21 @@ def test_matrix_cache_warm(benchmark, tmp_path):
     The cold build misses and stores; every later build hits, returns
     the cold bytes, runs no ``matrix.bin`` tile, and takes at most
     ``MAX_WARM_OVER_LOAD`` times what reading and checksumming the same
-    entry takes, timed in the same run.  A ratio against the cold build
-    would measure the kernel's speed instead of the cache path's.
+    entry takes (best of three each), timed in the same run.  A ratio
+    against the cold build would measure the kernel's speed instead of
+    the cache path's.
     """
     segments = synthetic_unique_segments(1600, seed=11)
     options = MatrixBuildOptions(workers=1, use_cache=True, cache_dir=tmp_path)
-    started = time.perf_counter()
-    cold, cold_build = traced_build(segments, options)
-    cold_seconds = time.perf_counter() - started
+    case = Case("cache")
+    cold = case.stage("cold", DissimilarityMatrix.build, segments, options=options)
+    cold_build = case.tracer.find("matrix.build")[-1].attributes
     assert not cold_build["cache_hit"]
 
-    warm_seconds = []
     for _ in range(3):
-        tracer = Tracer()
-        started = time.perf_counter()
-        with use_tracer(tracer):
-            warm = DissimilarityMatrix.build(segments, options=options)
-        warm_seconds.append(time.perf_counter() - started)
-        (build,) = tracer.find("matrix.build")
-        assert build.attributes["cache_hit"]
-        assert not tracer.find("matrix.bin")
+        warm = case.stage("warm", DissimilarityMatrix.build, segments, options=options)
+        assert case.tracer.find("matrix.build")[-1].attributes["cache_hit"]
+        assert not any(span.name == "matrix.bin" for span in case.tracer.roots[-1].walk())
         assert np.array_equal(cold.values, warm.values)
     matrix, build = benchmark.pedantic(
         traced_build, args=(segments, options), rounds=1, iterations=1
@@ -515,16 +455,19 @@ def test_matrix_cache_warm(benchmark, tmp_path):
     counters = cache_counters()
     assert counters["hits"] >= 4 and counters["misses"] == 1
 
-    load_seconds = load_and_verify_seconds(cache_path(cold_build["cache_key"], tmp_path))
-    warm_over_load = min(warm_seconds) / load_seconds
-    benchmark.extra_info["cold_seconds"] = round(cold_seconds, 3)
-    benchmark.extra_info["warm_seconds"] = round(min(warm_seconds), 4)
+    entry = cache_path(cold_build["cache_key"], tmp_path)
+    for _ in range(3):
+        case.stage("load", load_and_verify, entry)
+    warm_seconds, load_seconds = min(runs(case, "warm")), min(runs(case, "load"))
+    warm_over_load = warm_seconds / load_seconds
+    benchmark.extra_info["cold_seconds"] = round(runs(case, "cold")[0], 3)
+    benchmark.extra_info["warm_seconds"] = round(warm_seconds, 4)
     benchmark.extra_info["load_and_verify_seconds"] = round(load_seconds, 4)
     benchmark.extra_info["warm_over_load"] = round(warm_over_load, 2)
-    benchmark.extra_info["speedup"] = round(cold_seconds / min(warm_seconds), 1)
+    benchmark.extra_info["speedup"] = round(runs(case, "cold")[0] / warm_seconds, 1)
     attach_matrix_stats(benchmark, build)
     assert warm_over_load <= MAX_WARM_OVER_LOAD, (
-        f"warm build {min(warm_seconds) * 1e3:.1f} ms is {warm_over_load:.2f}x "
+        f"warm build {warm_seconds * 1e3:.1f} ms is {warm_over_load:.2f}x "
         f"reading and verifying its entry ({load_seconds * 1e3:.1f} ms; "
         f"ceiling {MAX_WARM_OVER_LOAD}x)"
     )
@@ -557,15 +500,11 @@ def test_nemesys_segmentation(benchmark):
     for name, trace in traces.items():
         expected = nemesys_reference_segments(trace)
         assert segmenter.segment(trace) == expected, name
-        ratios = []
+        case = Case(name)
         for _ in range(SCALING_PAIRS):
-            started = time.perf_counter()
-            nemesys_reference_segments(trace)
-            reference_seconds = time.perf_counter() - started
-            started = time.perf_counter()
-            segmenter.segment(trace)
-            ratios.append(reference_seconds / (time.perf_counter() - started))
-        ratio = statistics.median(ratios)
+            case.stage("reference", nemesys_reference_segments, trace)
+            case.stage("trace_pass", segmenter.segment, trace)
+        ratio = median_ratio(case, "reference", "trace_pass")
         benchmark.extra_info[f"{name}_speedup"] = round(ratio, 2)
         assert ratio >= MIN_NEMESYS_SPEEDUP, (
             f"trace-level NEMESYS only {ratio:.2f}x the reference loop on "

@@ -3,7 +3,8 @@
 The hardening layer (admission queue, per-op deadline plumbing, single
 worker executor, response pipeline) sits between every client and the
 session, so its fixed cost per request is worth pinning.  This bench
-drives the real subprocess over a real socket and measures:
+drives the real subprocess over a real socket, through the benchmark
+harness (``harness.py``), and measures:
 
 - ``health`` round trips — the inline path (admission + response
   pipeline only, no queue, no executor);
@@ -12,34 +13,37 @@ drives the real subprocess over a real socket and measures:
 - ``append`` throughput with the journal fsync on every chunk — the
   durability tax;
 - the admission fast path under overload: how quickly a full queue
-  turns requests into structured rejections.
+  turns requests into structured rejections (every response must be
+  ``ok`` or ``overloaded``).
+
+Its counts are the journaled session's state after the appends; how
+many flood requests the queue rejects depends on timing and is only
+recorded.
 
 Usage::
 
     python benchmarks/bench_serve.py             # run, rewrite JSON
-    python benchmarks/bench_serve.py --check     # compare vs baseline
+    python benchmarks/bench_serve.py --check     # compare counts vs baseline
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import socket
 import subprocess
 import sys
-import time
+import tempfile
 from pathlib import Path
 
+import harness
+
 BENCH_PATH = Path(__file__).parent / "BENCH_serve.json"
-SCHEMA = "repro.bench-serve/v1"
 
 ROUND_TRIPS = 300
 APPEND_CHUNKS = 40
 APPEND_CHUNK_MESSAGES = 10
-#: --check fails when a timing regresses past this factor.
-CHECK_REGRESSION_FACTOR = 2.0
+FLOOD_REQUESTS = 200
 
 
 class Server:
@@ -69,6 +73,10 @@ class Server:
         self.send(request)
         return self.recv()
 
+    def round_trips(self, requests) -> None:
+        for request in requests:
+            assert self.rpc(request)["ok"]
+
     def shutdown(self) -> None:
         assert self.rpc({"op": "shutdown"})["ok"]
         self.proc.wait(timeout=60)
@@ -86,28 +94,28 @@ def chunk(index: int) -> dict:
     }
 
 
-def timed_round_trips(server: Server, request: dict, count: int) -> float:
-    started = time.perf_counter()
-    for _ in range(count):
-        assert server.rpc(request)["ok"]
-    return time.perf_counter() - started
+def flood(server: Server) -> list[dict]:
+    for index in range(FLOOD_REQUESTS):
+        server.send(chunk(index))
+    return [server.recv() for _ in range(FLOOD_REQUESTS)]
 
 
-def bench(tmp_dir: Path) -> dict:
+def bench(tmp_dir: Path) -> harness.Case:
+    case = harness.Case("serve")
     server = Server("--protocol", "bench")
     # Prime the session so `state` reflects a non-trivial analysis.
     assert server.rpc(chunk(0))["ok"]
-    health_seconds = timed_round_trips(server, {"op": "health"}, ROUND_TRIPS)
-    state_seconds = timed_round_trips(server, {"op": "state"}, ROUND_TRIPS)
+    case.stage("health_round_trips", server.round_trips, [{"op": "health"}] * ROUND_TRIPS)
+    case.stage("state_round_trips", server.round_trips, [{"op": "state"}] * ROUND_TRIPS)
     server.shutdown()
 
     journaled = Server(
         "--protocol", "bench", "--checkpoint", str(tmp_dir / "bench.jsonl")
     )
-    started = time.perf_counter()
-    for index in range(APPEND_CHUNKS):
-        assert journaled.rpc(chunk(index))["ok"]
-    append_seconds = time.perf_counter() - started
+    case.stage(
+        "journaled_appends", journaled.round_trips, [chunk(i) for i in range(APPEND_CHUNKS)]
+    )
+    state = journaled.rpc({"op": "state"})["state"]
     journaled.shutdown()
 
     # Overload fast path: a 1-deep queue and a busy worker turn the
@@ -115,92 +123,26 @@ def bench(tmp_dir: Path) -> dict:
     flooded = Server(
         "--protocol", "bench", "--queue-depth", "1", "--max-inflight", "2"
     )
-    flood = 200
-    started = time.perf_counter()
-    for index in range(flood):
-        flooded.send(chunk(index))
-    responses = [flooded.recv() for _ in range(flood)]
-    flood_seconds = time.perf_counter() - started
-    rejected = sum(1 for r in responses if not r["ok"])
+    responses = case.stage("overload_flood", flood, flooded)
     assert all(r["ok"] or r["error"] == "overloaded" for r in responses)
     flooded.shutdown()
 
-    record = {
-        "seconds": {
-            "health_round_trips": round(health_seconds, 4),
-            "state_round_trips": round(state_seconds, 4),
-            "journaled_appends": round(append_seconds, 4),
-            "overload_flood": round(flood_seconds, 4),
-        },
-        "round_trips": ROUND_TRIPS,
-        "health_rps": round(ROUND_TRIPS / health_seconds, 1),
-        "state_rps": round(ROUND_TRIPS / state_seconds, 1),
-        "append_chunks": APPEND_CHUNKS,
-        "appends_per_second": round(APPEND_CHUNKS / append_seconds, 1),
-        "flood_requests": flood,
-        "flood_rejected": rejected,
-        "flood_rps": round(flood / flood_seconds, 1),
-    }
-    print(
-        f"[bench] health={record['health_rps']}rps state={record['state_rps']}rps "
-        f"journaled-append={record['appends_per_second']}cps "
-        f"flood={record['flood_rps']}rps ({rejected}/{flood} rejected)",
-        flush=True,
+    case.counts.update(
+        {key: state[key] for key in ("messages", "unique_segments", "clusters", "noise")}
     )
-    return record
-
-
-def run_check(record: dict) -> int:
-    if not BENCH_PATH.exists():
-        print(f"error: no baseline at {BENCH_PATH}", file=sys.stderr)
-        return 2
-    baseline = json.loads(BENCH_PATH.read_text())["record"]
-    failures = []
-    for stage, seconds in record["seconds"].items():
-        reference = baseline["seconds"].get(stage)
-        if reference is None or reference < 0.05:
-            continue  # below timer noise; not a meaningful gate
-        if seconds > CHECK_REGRESSION_FACTOR * reference:
-            failures.append(
-                f"{stage}: {seconds:.3f}s vs baseline {reference:.3f}s "
-                f"(> {CHECK_REGRESSION_FACTOR}x)"
-            )
-    if failures:
-        print("perf regression detected:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(
-        "perf check passed: all stages within "
-        f"{CHECK_REGRESSION_FACTOR}x of the committed baseline"
+    seconds = case.tracer.stage_timings()
+    case.recorded.update(
+        health_rps=round(ROUND_TRIPS / seconds["health_round_trips"], 1),
+        state_rps=round(ROUND_TRIPS / seconds["state_round_trips"], 1),
+        appends_per_second=round(APPEND_CHUNKS / seconds["journaled_appends"], 1),
+        flood_rejected=sum(1 for r in responses if not r["ok"]),
+        flood_rps=round(FLOOD_REQUESTS / seconds["overload_flood"], 1),
     )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
-    args = parser.parse_args(argv)
-
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp_dir:
-        record = bench(Path(tmp_dir))
-    if args.check:
-        return run_check(record)
-    payload = {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "record": record,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {BENCH_PATH}")
-    return 0
+    return case
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    args = harness.parser(__doc__).parse_args()
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        status = harness.run(BENCH_PATH, [bench(Path(tmp_dir))], args.check)
+    sys.exit(status)

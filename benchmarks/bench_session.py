@@ -7,44 +7,42 @@ their new-vs-old rectangles and new-vs-new diagonal (O(a·n) cells
 instead of O(n²)), the k-NN columns fold forward with a rank-k merge,
 and the drift gate usually skips the post-matrix stages entirely.
 
-This benchmark measures exactly that at each size n: one batch
-``run_analysis`` over n + 5% messages, versus ``session.append`` of the
-5% into a session that already holds n.  The acceptance floor —
-**append ≥ 5× cheaper than the batch re-run at n = 5000** — is asserted
-on every full run and recorded in the committed ``BENCH_session.json``
-baseline.  The snapshot-reconcile cost (post-matrix stages only, no
-matrix rebuild) is recorded alongside for context.
+This benchmark measures exactly that at each size n, through the
+benchmark harness (``harness.py``): one batch ``run_analysis`` over
+n + 5% messages, versus ``session.append`` of the 5% into a session
+that already holds n.  The session's matrix bytes and epsilon must
+equal the batch run's.  The acceptance floor — **append ≥ 5× cheaper
+than the batch re-run at n = 5000** — is asserted on every run of that
+size, and the work counts of the batch, the priming and the append
+(matrix tiles and cells, window tables, neighbourhood edges) are
+recorded in the committed ``BENCH_session.json`` baseline.  The
+snapshot-reconcile cost (post-matrix stages only, no matrix rebuild) is
+recorded alongside for context.
 
 Usage::
 
     python benchmarks/bench_session.py                 # full grid, rewrite JSON
     python benchmarks/bench_session.py --sizes 1000    # re-record one row
     python benchmarks/bench_session.py --sizes 1000 --check
-        # CI smoke: compare against the committed baseline, fail on >2x
-        # regression or a broken speedup floor; does not rewrite the JSON.
+        # CI smoke: the work counts must equal the committed row's;
+        # does not rewrite the JSON.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.api import run_analysis  # noqa: E402
-from repro.core.segments import Segment  # noqa: E402
-from repro.net.trace import Trace, TraceMessage  # noqa: E402
-from repro.segmenters.base import Segmenter  # noqa: E402
-from repro.session import AnalysisSession  # noqa: E402
+import harness
+from repro.api import run_analysis
+from repro.core.segments import Segment
+from repro.net.trace import Trace, TraceMessage
+from repro.segmenters.base import Segmenter
+from repro.session import AnalysisSession
 
 BENCH_PATH = Path(__file__).parent / "BENCH_session.json"
-SCHEMA = "repro.bench-session/v1"
 
 DEFAULT_SIZES = (1000, 5000)
 APPEND_FRACTION = 0.05
@@ -52,8 +50,6 @@ APPEND_FRACTION = 0.05
 #: Acceptance floor: appending 5% at n=5000 vs the full batch re-run.
 MIN_APPEND_SPEEDUP = 5.0
 FLOOR_SIZE = 5000
-#: --check fails when a timing regresses past this factor.
-CHECK_REGRESSION_FACTOR = 2.0
 
 
 class WholeMessageSegmenter(Segmenter):
@@ -85,28 +81,22 @@ def synthetic_messages(count: int, seed: int = 5) -> list[TraceMessage]:
     return [TraceMessage(data=data) for data in sorted(datas)]
 
 
-def timed(fn, *args, **kwargs):
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started
-
-
-def bench_size(n: int) -> dict:
+def bench_size(n: int) -> harness.Case:
+    case = harness.Case(f"n={n}")
     append_count = max(1, int(n * APPEND_FRACTION))
     messages = synthetic_messages(n + append_count)
     base, extra = messages[:n], messages[n:]
-    print(f"[bench] n={n}: batch over {len(messages)} messages ...", flush=True)
 
-    batch_run, batch_seconds = timed(
+    batch_run = case.stage(
+        "batch_rerun",
         run_analysis,
         Trace(messages=list(messages), protocol="bench"),
         segmenter=WholeMessageSegmenter(),
     )
-
     session = AnalysisSession(segmenter=WholeMessageSegmenter(), protocol="bench")
-    _, priming_seconds = timed(session.append, base)
-    update, append_seconds = timed(session.append, extra)
-    snapshot, snapshot_seconds = timed(session.snapshot)
+    case.stage("session_priming", session.append, base)
+    update = case.stage("append", session.append, extra)
+    snapshot = case.stage("snapshot_reconcile", session.snapshot)
 
     assert (
         np.asarray(snapshot.result.matrix.values).tobytes()
@@ -114,117 +104,17 @@ def bench_size(n: int) -> dict:
     ), f"n={n}: incremental matrix diverged from the batch build"
     assert snapshot.result.epsilon == batch_run.result.epsilon
 
-    speedup = batch_seconds / max(append_seconds, 1e-9)
-    record = {
-        "n": n,
-        "append_count": append_count,
-        "seconds": {
-            "batch_rerun": round(batch_seconds, 4),
-            "session_priming": round(priming_seconds, 4),
-            "append": round(append_seconds, 4),
-            "snapshot_reconcile": round(snapshot_seconds, 4),
-        },
-        "append_speedup": round(speedup, 1),
-        "append_reclustered": bool(update.reclustered),
-        "append_reason": update.reason,
-        "clusters": int(snapshot.result.cluster_count),
-        "noise": int(len(snapshot.result.noise)),
-        "epsilon": round(float(snapshot.result.epsilon), 6),
-        "matrix_identical": True,
-    }
-    print(
-        f"[bench] n={n}: batch={batch_seconds:.2f}s append({append_count})="
-        f"{append_seconds:.3f}s ({speedup:.1f}x) "
-        f"snapshot={snapshot_seconds:.2f}s reason={update.reason}",
-        flush=True,
+    case.ratio("batch_rerun", "append", MIN_APPEND_SPEEDUP if n >= FLOOR_SIZE else None)
+    case.counts.update(
+        append_count=append_count,
+        append_reason=update.reason,
+        clusters=int(snapshot.result.cluster_count),
+        noise=int(len(snapshot.result.noise)),
     )
-    if n >= FLOOR_SIZE:
-        assert speedup >= MIN_APPEND_SPEEDUP, (
-            f"n={n}: append speedup {speedup:.1f}x below the "
-            f"{MIN_APPEND_SPEEDUP}x acceptance floor"
-        )
-    return record
-
-
-def run_check(results: list[dict]) -> int:
-    """Compare a fresh run against the committed baseline (CI smoke)."""
-    if not BENCH_PATH.exists():
-        print(f"error: no baseline at {BENCH_PATH}", file=sys.stderr)
-        return 2
-    baseline = {case["n"]: case for case in json.loads(BENCH_PATH.read_text())["cases"]}
-    failures = []
-    for case in results:
-        base = baseline.get(case["n"])
-        if base is None:
-            print(f"note: no baseline for n={case['n']}; skipping check")
-            continue
-        for stage, seconds in case["seconds"].items():
-            reference = base["seconds"].get(stage)
-            if reference is None or reference < 0.01:
-                continue  # below timer noise; not a meaningful gate
-            if seconds > CHECK_REGRESSION_FACTOR * reference:
-                failures.append(
-                    f"n={case['n']} {stage}: {seconds:.3f}s vs baseline "
-                    f"{reference:.3f}s (> {CHECK_REGRESSION_FACTOR}x)"
-                )
-        # The speedup floor itself must not erode past the committed
-        # value's neighborhood, whatever the absolute machine speed.
-        if case["n"] >= FLOOR_SIZE and case["append_speedup"] < MIN_APPEND_SPEEDUP:
-            failures.append(
-                f"n={case['n']}: append speedup {case['append_speedup']}x "
-                f"below the {MIN_APPEND_SPEEDUP}x floor"
-            )
-    if failures:
-        print("perf regression detected:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(
-        "perf check passed: all stages within "
-        f"{CHECK_REGRESSION_FACTOR}x of the committed baseline"
-    )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SIZES),
-        help=f"base message counts to benchmark (default: {DEFAULT_SIZES})",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed baseline instead of rewriting it",
-    )
-    args = parser.parse_args(argv)
-
-    results = [bench_size(n) for n in args.sizes]
-    if args.check:
-        return run_check(results)
-    # Rows of sizes this run did not measure are kept, so re-recording
-    # one size keeps the n=5000 row behind the speedup floor.
-    cases = {case["n"]: case for case in results}
-    if BENCH_PATH.exists():
-        previous = json.loads(BENCH_PATH.read_text())
-        if previous.get("schema") == SCHEMA:
-            for case in previous["cases"]:
-                cases.setdefault(case["n"], case)
-    payload = {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "append_fraction": APPEND_FRACTION,
-        "min_append_speedup": MIN_APPEND_SPEEDUP,
-        "cases": [cases[n] for n in sorted(cases)],
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=1) + "\n")
-    print(f"wrote {BENCH_PATH}")
-    return 0
+    case.recorded["epsilon"] = round(float(snapshot.result.epsilon), 6)
+    return case
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    args = harness.parser(__doc__, sizes=DEFAULT_SIZES).parse_args()
+    sys.exit(harness.run(BENCH_PATH, (bench_size(n) for n in args.sizes), args.check))

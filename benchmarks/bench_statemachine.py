@@ -1,176 +1,68 @@
 """State-machine stage benchmark: sessions / inference / export.
 
-Times the flow-tracking and automaton-inference stages on seeded
-synthetic traces and writes the measured grid to
-``BENCH_statemachine.json`` (the committed perf-trajectory baseline).
-Symbols come from the generators' ground-truth message kinds so the
-benchmark isolates this stage from the clustering pipeline.  An
-acceptance check rides along: the inferred automaton must accept every
-training session — inference only ever generalizes, it never loses an
-observed sequence.
+Runs the flow-tracking and automaton-inference stages through the
+benchmark harness (``harness.py``) on seeded synthetic traces and
+writes the grid to ``BENCH_statemachine.json`` (the committed
+baseline).  Symbols come from the generators' ground-truth message
+kinds so the benchmark isolates this stage from the clustering
+pipeline.  An acceptance check rides along: the inferred automaton must
+accept every training session — inference only ever generalizes, it
+never loses an observed sequence.
 
 Usage::
 
     python benchmarks/bench_statemachine.py                  # full grid, rewrite JSON
     python benchmarks/bench_statemachine.py --sizes 200      # quick run
     python benchmarks/bench_statemachine.py --sizes 200 --check
-        # CI smoke: compare against the committed baseline, fail on >2x
-        # per-stage regression; does not rewrite the JSON.
+        # CI smoke: sessions, states, transitions and alphabet must equal
+        # the committed rows'; does not rewrite the JSON.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.net.flows import sessions_from_trace  # noqa: E402
-from repro.protocols import get_model  # noqa: E402
-from repro.statemachine import infer_state_machine, to_dot, to_json  # noqa: E402
+import harness
+from repro.net.flows import sessions_from_trace
+from repro.protocols import get_model
+from repro.statemachine import infer_state_machine, to_dot, to_json
 
 BENCH_PATH = Path(__file__).parent / "BENCH_statemachine.json"
-SCHEMA = "repro.bench-statemachine/v1"
 
 PROTOCOLS = ("dhcp", "dns", "smb")
 DEFAULT_SIZES = (200, 400)
 SEED = 42
 
-#: --check fails when a stage is slower than baseline by more than this.
-CHECK_REGRESSION_FACTOR = 2.0
 
-
-def timed(fn, *args, **kwargs):
-    started = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - started
-
-
-def bench_case(protocol: str, n: int) -> dict:
+def bench_case(protocol: str, n: int) -> harness.Case:
+    case = harness.Case(f"{protocol} n={n}")
     model = get_model(protocol)
     trace = model.generate(n, seed=SEED)
 
-    sessions, session_seconds = timed(sessions_from_trace, trace)
+    sessions = case.stage("sessions", sessions_from_trace, trace)
     sequences = [
         tuple(model.message_kind(m.data) for m in session)
         for session in sessions
     ]
-    machine, infer_seconds = timed(infer_state_machine, sequences)
-    _, export_seconds = timed(lambda: (to_json(machine), to_dot(machine)))
+    machine = case.stage("infer", infer_state_machine, sequences)
+    case.stage("export", lambda: (to_json(machine), to_dot(machine)))
 
     accepted = sum(machine.accepts(seq) for seq in sequences)
-    record = {
-        "protocol": protocol,
-        "n": n,
-        "sessions": len(sessions),
-        "states": machine.num_states,
-        "transitions": machine.num_transitions,
-        "alphabet": len(machine.alphabet),
-        "seconds": {
-            "sessions": round(session_seconds, 4),
-            "infer": round(infer_seconds, 4),
-            "export": round(export_seconds, 4),
-        },
-    }
-    print(
-        f"[bench] {protocol} n={n}: sessions={len(sessions)} "
-        f"states={machine.num_states} transitions={machine.num_transitions} "
-        f"infer={infer_seconds:.4f}s",
-        flush=True,
-    )
     assert accepted == len(sequences), (
         f"{protocol} n={n}: automaton rejected "
         f"{len(sequences) - accepted} of its own training sessions"
     )
-    return record
-
-
-def run_check(results: list[dict]) -> int:
-    """Compare a fresh run against the committed baseline (CI smoke)."""
-    if not BENCH_PATH.exists():
-        print(f"error: no baseline at {BENCH_PATH}", file=sys.stderr)
-        return 2
-    baseline = {
-        (case["protocol"], case["n"]): case
-        for case in json.loads(BENCH_PATH.read_text())["cases"]
-    }
-    failures = []
-    for case in results:
-        base = baseline.get((case["protocol"], case["n"]))
-        if base is None:
-            print(
-                f"note: no baseline for {case['protocol']} n={case['n']}; "
-                "skipping check"
-            )
-            continue
-        for stage, seconds in case["seconds"].items():
-            reference = base["seconds"].get(stage)
-            if reference is None or reference < 0.01:
-                continue  # below timer noise; not a meaningful gate
-            if seconds > CHECK_REGRESSION_FACTOR * reference:
-                failures.append(
-                    f"{case['protocol']} n={case['n']} {stage}: "
-                    f"{seconds:.3f}s vs baseline {reference:.3f}s "
-                    f"(> {CHECK_REGRESSION_FACTOR}x)"
-                )
-    if failures:
-        print("perf regression detected:", file=sys.stderr)
-        for line in failures:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(
-        "perf check passed: all stages within "
-        f"{CHECK_REGRESSION_FACTOR}x of the committed baseline"
+    case.counts.update(
+        sessions=len(sessions),
+        states=machine.num_states,
+        transitions=machine.num_transitions,
+        alphabet=len(machine.alphabet),
     )
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--sizes",
-        type=int,
-        nargs="+",
-        default=list(DEFAULT_SIZES),
-        help=f"message counts to benchmark (default: {DEFAULT_SIZES})",
-    )
-    parser.add_argument(
-        "--protocols",
-        nargs="+",
-        default=list(PROTOCOLS),
-        choices=list(PROTOCOLS),
-        help=f"protocol models to benchmark (default: {PROTOCOLS})",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the committed BENCH_statemachine.json instead "
-        "of rewriting it; exit non-zero on a >2x per-stage regression",
-    )
-    args = parser.parse_args(argv)
-
-    results = [
-        bench_case(protocol, n) for protocol in args.protocols for n in args.sizes
-    ]
-
-    if args.check:
-        return run_check(results)
-
-    payload = {
-        "schema": SCHEMA,
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "cases": results,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {BENCH_PATH}")
-    return 0
+    return case
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    args = harness.parser(__doc__, sizes=DEFAULT_SIZES, protocols=PROTOCOLS).parse_args()
+    cases = (bench_case(p, n) for p in args.protocols for n in args.sizes)
+    sys.exit(harness.run(BENCH_PATH, cases, args.check))

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
+from repro.core.matrix import MatrixBuildOptions
 from repro.core.matrixcache import cache_counters
 from repro.obs.metrics import MetricsRegistry, use_metrics
-from repro.obs.tracer import Tracer, use_tracer
 
 
 def pytest_addoption(parser):
@@ -52,16 +51,6 @@ def _fresh_cache_counters():
     """Per-benchmark cache counters so extra_info is attributable."""
     with use_metrics(MetricsRegistry()):
         yield
-
-
-def traced_build(segments, options=None):
-    """``DissimilarityMatrix.build`` and its ``matrix.build`` span's
-    attributes (the build's one record: backend, workers, tiles, ...)."""
-    tracer = Tracer()
-    with use_tracer(tracer):
-        matrix = DissimilarityMatrix.build(segments, options=options)
-    (span,) = tracer.find("matrix.build")
-    return matrix, span.attributes
 
 
 def attach_matrix_stats(benchmark, build: dict) -> None:

@@ -485,7 +485,6 @@ class AnalysisSession:
         statemachine: bool = False,
         recluster_fraction: float = DEFAULT_RECLUSTER_FRACTION,
         epsilon_tolerance: float = DEFAULT_EPSILON_TOLERANCE,
-        knn_slack: int = KNN_SLACK,
         checkpoint_path: str | Path | None = None,
         wal_max_bytes: int | None = None,
         resume: bool = True,
@@ -513,7 +512,6 @@ class AnalysisSession:
             raise ValueError("epsilon_tolerance must be >= 0")
         self.recluster_fraction = float(recluster_fraction)
         self.epsilon_tolerance = float(epsilon_tolerance)
-        self._knn_slack = int(knn_slack)
         self._tracer = tracer
         self._metrics = metrics
 
@@ -948,7 +946,7 @@ class AnalysisSession:
         if count < 4:
             return  # autoconf's degenerate path needs no columns
         k_hi = min(max(2, round(math.log(count))), count - 1)
-        k_prime = min(count - 1, k_hi + self._knn_slack)
+        k_prime = min(count - 1, k_hi + KNN_SLACK)
         self._appendable.matrix.knn_distances_all(
             k_prime,
             self.config.memory_bound_bytes,

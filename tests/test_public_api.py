@@ -145,7 +145,6 @@ class TestSurfaceSnapshot:
             "statemachine",
             "recluster_fraction",
             "epsilon_tolerance",
-            "knn_slack",
             "checkpoint_path",
             "wal_max_bytes",
             "resume",
