@@ -6,9 +6,9 @@ matrix construction (binned kernel serial vs threaded, against the
 serial per-pair reference oracle, on random segments, on segments all
 8 bytes or wider, and on the cross-length-heavy segments of an SMB
 capture — all persisted to ``BENCH_matrix.json`` through the benchmark
-harness), the warm matrix cache, k-NN extraction, DBSCAN, and the
-NEMESYS segmenter against its per-message reference loop.  Every
-timing is a span's wall time (``harness.Case``).
+harness), k-NN extraction, DBSCAN, and the NEMESYS segmenter against
+its per-message reference loop.  Every timing is a span's wall time
+(``harness.Case``).
 """
 
 import statistics
@@ -28,14 +28,13 @@ from repro.core.matrix import (
     MatrixBuildOptions,
     knn_distances_reference,
 )
-from repro.core.matrixcache import cache_counters, cache_path, matrix_checksum
 from repro.core.segments import Segment, unique_segments
 from repro.protocols import get_model
 from repro.segmenters import CspSegmenter, NemesysSegmenter
 from repro.segmenters.base import boundaries_to_segments
 from repro.segmenters.nemesys import nemesys_boundaries_reference
 
-SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
+SERIAL = MatrixBuildOptions(workers=1)
 
 #: Where the kernel-grid baseline lands (committed alongside the bench).
 BENCH_MATRIX_PATH = Path(__file__).parent / "BENCH_matrix.json"
@@ -209,8 +208,8 @@ def test_matrix_kernel_grid(benchmark, monkeypatch):
         parallel_scaling = interleaved_builds(
             case,
             segments,
-            MatrixBuildOptions(workers=1, use_cache=False),
-            MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False),
+            MatrixBuildOptions(workers=1),
+            MatrixBuildOptions(workers=GRID_WORKERS),
             check,
         )
         single_core = runs(case, "pairwise")[0] / statistics.median(runs(case, "serial"))
@@ -290,8 +289,8 @@ def test_matrix_cross_heavy(benchmark, monkeypatch):
     segments = unique_segments(NemesysSegmenter().segment(trace))
     case = Case("cross_heavy")
     for backend, options in (
-        ("serial", MatrixBuildOptions(workers=1, use_cache=False)),
-        ("parallel", MatrixBuildOptions(workers=GRID_WORKERS, use_cache=False)),
+        ("serial", MatrixBuildOptions(workers=1)),
+        ("parallel", MatrixBuildOptions(workers=GRID_WORKERS)),
     ):
         matrix = case.stage(backend, DissimilarityMatrix.build, segments, options=options)
         assert case.tracer.find("matrix.build")[-1].attributes["backend"] == backend
@@ -379,7 +378,7 @@ def test_matrix_build_parallel(benchmark, monkeypatch):
     """
     monkeypatch.setattr(matrix_mod, "THREAD_POOL_MIN_CELLS", 0)
     segments = synthetic_unique_segments(2200)
-    parallel_options = MatrixBuildOptions(use_cache=False)
+    parallel_options = MatrixBuildOptions()
     built = {}
 
     def check(backend, matrix, build):
@@ -410,67 +409,6 @@ def test_matrix_build_parallel(benchmark, monkeypatch):
     elif cpus >= 2:
         assert build["backend"] == "parallel"
         assert speedup >= 1.2, f"parallel speedup {speedup:.2f}x < 1.2x on {cpus} cores"
-
-
-#: Most a warm build may take, as a multiple of reading and verifying
-#: its cache entry (``np.load`` + ``matrix_checksum``) in the same run.
-#: Beyond that a warm build computes the key (a sort of the segments)
-#: and permutes the entry into the caller's order (two ``take`` calls),
-#: about half a load and checksum at n=1600 on 2 vCPUs (1.4-1.6x).
-MAX_WARM_OVER_LOAD = 3.0
-
-
-def load_and_verify(path) -> None:
-    """``np.load`` + ``matrix_checksum`` of one cache entry."""
-    with np.load(path) as archive:
-        assert matrix_checksum(np.asarray(archive["values"])) == str(archive["checksum"])
-
-
-def test_matrix_cache_warm(benchmark, tmp_path):
-    """A warm-cache build reads its entry and computes nothing.
-
-    The cold build misses and stores; every later build hits, returns
-    the cold bytes, runs no ``matrix.bin`` tile, and takes at most
-    ``MAX_WARM_OVER_LOAD`` times what reading and checksumming the same
-    entry takes (best of three each), timed in the same run.  A ratio
-    against the cold build would measure the kernel's speed instead of
-    the cache path's.
-    """
-    segments = synthetic_unique_segments(1600, seed=11)
-    options = MatrixBuildOptions(workers=1, use_cache=True, cache_dir=tmp_path)
-    case = Case("cache")
-    cold = case.stage("cold", DissimilarityMatrix.build, segments, options=options)
-    cold_build = case.tracer.find("matrix.build")[-1].attributes
-    assert not cold_build["cache_hit"]
-
-    for _ in range(3):
-        warm = case.stage("warm", DissimilarityMatrix.build, segments, options=options)
-        assert case.tracer.find("matrix.build")[-1].attributes["cache_hit"]
-        assert not any(span.name == "matrix.bin" for span in case.tracer.roots[-1].walk())
-        assert np.array_equal(cold.values, warm.values)
-    matrix, build = benchmark.pedantic(
-        traced_build, args=(segments, options), rounds=1, iterations=1
-    )
-    assert np.array_equal(cold.values, matrix.values)
-    counters = cache_counters()
-    assert counters["hits"] >= 4 and counters["misses"] == 1
-
-    entry = cache_path(cold_build["cache_key"], tmp_path)
-    for _ in range(3):
-        case.stage("load", load_and_verify, entry)
-    warm_seconds, load_seconds = min(runs(case, "warm")), min(runs(case, "load"))
-    warm_over_load = warm_seconds / load_seconds
-    benchmark.extra_info["cold_seconds"] = round(runs(case, "cold")[0], 3)
-    benchmark.extra_info["warm_seconds"] = round(warm_seconds, 4)
-    benchmark.extra_info["load_and_verify_seconds"] = round(load_seconds, 4)
-    benchmark.extra_info["warm_over_load"] = round(warm_over_load, 2)
-    benchmark.extra_info["speedup"] = round(runs(case, "cold")[0] / warm_seconds, 1)
-    attach_matrix_stats(benchmark, build)
-    assert warm_over_load <= MAX_WARM_OVER_LOAD, (
-        f"warm build {warm_seconds * 1e3:.1f} ms is {warm_over_load:.2f}x "
-        f"reading and verifying its entry ({load_seconds * 1e3:.1f} ms; "
-        f"ceiling {MAX_WARM_OVER_LOAD}x)"
-    )
 
 
 #: Floor on how many times faster the trace-level NEMESYS pass segments a

@@ -65,7 +65,7 @@ def bench_case(protocol: str, n: int) -> harness.Case:
         "matrix",
         DissimilarityMatrix.build,
         unique_segments(segments, min_length=2),
-        options=MatrixBuildOptions(use_cache=False),
+        options=MatrixBuildOptions(),
     )
     types = case.stage("types", cluster_message_types, segments, len(trace), matrix=matrix)
     index_of = {u.data: i for i, u in enumerate(matrix.segments)}

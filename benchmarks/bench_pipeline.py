@@ -119,7 +119,7 @@ class RssSampler:
 def bench_size(n: int, memory_bound_bytes: int) -> harness.Case:
     case = harness.Case(f"n={n}")
     segments = synthetic_trace(n)
-    options = MatrixBuildOptions(use_cache=False)
+    options = MatrixBuildOptions()
     # The post-matrix scans run on the default workers too, as the
     # pipeline runs them (threads where the matrix's pool rule allows).
     workers = options.effective_workers()

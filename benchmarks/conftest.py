@@ -12,8 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.matrix import MatrixBuildOptions
-from repro.core.matrixcache import cache_counters
-from repro.obs.metrics import MetricsRegistry, use_metrics
 
 
 def pytest_addoption(parser):
@@ -24,43 +22,19 @@ def pytest_addoption(parser):
         default=None,
         help="dissimilarity-matrix worker threads (default: usable CPUs)",
     )
-    group.addoption(
-        "--matrix-cache",
-        action="store_true",
-        help="enable the on-disk matrix cache during benchmarks",
-    )
-    group.addoption(
-        "--matrix-cache-dir",
-        default=None,
-        help="matrix cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
 
 
 @pytest.fixture
 def matrix_options(request) -> MatrixBuildOptions:
     """Backend options from the --matrix-* benchmark flags."""
-    return MatrixBuildOptions(
-        workers=request.config.getoption("--matrix-workers"),
-        use_cache=request.config.getoption("--matrix-cache"),
-        cache_dir=request.config.getoption("--matrix-cache-dir"),
-    )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache_counters():
-    """Per-benchmark cache counters so extra_info is attributable."""
-    with use_metrics(MetricsRegistry()):
-        yield
+    return MatrixBuildOptions(workers=request.config.getoption("--matrix-workers"))
 
 
 def attach_matrix_stats(benchmark, build: dict) -> None:
     """Record the matrix backend, read from the attributes of its
-    ``matrix.build`` span, + cache effectiveness in the report."""
+    ``matrix.build`` span, in the report."""
     benchmark.extra_info["matrix_backend"] = build["backend"]
     benchmark.extra_info["matrix_workers"] = build["workers"]
-    counters = cache_counters()
-    benchmark.extra_info["cache_hits"] = counters["hits"]
-    benchmark.extra_info["cache_misses"] = counters["misses"]
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -55,7 +55,6 @@ from repro.core import (
     canberra_dissimilarity,
 )
 from repro.errors import (
-    CacheError,
     ComputeError,
     IngestError,
     QuarantineReport,
@@ -84,7 +83,6 @@ __all__ = [
     "AnalysisReport",
     "AnalysisRun",
     "AnalysisSession",
-    "CacheError",
     "ClusteringConfig",
     "ClusteringResult",
     "ComputeError",

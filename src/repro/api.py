@@ -28,7 +28,7 @@ everywhere a ``segmenter=`` parameter or ``--segmenter`` flag is
 accepted; :func:`~repro.segmenters.available_segmenters` lists the
 names.
 
-Execution knobs (worker count, dtype, storage, cache) ride along on
+Execution knobs (worker count, dtype, storage) ride along on
 :attr:`~repro.core.pipeline.ClusteringConfig.matrix_options` — the same
 :class:`~repro.core.matrix.MatrixBuildOptions` the CLIs fill from
 ``--workers`` (``0`` = serial, unset = usable CPUs; more than one worker
@@ -43,7 +43,7 @@ Example::
 
     tracer = Tracer()
     config = ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=8, use_cache=True)
+        matrix_options=MatrixBuildOptions(workers=8)
     )
     report = analyze("capture.pcap", config, protocol="mystery",
                      port=9999, tracer=tracer)
@@ -179,14 +179,12 @@ def run_analysis(
     :class:`~repro.errors.IngestError`.
     """
     config = config or ClusteringConfig()
-    msgtypes = msgtypes or statemachine
     tracer_scope, metrics_scope = _observability_scopes(tracer, metrics)
     with tracer_scope, metrics_scope:
         if isinstance(trace_or_path, (str, Path)):
             trace = load_trace(trace_or_path, protocol=protocol, port=port, strict=strict)
         else:
             trace = trace_or_path
-        quarantine = trace.quarantine
         # Session tracking needs every occurrence with its timestamp,
         # so keep the raw view before de-duplication strips repeats.
         raw_trace = trace
@@ -195,27 +193,56 @@ def run_analysis(
             # preprocess() returns a fresh Trace that does not carry the
             # capture's quarantine report; re-attach it so the run's
             # trace keeps describing the lenient load it came from.
-            trace.quarantine = quarantine
+            trace.quarantine = raw_trace.quarantine
         if not len(trace):
             raise ValueError("no messages to analyze after preprocessing")
         segments = _resolve_segmenter(segmenter, config).segment(trace)
         result = FieldTypeClusterer(config).cluster(segments)
-        deduced = deduce_semantics(result, trace) if semantics else None
-        types = (
-            cluster_message_types(
-                segments, len(trace), matrix=result.matrix, trace=trace
-            )
-            if msgtypes
-            else None
+        return compose_run(
+            trace,
+            raw_trace,
+            segments,
+            result,
+            config,
+            semantics=semantics,
+            msgtypes=msgtypes,
+            statemachine=statemachine,
         )
-        machine = (
-            infer_session_machine(raw_trace, types, labeled_trace=trace)
-            if statemachine and types is not None
-            else None
-        )
-        report = AnalysisReport.build(
-            result, trace, deduced, msgtypes=types, statemachine=machine
-        )
+
+
+def compose_run(
+    trace: Trace,
+    raw_trace: Trace,
+    segments: list[Segment],
+    result: ClusteringResult,
+    config: ClusteringConfig,
+    *,
+    semantics: bool = False,
+    msgtypes: bool = False,
+    statemachine: bool = False,
+) -> AnalysisRun:
+    """The stages after field-type clustering, and the run they make.
+
+    Semantics → message types → state machine → report, over the
+    clustered (preprocessed) *trace* whose messages *segments* index;
+    session tracking reads *raw_trace*, every message as it arrived,
+    retransmissions included.  :func:`run_analysis` and
+    :meth:`AnalysisSession.snapshot` both end here.
+    """
+    deduced = deduce_semantics(result, trace) if semantics else None
+    types = (
+        cluster_message_types(segments, len(trace), matrix=result.matrix, trace=trace)
+        if msgtypes or statemachine
+        else None
+    )
+    machine = (
+        infer_session_machine(raw_trace, types, labeled_trace=trace)
+        if statemachine
+        else None
+    )
+    report = AnalysisReport.build(
+        result, trace, deduced, msgtypes=types, statemachine=machine
+    )
     return AnalysisRun(
         trace=trace,
         segments=segments,
@@ -223,7 +250,7 @@ def run_analysis(
         report=report,
         semantics=deduced,
         config=config,
-        quarantine=quarantine,
+        quarantine=trace.quarantine,
         msgtypes=types,
         statemachine=machine,
     )

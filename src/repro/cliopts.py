@@ -5,10 +5,9 @@ module owns them once, as an :mod:`argparse` *parent parser*
 (:func:`backend_parent`), plus the helpers that turn parsed flags into
 options and emit the observability artefacts after a run:
 
-- ``--workers`` / ``--no-cache`` / ``--cache-dir`` / ``--matrix-dtype``
-  / ``--matrix-memmap`` — the matrix execution backend (worker count:
-  ``0`` = serial, ``N`` = exactly N, unset = usable CPUs), on-disk cache,
-  value dtype and storage; see
+- ``--workers`` / ``--matrix-dtype`` / ``--matrix-memmap`` — the
+  matrix execution backend (worker count: ``0`` = serial, ``N`` =
+  exactly N, unset = usable CPUs), value dtype and storage; see
   :class:`repro.core.matrix.MatrixBuildOptions`;
 - ``--memory-bound-mb`` — the post-matrix working-set bound;
   :meth:`repro.core.pipeline.ClusteringConfig.from_args` turns the
@@ -29,7 +28,6 @@ import argparse
 import sys
 
 from repro.core.matrix import DTYPE_FLOAT64, DTYPES
-from repro.core.matrixcache import cache_counters
 from repro.errors import ingest_counters
 from repro.obs.export import write_manifest, write_prometheus
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -139,21 +137,11 @@ def backend_parent() -> argparse.ArgumentParser:
         "N>=1 uses exactly N workers (default: the CPUs this process may use)",
     )
     backend.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk dissimilarity-matrix cache",
-    )
-    backend.add_argument(
-        "--cache-dir",
-        default=None,
-        help="matrix cache location (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    backend.add_argument(
         "--matrix-dtype",
         choices=DTYPES,
         default=DTYPE_FLOAT64,
         help="dissimilarity value dtype: 'float64' (default) or 'float32' "
-        "(halves matrix memory; keys a separate cache entry)",
+        "(halves matrix memory)",
     )
     backend.add_argument(
         "--matrix-memmap",
@@ -180,7 +168,7 @@ def backend_parent() -> argparse.ArgumentParser:
     observability.add_argument(
         "--timings",
         action="store_true",
-        help="print per-stage timings and cache counters to stderr",
+        help="print per-stage timings to stderr",
     )
     observability.add_argument(
         "--trace-out",
@@ -198,7 +186,7 @@ def backend_parent() -> argparse.ArgumentParser:
 
 
 def print_timings(tracer: Tracer, metrics: MetricsRegistry) -> None:
-    """``--timings`` view: stage wall clock + cache counters, to stderr.
+    """``--timings`` view: stage wall clock + matrix backend, to stderr.
 
     Reads the same span tree the run manifest serializes, so the quick
     stderr summary and the JSON artefact can never disagree.
@@ -213,18 +201,11 @@ def print_timings(tracer: Tracer, metrics: MetricsRegistry) -> None:
         attributes = span.attributes
         print(
             f"matrix: backend={attributes.get('backend')} "
-            f"workers={attributes.get('workers')} "
-            f"cache_hit={attributes.get('cache_hit')}",
+            f"workers={attributes.get('workers')}",
             file=sys.stderr,
         )
     with use_metrics(metrics):
-        counters = cache_counters()
         ingest = ingest_counters()
-    print(
-        f"matrix cache: hits={counters['hits']} misses={counters['misses']} "
-        f"stores={counters['stores']}",
-        file=sys.stderr,
-    )
     if any(ingest.values()):
         print(
             f"ingest: ok={ingest['ok']} quarantined={ingest['quarantined']} "

@@ -21,7 +21,6 @@ from repro.core.dbscan import NOISE, DbscanResult, dbscan
 from repro.core.ecdf import Ecdf
 from repro.core.kneedle import Knee, detect_knees, rightmost_knee, smooth_ecdf
 from repro.core.matrix import DissimilarityMatrix, MatrixBuildOptions
-from repro.core.matrixcache import cache_counters
 from repro.core.pipeline import ClusteringConfig, ClusteringResult, FieldTypeClusterer
 from repro.core.refinement import merge_clusters, percent_rank, refine, split_polarized
 from repro.core.segments import (
@@ -45,7 +44,6 @@ __all__ = [
     "NOISE",
     "Segment",
     "UniqueSegment",
-    "cache_counters",
     "canberra_dissimilarity",
     "canberra_distance",
     "configure",

@@ -42,11 +42,11 @@ pickling.  While the tiles run, the new segments' columns follow a
 **working layout** in which each length's segments are one column
 range, so a tile and its mirror write a fancy row index against a
 column slice instead of scattering; one pass over row blocks then puts
-the columns back in segment order (:func:`permute_columns`, which the
-matrix cache also uses).  Tile boundaries are deterministic
-(worker-count independent) and every cell is the same reduction either
-way, so the bytes are identical regardless of worker count, completion
-order, or whether the matrix was built at once or grown by appends.
+the columns back in segment order (:func:`permute_columns`).  Tile
+boundaries are deterministic (worker-count independent) and every cell
+is the same reduction either way, so the bytes are identical regardless
+of worker count, completion order, or whether the matrix was built at
+once or grown by appends.
 
 :class:`AppendableMatrix` keeps what an append does not change: its
 segments' per-length blocks and, per short width, the window table of
@@ -62,17 +62,13 @@ excepted), each writing or returning only its own rows' results, so a
 scan's output does not depend on whether its blocks ran inline or on
 threads.
 
-A content-addressed ``.npz`` on disk (:mod:`repro.core.matrixcache`)
-short-circuits the whole computation for a previously seen segment set
-+ penalty factor; storing or loading an entry holds about two matrices
-(:func:`_permuted`).  The ``matrix.build`` / ``matrix.append`` span is the
-one record of a build: which path ran, where the values live, how much
-work it did and, like every other layer's span, how long it took.
-Tiles are the one place that times its own work: a worker thread
-cannot reach the caller's tracer or metrics registry, so every tile,
-inline or threaded, measures itself, and the calling thread records
-the finished ones as closed ``matrix.bin`` spans and counts the failed
-ones.
+The ``matrix.build`` / ``matrix.append`` span is the one record of a
+build: which path ran, where the values live, how much work it did and,
+like every other layer's span, how long it took.  Tiles are the one
+place that times its own work: a worker thread cannot reach the
+caller's tracer or metrics registry, so every tile, inline or threaded,
+measures itself, and the calling thread records the finished ones as
+closed ``matrix.bin`` spans and counts the failed ones.
 """
 
 from __future__ import annotations
@@ -85,11 +81,9 @@ import threading
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from repro.core import matrixcache
 from repro.core.canberra import (
     CHUNK_CELL_BUDGET,
     DEFAULT_PENALTY_FACTOR,
@@ -182,9 +176,8 @@ class MatrixBuildOptions:
     """Execution knobs for :meth:`DissimilarityMatrix.build`.
 
     The defaults are safe for library use: auto worker count (inline on
-    single-core machines and below :data:`THREAD_POOL_MIN_CELLS`) and no
-    disk cache.  The CLIs enable the cache and expose every knob as a
-    flag.
+    single-core machines and below :data:`THREAD_POOL_MIN_CELLS`), float64
+    values in RAM.  The CLIs expose every knob as a flag.
     """
 
     #: Parallel worker count.  The convention is uniform across the
@@ -193,10 +186,6 @@ class MatrixBuildOptions:
     #: ``--workers 0``), ``N >= 1`` ⇒ exactly N workers.  Negative
     #: values are rejected.
     workers: int | None = None
-    #: Reuse/persist matrices in the content-addressed on-disk cache.
-    use_cache: bool = False
-    #: Cache location; None means ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``.
-    cache_dir: str | Path | None = None
     #: Value dtype: "float64" (bit-exact reference, default) or
     #: "float32" (half the resident matrix memory for large traces;
     #: each value rounds once from the float64 tile result).
@@ -933,8 +922,7 @@ def permute_columns(
     each taking its rows' columns into a copy of at most
     :data:`PERMUTE_STEP_BYTES` at a time and writing it back, so the
     pass holds one such copy per thread on top of *values*.  Restores
-    segment order after a build's tiles, and permutes the matrix cache's
-    entries in and out of canonical order after one row ``take``.
+    segment order after a build's tiles.
     """
     if not columns.size:
         return
@@ -1124,15 +1112,6 @@ def _allocate_values(count: int, dtype: str, storage: str) -> np.ndarray:
         ) from error
 
 
-def _permuted(values: np.ndarray, order: np.ndarray, workers: int) -> np.ndarray:
-    """``values[order][:, order]`` with one n² copy: a row ``take``,
-    then its columns permuted in place (:func:`permute_columns`), so
-    *values* and the result are all it holds beyond one row block."""
-    permuted = values.take(order, axis=0)
-    permute_columns(permuted, order, 0, workers)
-    return permuted
-
-
 def _storage(values: np.ndarray) -> str:
     """Where *values* live: :func:`_allocate_values` may fall back to RAM."""
     return STORAGE_MEMMAP if isinstance(values, np.memmap) else STORAGE_RAM
@@ -1165,46 +1144,15 @@ class DissimilarityMatrix:
         """Build D over *segments*, honoring the execution *options*.
 
         ``options=None`` means ``MatrixBuildOptions()``.  Inline and
-        threaded runs, and cache hits, return bit-identical values.  The
-        ``matrix.build`` span records the path that produced them:
-        ``backend`` "serial" (tiles ran inline), "parallel" (on the
-        thread pool) or "cache".
+        threaded runs return bit-identical values.  The ``matrix.build``
+        span records the path that produced them: ``backend`` "serial"
+        (tiles ran inline) or "parallel" (on the thread pool).
         """
         if options is None:
             options = MatrixBuildOptions()
-        matrixcache.declare_cache_metrics()
         with get_tracer().span(
-            "matrix.build",
-            unique_segments=len(segments),
-            dtype=options.dtype,
-            cache_hit=False,
-            cache_key=None,
+            "matrix.build", unique_segments=len(segments), dtype=options.dtype
         ) as span:
-            order: list[int] | None = None
-            if options.use_cache:
-                cache_key, order = matrixcache.canonical_order_key(
-                    [segment.data for segment in segments],
-                    penalty_factor,
-                    dtype=options.dtype,
-                )
-                span.set(cache_key=cache_key)
-                canonical = matrixcache.load_matrix(cache_key, options.cache_dir)
-                if canonical is not None and canonical.shape[0] == len(segments):
-                    # Stored in canonical (byte-sorted) order; permute back
-                    # to the caller's segment order.
-                    rank = np.empty(len(segments), dtype=np.intp)
-                    rank[order] = np.arange(len(segments))
-                    values = _permuted(canonical, rank, options.effective_workers())
-                    span.set(
-                        backend="cache",
-                        cache_hit=True,
-                        storage=_storage(values),
-                        workers=1,
-                        tasks=0,
-                        pairs=0,
-                    )
-                    return cls(segments=segments, values=values)
-
             values = _allocate_values(len(segments), options.dtype, options.storage)
             bins = _length_bins(segments)
             tasks = _append_tasks({}, bins)
@@ -1215,13 +1163,7 @@ class DissimilarityMatrix:
                 backend="parallel" if threaded else "serial",
                 tables_built=sum(task.built for task in tasks),
             )
-
-            if order is not None:
-                canonical = _permuted(
-                    values, np.array(order, dtype=np.intp), options.effective_workers()
-                )
-                matrixcache.store_matrix(cache_key, canonical, options.cache_dir)
-            return cls(segments=segments, values=values)
+        return cls(segments=segments, values=values)
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -1379,8 +1321,6 @@ class AppendableMatrix:
             new_segments=added,
             backend="append",
             dtype=options.dtype,
-            cache_hit=False,
-            cache_key=None,
         ) as span:
             self._ensure_capacity(count)
             values = self._backing[:count, :count]
@@ -1459,10 +1399,10 @@ class AppendableMatrix:
         """Swap in refreshed segment objects without touching the values.
 
         The session uses this after merging occurrence lists: the byte
-        values (and therefore every dissimilarity and the cache key)
-        must be unchanged, position by position — only metadata like
-        occurrence tuples may differ.  The new view keeps the cached
-        k-NN columns and auto-configurations, which read only values.
+        values (and therefore every dissimilarity) must be unchanged,
+        position by position — only metadata like occurrence tuples may
+        differ.  The new view keeps the cached k-NN columns and
+        auto-configurations, which read only values.
         """
         segments = list(segments)
         if len(segments) != self._count:
@@ -1479,24 +1419,3 @@ class AppendableMatrix:
         matrix._autoconfigs = self._matrix._autoconfigs
         self._matrix = matrix
         return matrix
-
-    def persist(self, cache_dir: str | Path | None = None) -> None:
-        """Store the live matrix in the on-disk cache.
-
-        After this, a batch ``DissimilarityMatrix.build`` over the same
-        segment set (with ``use_cache=True``) hits instead of paying the
-        full O(n²) computation — e.g. a later offline re-analysis of a
-        capture a session already grew through.
-        """
-        datas = [segment.data for segment in self._matrix.segments]
-        key, order = matrixcache.canonical_order_key(
-            datas,
-            self.penalty_factor,
-            dtype=self.options.dtype,
-        )
-        canonical = _permuted(
-            self._matrix.values,
-            np.array(order, dtype=np.intp),
-            self.options.effective_workers(),
-        )
-        matrixcache.store_matrix(key, canonical, cache_dir or self.options.cache_dir)

@@ -63,8 +63,8 @@ class ClusteringConfig:
     #: frequent values over-densify their neighborhoods and chain types
     #: together; kept as an ablation knob.
     weighted_density: bool = False
-    #: Matrix execution backend (workers / on-disk cache / dtype /
-    #: storage); None means ``MatrixBuildOptions()``.
+    #: Matrix execution backend (workers / dtype / storage); None means
+    #: ``MatrixBuildOptions()``.
     matrix_options: MatrixBuildOptions | None = None
     #: Boundary-refinement pass composed with the segmenter ("none" or
     #: "pca", see :mod:`repro.segmenters.pca`).  Consumed by
@@ -81,19 +81,16 @@ class ClusteringConfig:
     def from_args(cls, args, **overrides) -> "ClusteringConfig":
         """Build a config from the shared CLI flags (:mod:`repro.cliopts`).
 
-        Reads ``args.workers`` / ``args.no_cache`` / ``args.cache_dir``
-        / ``args.matrix_dtype`` / ``args.matrix_memmap`` into explicit
-        :attr:`matrix_options`, plus ``args.memory_bound_mb`` into the
-        post-matrix working-set bound, so every CLI run carries its
-        backend in one config.  *overrides* are forwarded to the
+        Reads ``args.workers`` / ``args.matrix_dtype`` /
+        ``args.matrix_memmap`` into explicit :attr:`matrix_options`,
+        plus ``args.memory_bound_mb`` into the post-matrix working-set
+        bound, so every CLI run carries its backend in one config.  *overrides* are forwarded to the
         constructor.
         """
         from repro.core.matrix import STORAGE_MEMMAP, STORAGE_RAM
 
         options = MatrixBuildOptions(
             workers=getattr(args, "workers", None),
-            use_cache=not getattr(args, "no_cache", False),
-            cache_dir=getattr(args, "cache_dir", None),
             dtype=getattr(args, "matrix_dtype", None) or "float64",
             storage=(
                 STORAGE_MEMMAP

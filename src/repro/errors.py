@@ -12,9 +12,6 @@ degradation domain:
 - :class:`ComputeError` — a matrix tile that failed, inline or on a
   worker thread; the message names the bin.  There is no retry: the
   build fails loudly.
-- :class:`CacheError` — an on-disk cache entry that failed validation
-  (bad checksum, wrong payload schema).  Cache consumers treat it as a
-  miss; it never propagates out of :mod:`repro.core.matrixcache`.
 
 Lenient ingest (``strict=False`` on :func:`repro.net.pcap.read_pcap`,
 :func:`repro.net.pcapng.read_pcapng`, and
@@ -50,10 +47,6 @@ class IngestError(ReproError, ValueError):
 
 class ComputeError(ReproError, RuntimeError):
     """A computation failed; a matrix build raises it naming the failed bin."""
-
-
-class CacheError(ReproError):
-    """An on-disk cache entry failed validation and was discarded."""
 
 
 INGEST_RECORDS_METRIC = "repro_ingest_records_total"

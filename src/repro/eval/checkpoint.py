@@ -60,7 +60,7 @@ def sweep_fingerprint(seed: int, config=None, kind: str | None = None) -> str:
     cells never satisfy a plain table sweep (or vice versa); omitting
     it preserves the historical fingerprint of existing checkpoints.
     Of the clustering *config* only the matrix dtype changes the
-    numbers (workers, cache, storage and the memory bound do not), so a
+    numbers (workers, storage and the memory bound do not), so a
     float32 sweep is namespaced apart and a float64 one keeps the
     historical fingerprint.
     """

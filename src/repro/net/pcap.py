@@ -127,69 +127,75 @@ def iter_pcap_records(
         report = QuarantineReport()
     offset = 24
     index = 0
-    while True:
-        record = stream.read(16)
-        if not record:
-            return
-        if len(record) != 16:
-            if strict:
-                raise PcapError("truncated pcap: partial record header")
-            report.quarantine_tail(
-                index,
-                offset,
-                "partial-record-header",
-                f"expected 16 bytes for record header, got {len(record)}",
-                data=record,
-            )
-            return
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(header.endian + "IIII", record)
-        if incl_len > header.snaplen and header.snaplen:
-            if strict:
-                raise PcapError(
-                    f"record length {incl_len} exceeds snaplen {header.snaplen}"
-                )
-            data = stream.read(incl_len)
-            if len(data) != incl_len:
+    # Ok records are counted here and recorded once, when the capture
+    # ends, raises or is abandoned: not a metric lookup per record.
+    ok = 0
+    try:
+        while True:
+            record = stream.read(16)
+            if not record:
+                return
+            if len(record) != 16:
+                if strict:
+                    raise PcapError("truncated pcap: partial record header")
                 report.quarantine_tail(
                     index,
                     offset,
-                    "over-snaplen-truncated",
-                    f"record length {incl_len} exceeds snaplen {header.snaplen} "
-                    f"and only {len(data)} bytes follow",
+                    "partial-record-header",
+                    f"expected 16 bytes for record header, got {len(record)}",
+                    data=record,
+                )
+                return
+            ts_sec, ts_frac, incl_len, orig_len = struct.unpack(header.endian + "IIII", record)
+            if incl_len > header.snaplen and header.snaplen:
+                if strict:
+                    raise PcapError(
+                        f"record length {incl_len} exceeds snaplen {header.snaplen}"
+                    )
+                data = stream.read(incl_len)
+                if len(data) != incl_len:
+                    report.quarantine_tail(
+                        index,
+                        offset,
+                        "over-snaplen-truncated",
+                        f"record length {incl_len} exceeds snaplen {header.snaplen} "
+                        f"and only {len(data)} bytes follow",
+                        data=data,
+                    )
+                    return
+                report.quarantine(
+                    index,
+                    offset,
+                    "over-snaplen",
+                    f"record length {incl_len} exceeds snaplen {header.snaplen}",
+                    data=data,
+                )
+                offset += 16 + incl_len
+                index += 1
+                continue
+            data = stream.read(incl_len)
+            if len(data) != incl_len:
+                if strict:
+                    raise PcapError(
+                        f"truncated pcap: expected {incl_len} bytes for packet data, "
+                        f"got {len(data)}"
+                    )
+                report.quarantine_tail(
+                    index,
+                    offset,
+                    "truncated-packet-data",
+                    f"expected {incl_len} bytes of packet data, got {len(data)}",
                     data=data,
                 )
                 return
-            report.quarantine(
-                index,
-                offset,
-                "over-snaplen",
-                f"record length {incl_len} exceeds snaplen {header.snaplen}",
-                data=data,
+            ok += 1
+            yield PcapPacket(
+                timestamp=ts_sec + ts_frac * header.resolution, data=data, orig_len=orig_len
             )
             offset += 16 + incl_len
             index += 1
-            continue
-        data = stream.read(incl_len)
-        if len(data) != incl_len:
-            if strict:
-                raise PcapError(
-                    f"truncated pcap: expected {incl_len} bytes for packet data, "
-                    f"got {len(data)}"
-                )
-            report.quarantine_tail(
-                index,
-                offset,
-                "truncated-packet-data",
-                f"expected {incl_len} bytes of packet data, got {len(data)}",
-                data=data,
-            )
-            return
-        report.record_ok()
-        yield PcapPacket(
-            timestamp=ts_sec + ts_frac * header.resolution, data=data, orig_len=orig_len
-        )
-        offset += 16 + incl_len
-        index += 1
+    finally:
+        report.record_ok(ok)
 
 
 def read_pcap(

@@ -97,6 +97,23 @@ def read_pcapng_stream(
         report = QuarantineReport()
     interfaces: list[Interface] = []
     packets: list[PcapPacket] = []
+    try:
+        _read_blocks(stream, strict, report, interfaces, packets)
+    finally:
+        # Every kept packet is one ok record, recorded once when the
+        # capture ends or raises: not a metric lookup per record.
+        report.record_ok(len(packets))
+    return interfaces, packets
+
+
+def _read_blocks(
+    stream: BinaryIO,
+    strict: bool,
+    report: QuarantineReport,
+    interfaces: list[Interface],
+    packets: list[PcapPacket],
+) -> None:
+    """Fill *interfaces* and *packets* from the blocks of *stream*."""
     endian = "<"
     offset = 0
     index = 0
@@ -214,7 +231,6 @@ def read_pcapng_stream(
             resolution = interfaces[iface_id].ts_resolution
             timestamp = ((ts_high << 32) | ts_low) * resolution
             packets.append(PcapPacket(timestamp=timestamp, data=data, orig_len=orig_len))
-            report.record_ok()
         elif block_type == BLOCK_SPB:
             if not interfaces:
                 skip(
@@ -234,11 +250,9 @@ def read_pcapng_stream(
             cap_len = min(orig_len, interfaces[0].snaplen or orig_len)
             data = body[4 : 4 + cap_len]
             packets.append(PcapPacket(timestamp=0.0, data=data, orig_len=orig_len))
-            report.record_ok()
         # Unknown block types (NRB, ISB, custom) are skipped by design.
         offset += block_len
         index += 1
-    return interfaces, packets
 
 
 def write_pcapng(

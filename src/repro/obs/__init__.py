@@ -10,8 +10,8 @@ reports into this package:
   closed span also lands in the ``repro_span_seconds{span, status}``
   histogram;
 - :mod:`repro.obs.metrics` — a Prometheus-convention registry of
-  counters, gauges, and histograms for what no span holds (matrix cache
-  hits/misses, cluster sizes, ingest, session and service counters);
+  counters, gauges, and histograms for what no span holds (cluster
+  sizes, ingest, session and service counters);
 - :mod:`repro.obs.export` — the versioned JSON *run manifest* (span
   tree + metrics snapshot + config fingerprint) and the Prometheus
   text dump behind the CLIs' ``--trace-out`` / ``--metrics-out``.

@@ -1,11 +1,11 @@
 """Process-local metrics registry: counters, gauges, histograms.
 
 The pipeline and its substrates record bounded-cardinality metrics —
-per-span durations, matrix cache hits/misses, cluster sizes, ingest,
-session and service counters — into a :class:`MetricsRegistry`.  What a
-layer did and how long it took is its span's record; the tracer adds
-every closed span to ``repro_span_seconds``, and a metric here carries
-only what no span holds.  Instruments
+per-span durations, cluster sizes, ingest, session and service
+counters — into a :class:`MetricsRegistry`.  What a layer did and how
+long it took is its span's record; the tracer adds every closed span to
+``repro_span_seconds``, and a metric here carries only what no span
+holds.  Instruments
 follow Prometheus conventions (``*_total`` counter suffix, ``le``
 histogram buckets) so :func:`repro.obs.export.prometheus_text` can dump
 the registry in the text exposition format without translation.
@@ -19,7 +19,7 @@ is dropped, and no call can see another's counts.
 
 Labels are passed as keyword arguments and stored per sorted label set::
 
-    registry.counter("repro_matrix_cache_hits_total").inc()
+    registry.counter("repro_session_appends_total").inc()
     registry.gauge("repro_session_wal_bytes").set(4096)
     registry.histogram("repro_span_seconds").observe(0.12, span="matrix", status="ok")
 """

@@ -36,7 +36,7 @@ survive SIGKILL mid-capture.
 
 Long-lived sessions bound their journal with **compaction**: when the
 live WAL crosses ``wal_max_bytes`` the session archives the WAL
-segment, writes a checksummed snapshot of every kept message
+segment, writes a checksummed snapshot of every appended message
 (``repro.session-snapshot/v1``, temp-file + atomic rename), and
 truncates the live WAL — in that order, so a crash at *any* point
 between the steps still recovers (replay is idempotent, so overlap
@@ -71,7 +71,6 @@ from repro.obs.metrics import MetricsRegistry, get_metrics, use_metrics
 from repro.obs.tracer import Tracer, get_tracer, use_tracer
 from repro.segmenters.base import Segmenter
 from repro.segmenters.registry import resolve_segmenter
-from repro.semantics import deduce_semantics
 
 SESSION_APPENDS_METRIC = "repro_session_appends_total"
 SESSION_RECLUSTERS_METRIC = "repro_session_reclusters_total"
@@ -169,41 +168,73 @@ _V1_MATRIX_OPTIONS_IMAGE = {
 }
 
 
+#: Matrix options that change no output (the golden corpus pins the same
+#: bytes at every worker count, the parity suites in RAM and on a
+#: memmap), so they stay out of the session fingerprint: a journal
+#: resumes under any of their values.
+_OUTPUT_NEUTRAL_MATRIX_OPTIONS = ("workers", "storage")
+
+
 def session_fingerprint(
     config: ClusteringConfig, segmenter_name: str, protocol: str
 ) -> str:
     """Fingerprint identifying one session's analysis inputs.
 
     A checkpoint line is only replayed into a session with the same
-    clustering config, segmenter, and protocol label — resuming with
-    different analysis parameters must not silently mix states.  Config
-    fields at their defaults stay out of it (see
-    :func:`repro.obs.export.config_fingerprint`).
+    output-relevant clustering config, segmenter, and protocol label —
+    resuming with different analysis parameters must not silently mix
+    states.  Config fields at their defaults stay out of it (see
+    :func:`repro.obs.export.config_fingerprint`), and so do the matrix
+    options that change no output (worker count and storage).
     """
+    image = jsonable(config, defaults=False)
+    options = {
+        name: value
+        for name, value in (image.pop("matrix_options", None) or {}).items()
+        if name not in _OUTPUT_NEUTRAL_MATRIX_OPTIONS
+    }
+    if options:
+        image["matrix_options"] = options
+    return _image_fingerprint(image, segmenter_name, protocol)
+
+
+def _image_fingerprint(image: dict, segmenter_name: str, protocol: str) -> str:
+    # A plain dict has no defaults to leave out: it hashes as it is.
     return config_fingerprint(
         {
             "schema": CHECKPOINT_SCHEMA,
-            "config": config,
+            "config": image,
             "segmenter": segmenter_name,
             "protocol": protocol,
         }
     )
 
 
-def _v1_session_fingerprint(
+def _legacy_session_fingerprints(
     config: ClusteringConfig, segmenter_name: str, protocol: str
-) -> str:
-    """The fingerprint journals written before defaulted fields left the
-    hash carry for the same inputs: every field of the config, defaults
-    taken from the frozen :data:`_V1_CONFIG_IMAGE`."""
-    image = {**_V1_CONFIG_IMAGE, **jsonable(config, defaults=False)}
-    if image["matrix_options"] is not None:
-        image["matrix_options"] = {
-            **_V1_MATRIX_OPTIONS_IMAGE,
-            **image["matrix_options"],
-        }
-    # A plain dict has no defaults to leave out: it hashes as it is.
-    return session_fingerprint(image, segmenter_name, protocol)
+) -> tuple[str, ...]:
+    """The fingerprints earlier journals carry for the same inputs.
+
+    - Before the worker count and storage left the hash, every
+      non-default field was hashed, matrix options included; the
+      options then also had a ``use_cache`` flag, which both CLIs set,
+      so the image is hashed without it and with it on.
+    - Before defaulted fields left the hash, every field of the config
+      was hashed, defaults taken from the frozen
+      :data:`_V1_CONFIG_IMAGE`.
+    """
+    image = jsonable(config, defaults=False)
+    cached = {
+        **image,
+        "matrix_options": {**image.get("matrix_options", {}), "use_cache": True},
+    }
+    v1 = {**_V1_CONFIG_IMAGE, **image}
+    if v1["matrix_options"] is not None:
+        v1["matrix_options"] = {**_V1_MATRIX_OPTIONS_IMAGE, **v1["matrix_options"]}
+    return tuple(
+        _image_fingerprint(legacy, segmenter_name, protocol)
+        for legacy in (image, cached, v1)
+    )
 
 
 def _message_to_record(message: TraceMessage) -> dict:
@@ -259,7 +290,7 @@ class SessionCheckpoint:
 
     With *wal_max_bytes* set, the session compacts once the live WAL
     grows past it (:meth:`rotate`): the WAL segment is appended to the
-    ``<path>.archive`` file, a checksummed snapshot of every kept
+    ``<path>.archive`` file, a checksummed snapshot of every appended
     message is written to ``<path>.snapshot`` via temp-file + atomic
     rename, and the live WAL is truncated — in that order, so every
     crash window either leaves the snapshot + live WAL pair complete or
@@ -515,6 +546,9 @@ class AnalysisSession:
         self._tracer = tracer
         self._metrics = metrics
 
+        #: Every appended message, in arrival order, retransmissions
+        #: and empties included: the raw trace session tracking reads.
+        self._raw: list[TraceMessage] = []
         #: Kept (non-empty, deduplicated) messages, in arrival order —
         #: byte-for-byte what ``Trace.preprocess()`` would keep.
         self._messages: list[TraceMessage] = []
@@ -558,7 +592,7 @@ class AnalysisSession:
                 checkpoint_path,
                 session_fingerprint(*inputs),
                 wal_max_bytes=wal_max_bytes,
-                legacy_fingerprints=(_v1_session_fingerprint(*inputs),),
+                legacy_fingerprints=_legacy_session_fingerprints(*inputs),
             )
             if resume:
                 self._replay()
@@ -806,6 +840,7 @@ class AnalysisSession:
 
     def _ingest(self, messages: list[TraceMessage]) -> SessionUpdate:
         """Dedup → segment → grow matrix → drift gate.  No journaling."""
+        self._raw.extend(messages)
         kept = []
         for message in messages:
             if not message.data or message.data in self._seen:
@@ -925,7 +960,7 @@ class AnalysisSession:
         }
         try:
             with get_tracer().span("session.compact", wal_bytes=wal_bytes):
-                checkpoint.rotate(list(self._messages), meta)
+                checkpoint.rotate(list(self._raw), meta)
         except OSError:
             get_metrics().counter(
                 SESSION_COMPACTION_FAILURES_METRIC, help=_COMPACTION_FAILURES_HELP
@@ -1047,17 +1082,16 @@ class AnalysisSession:
         """A complete :class:`~repro.api.AnalysisRun` over everything
         appended so far — bit-identical (matrix bytes, epsilon, cluster
         membership) to batch :func:`~repro.api.run_analysis` over the
-        same messages.
+        same messages, and ending in the same stages
+        (:func:`~repro.api.compose_run`), session tracking over every
+        appended message included.
 
         Reconciles first: when anything was appended since the last
         reclustering, the post-matrix stages re-run (the O(n²) matrix
         is never rebuilt).  The session stays usable afterwards —
         snapshots are cheap checkpoints, not terminal states.
         """
-        from repro.api import AnalysisRun
-        from repro.msgtypes import cluster_message_types
-        from repro.report import AnalysisReport
-        from repro.statemachine.stage import infer_session_machine
+        from repro.api import compose_run
 
         self._check_open()
         with self._scopes():
@@ -1072,46 +1106,20 @@ class AnalysisSession:
                     )
                 if self._dirty or self._result is None:
                     self._recluster("snapshot")
-                result = self._result
-                trace = Trace(
-                    messages=list(self._messages), protocol=self.protocol
-                )
+                trace = Trace(messages=list(self._messages), protocol=self.protocol)
                 trace.quarantine = self._merged_quarantine()
-                deduced = (
-                    deduce_semantics(result, trace) if self.semantics else None
+                run = compose_run(
+                    trace,
+                    Trace(messages=list(self._raw), protocol=self.protocol),
+                    list(self._segments),
+                    self._result,
+                    self.config,
+                    semantics=self.semantics,
+                    msgtypes=self.msgtypes,
+                    statemachine=self.statemachine,
                 )
-                types = (
-                    cluster_message_types(
-                        list(self._segments),
-                        len(self._messages),
-                        matrix=result.matrix,
-                        trace=trace,
-                    )
-                    if self.msgtypes
-                    else None
-                )
-                machine = (
-                    infer_session_machine(trace, types, labeled_trace=trace)
-                    if self.statemachine and types is not None
-                    else None
-                )
-                report = AnalysisReport.build(
-                    result, trace, deduced, msgtypes=types, statemachine=machine
-                )
-                if self._appendable.options.use_cache:
-                    self._appendable.persist()
-                span.set(clusters=result.cluster_count)
-        return AnalysisRun(
-            trace=trace,
-            segments=list(self._segments),
-            result=result,
-            report=report,
-            semantics=deduced,
-            config=self.config,
-            quarantine=trace.quarantine,
-            msgtypes=types,
-            statemachine=machine,
-        )
+                span.set(clusters=run.result.cluster_count)
+        return run
 
     def _merged_quarantine(self) -> QuarantineReport | None:
         """One report over every lenient load this session absorbed."""

@@ -49,8 +49,8 @@ def distinct_segments(datas: list[bytes]) -> list[UniqueSegment]:
     return out
 
 
-SERIAL = MatrixBuildOptions(workers=1, use_cache=False)
-THREADED = MatrixBuildOptions(workers=4, use_cache=False)
+SERIAL = MatrixBuildOptions(workers=1)
+THREADED = MatrixBuildOptions(workers=4)
 
 datas_strategy = st.lists(
     st.binary(min_size=2, max_size=12), min_size=2, max_size=24, unique=True
@@ -456,21 +456,3 @@ class TestLifecycle:
         # New values: computed again.
         appendable.append(segments[30:])
         assert not configure(appendable.matrix).reused
-
-    def test_persist_seeds_batch_cache(self, tmp_path):
-        options = MatrixBuildOptions(
-            workers=1, use_cache=True, cache_dir=tmp_path
-        )
-        segments = distinct_segments([bytes([i, 255 - i]) for i in range(20)])
-        appendable = AppendableMatrix(segments[:12], options=options)
-        appendable.append(segments[12:])
-        appendable.persist()
-        tracer = Tracer()
-        with use_tracer(tracer):
-            rebuilt = DissimilarityMatrix.build(segments, options=options)
-        (build,) = tracer.find("matrix.build")
-        assert build.attributes["cache_hit"]
-        assert (
-            np.asarray(rebuilt.values).tobytes()
-            == np.asarray(appendable.matrix.values).tobytes()
-        )

@@ -49,7 +49,7 @@ def golden_matrix(protocol: str = "ntp") -> DissimilarityMatrix:
     segments = GroundTruthSegmenter(model).segment(trace)
     uniq = unique_segments(segments)
     return DissimilarityMatrix.build(
-        uniq, options=MatrixBuildOptions(workers=1, use_cache=False)
+        uniq, options=MatrixBuildOptions(workers=1)
     )
 
 
@@ -324,7 +324,7 @@ class TestKnnDistancesAllParity:
         trace = model.generate(80, seed=1202).preprocess()
         uniq = unique_segments(GroundTruthSegmenter(model).segment(trace))
         matrix = DissimilarityMatrix.build(
-            uniq, options=MatrixBuildOptions(use_cache=False, storage="memmap")
+            uniq, options=MatrixBuildOptions(storage="memmap")
         )
         assert isinstance(matrix.values, np.memmap)
         k_max = min(8, len(matrix) - 1)

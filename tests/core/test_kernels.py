@@ -57,7 +57,7 @@ def as_unique_segments(datas):
 
 
 def build(datas, workers=1, **kwargs):
-    options = MatrixBuildOptions(workers=workers, use_cache=False, **kwargs)
+    options = MatrixBuildOptions(workers=workers, **kwargs)
     return DissimilarityMatrix.build(as_unique_segments(datas), options=options)
 
 
@@ -396,7 +396,7 @@ class TestKernelPropertyParity:
         unique = unique_segments(segments, min_length=1)
         assert len(unique) == 3
         binned = DissimilarityMatrix.build(
-            unique, options=MatrixBuildOptions(workers=1, use_cache=False)
+            unique, options=MatrixBuildOptions(workers=1)
         )
         oracle = dissimilarity_matrix_reference([u.data for u in unique])
         assert_same_bytes(binned.values, oracle)
@@ -470,7 +470,7 @@ class TestBuildPathParity:
         rng.shuffle(datas)
         cuts = sorted(rng.sample(range(1, len(datas)), 3))
         workers = rng.choice([0, 2])
-        options = MatrixBuildOptions(workers=workers, use_cache=False)
+        options = MatrixBuildOptions(workers=workers)
         segments = [UniqueSegment(data=d) for d in datas]
         tracer = Tracer()
         with use_tracer(tracer):
@@ -502,7 +502,7 @@ class TestWindowTableMemory:
         while len(datas) < 119 + 200:
             datas.add(bytes(rng.integers(0, 256, 3, dtype=np.uint8)))
         segments = [UniqueSegment(data=d) for d in sorted(datas)]
-        options = MatrixBuildOptions(workers=0, use_cache=False)
+        options = MatrixBuildOptions(workers=0)
         tracemalloc.start()
         try:
             matrix = DissimilarityMatrix.build(segments, options=options)
@@ -682,7 +682,7 @@ class TestBandMemory:
         while len(datas) < 1400:
             datas.add(bytes(rng.integers(0, 256, 3, dtype=np.uint8)))
         segments = [UniqueSegment(data=d) for d in datas]
-        options = MatrixBuildOptions(workers=0, use_cache=False)
+        options = MatrixBuildOptions(workers=0)
         tracemalloc.start()
         try:
             matrix = DissimilarityMatrix.build(segments, options=options)

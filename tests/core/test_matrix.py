@@ -1,24 +1,19 @@
-import io
-import tracemalloc
-import zipfile
 from collections.abc import Sequence
 
 import numpy as np
 import pytest
 
-from repro.core import matrixcache
-from repro.core.canberra import DEFAULT_PENALTY_FACTOR, canberra_dissimilarity
+from repro.core.canberra import canberra_dissimilarity
 from repro.core.matrix import (
     AppendableMatrix,
     DissimilarityMatrix,
     MatrixBuildOptions,
     knn_distances_reference,
+    permute_columns,
 )
 from repro.core.segments import Segment, UniqueSegment, unique_segments
 from repro.errors import ComputeError
 from repro.obs.tracer import Tracer, use_tracer
-from repro.protocols import get_model
-from repro.segmenters import NemesysSegmenter
 
 
 def build(datas, **options):
@@ -36,15 +31,6 @@ def traced(datas, **options):
     tracer = Tracer()
     with use_tracer(tracer):
         matrix = build(datas, **options)
-    (span,) = tracer.find("matrix.build")
-    return matrix, span.attributes
-
-
-def traced_segments(segments, options):
-    """A build over *segments* and its ``matrix.build`` span's attributes."""
-    tracer = Tracer()
-    with use_tracer(tracer):
-        matrix = DissimilarityMatrix.build(segments, options=options)
     (span,) = tracer.find("matrix.build")
     return matrix, span.attributes
 
@@ -94,16 +80,16 @@ class TestKnn:
 
 
 class TestEmptySegmentSet:
-    def test_cache_and_persist_permute_no_columns(self, tmp_path):
-        # The matrix cache permutes a matrix in and out of canonical
-        # order; with no segments that permutation has no columns.
-        options = MatrixBuildOptions(use_cache=True, cache_dir=tmp_path)
-        matrix, record = traced([], use_cache=True, cache_dir=tmp_path)
-        assert matrix.values.shape == (0, 0) and not record["cache_hit"]
-        assert len(AppendableMatrix([], options=options)) == 0
-        AppendableMatrix([]).persist(tmp_path)
-        again, record = traced([], use_cache=True, cache_dir=tmp_path)
-        assert again.values.shape == (0, 0) and record["cache_hit"]
+    def test_permute_columns_with_no_columns(self):
+        # A permutation with no columns sizes no step from them.
+        empty = np.zeros((0, 0))
+        permute_columns(empty, np.arange(0), 0, workers=2)
+        values = np.arange(16.0).reshape(4, 4)
+        permute_columns(values, np.arange(0), 4, workers=2)
+        assert np.array_equal(values, np.arange(16.0).reshape(4, 4))
+        matrix, record = traced([])
+        assert matrix.values.shape == (0, 0) and record["tasks"] == 0
+        assert len(AppendableMatrix([])) == 0
 
 
 class TestCondensed:
@@ -166,20 +152,6 @@ class TestDtypeAndStorage:
         with pytest.raises(ValueError, match="storage"):
             MatrixBuildOptions(storage="disk")
 
-    def test_cache_round_trip_preserves_dtype(self, tmp_path):
-        first, record = traced(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
-        assert not record["cache_hit"]
-        again, record = traced(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
-        assert record["cache_hit"]
-        assert again.values.dtype == np.float32
-        assert np.array_equal(again.values, first.values)
-
-    def test_cache_keys_dtypes_separately(self, tmp_path):
-        _, wide = traced(ladder(), use_cache=True, cache_dir=tmp_path)
-        _, narrow = traced(ladder(), dtype="float32", use_cache=True, cache_dir=tmp_path)
-        assert wide["cache_key"] != narrow["cache_key"]
-        assert not narrow["cache_hit"]  # the float64 entry must not serve it
-
 
 class _ManySegments(Sequence):
     """Claims *count* segments without holding them: a build allocates its
@@ -222,71 +194,3 @@ class TestUnallocatableMatrix:
             grown._ensure_capacity(self.COUNT)
         self.assert_names_the_way_out(exc.value)
         assert len(grown) == 4
-
-
-@pytest.fixture(scope="module")
-def smb_segments():
-    """The NEMESYS unique segments of SMB-240 (seed 924): a 28.6 MiB matrix."""
-    trace = get_model("smb").generate(240, seed=924).preprocess()
-    return unique_segments(NemesysSegmenter().segment(trace))
-
-
-class TestCacheMemory:
-    """The cache permutes a matrix in and out of canonical order with one
-    n² copy (a row ``take``, then its columns in place), so a cold or a
-    warm build holds about two matrices, not three."""
-
-    def peak_and_matrix(self, segments, options):
-        tracemalloc.start()
-        try:
-            matrix, record = traced_segments(segments, options)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak, matrix, record
-
-    def test_cold_and_warm_builds_peak_near_two_matrices(self, smb_segments, tmp_path):
-        options = MatrixBuildOptions(workers=0, use_cache=True, cache_dir=tmp_path)
-        cold_peak, cold, record = self.peak_and_matrix(smb_segments, options)
-        assert not record["cache_hit"]
-        warm_peak, warm, record = self.peak_and_matrix(smb_segments, options)
-        assert record["cache_hit"]
-        assert warm.values.tobytes() == cold.values.tobytes()
-        assert cold_peak <= 2.2 * cold.values.nbytes
-        assert warm_peak <= 2.2 * cold.values.nbytes
-
-    def test_stored_entry_is_the_canonical_matrix(self, tmp_path):
-        segments = unique_segments(
-            [Segment(message_index=i, offset=0, data=d) for i, d in enumerate(ladder())]
-        )
-        segments = segments[::-1] + [UniqueSegment(data=b"\x07\x00")]
-        for dtype in ("float64", "float32"):
-            options = MatrixBuildOptions(
-                workers=0, use_cache=True, cache_dir=tmp_path, dtype=dtype
-            )
-            matrix, record = traced_segments(segments, options)
-            key, order = matrixcache.canonical_order_key(
-                [s.data for s in segments], DEFAULT_PENALTY_FACTOR, dtype=dtype
-            )
-            assert record["cache_key"] == key
-            with np.load(matrixcache.cache_path(key, tmp_path)) as archive:
-                stored = archive["values"]
-                checksum = str(archive["checksum"])
-            assert stored.dtype == np.dtype(dtype)
-            expected = matrix.values[np.ix_(order, order)]
-            assert stored.tobytes() == expected.tobytes()
-            assert checksum == matrixcache.matrix_checksum(expected)
-
-    def test_archive_members_are_the_savez_bytes(self, tmp_path):
-        values = np.random.default_rng(2).random((37, 37))
-        for dtype in (np.float64, np.float32):
-            array = values.astype(dtype)
-            ours, theirs = io.BytesIO(), io.BytesIO()
-            matrixcache._write_npz(ours, array)
-            np.savez(
-                theirs, values=array, checksum=np.array(matrixcache.matrix_checksum(array))
-            )
-            with zipfile.ZipFile(ours) as mine, zipfile.ZipFile(theirs) as numpys:
-                assert mine.namelist() == numpys.namelist()
-                for name in numpys.namelist():
-                    assert mine.read(name) == numpys.read(name)

@@ -75,7 +75,7 @@ def traced_build(datas, tracer=None, **options):
     with use_tracer(tracer):
         built = DissimilarityMatrix.build(
             as_unique_segments(datas),
-            options=MatrixBuildOptions(use_cache=False, **options),
+            options=MatrixBuildOptions(**options),
         )
     (build,) = tracer.find("matrix.build")
     return built, build.attributes, len(tracer.find("matrix.bin"))
@@ -302,7 +302,7 @@ class TestThreadedObservability:
         datas = make_ragged_datas(count=90, seed=61)
         segments = as_unique_segments(datas + [bytes(range(20)), bytes(range(30))])
         old = 55
-        options = MatrixBuildOptions(workers=workers, use_cache=False)
+        options = MatrixBuildOptions(workers=workers)
 
         def written_cells(build, span_name):
             tracer = Tracer()
@@ -338,7 +338,7 @@ class TestThreadedObservability:
         old = 50
         runs = {}
         for workers in (0, 2):
-            options = MatrixBuildOptions(workers=workers, use_cache=False)
+            options = MatrixBuildOptions(workers=workers)
             tracer = Tracer()
             with use_tracer(tracer):
                 built = DissimilarityMatrix.build(segments, options=options)

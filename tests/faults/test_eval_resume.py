@@ -272,7 +272,7 @@ class TestEvalCliFlags:
             return _fake_cell((protocol, message_count, segmenter))
 
         monkeypatch.setattr(tables_mod, "run_cell", recording_run_cell)
-        argv = ["table1", "--quick", "--no-cache", "--checkpoint", str(tmp_path / "s")]
+        argv = ["table1", "--quick", "--checkpoint", str(tmp_path / "s")]
         assert main(argv) == 0
         cells = len(dtypes)
         assert cells and set(dtypes) == {"float64"}
@@ -296,7 +296,7 @@ class TestSweepFingerprint:
         )
         # Backend settings that leave the numbers alone stay out of it.
         backend = ClusteringConfig(
-            matrix_options=MatrixBuildOptions(workers=0, use_cache=True),
+            matrix_options=MatrixBuildOptions(workers=0, storage="memmap"),
             memory_bound_bytes=1 << 20,
         )
         assert sweep_fingerprint(42, backend) == sweep_fingerprint(42)

@@ -121,3 +121,69 @@ class TestCleanCaptureUnaffected:
         assert [m.data for m in strict] == [m.data for m in lenient]
         assert strict.quarantine is None  # no report in strict mode
         assert lenient.quarantine is not None and not lenient.quarantine
+
+
+
+class TestIngestRecordCounts:
+    """``repro_ingest_records_total`` counts a capture's ok records in one
+    increment, also when a strict load raises mid-file or a lenient one
+    quarantines its tail."""
+
+    @pytest.fixture(params=["pcap", "pcapng"])
+    def captures(self, request, tmp_path):
+        """A clean capture of five frames and one whose last is cut short."""
+        write = write_pcap if request.param == "pcap" else write_pcapng
+        clean = tmp_path / f"clean.{request.param}"
+        write(clean, _frames(5))
+        cut = tmp_path / f"cut.{request.param}"
+        cut.write_bytes(clean.read_bytes()[:-6])
+        return clean, cut
+
+    @staticmethod
+    def load(path, monkeypatch, strict):
+        """The ingest counters after loading *path*, the amounts of each
+        ``ok`` increment, and the load's error, if any."""
+        import repro.errors
+
+        increments = []
+        count_records = repro.errors.count_records
+
+        def counting(status, amount=1):
+            if status == "ok":
+                increments.append(amount)
+            count_records(status, amount)
+
+        monkeypatch.setattr(repro.errors, "count_records", counting)
+        error = None
+        with use_metrics(MetricsRegistry()):
+            try:
+                load_trace(path, strict=strict)
+            except IngestError as raised:
+                error = raised
+            counters = ingest_counters()
+        return counters, increments, error
+
+    def test_clean_capture(self, captures, monkeypatch):
+        for strict in (True, False):
+            counters, increments, error = self.load(captures[0], monkeypatch, strict)
+            assert error is None
+            assert counters == {
+                "ok": 5, "quarantined": 0, "salvaged_tail": 0, "unparsed_frames": 0
+            }
+            assert increments == [5]
+
+    def test_strict_load_that_raises(self, captures, monkeypatch):
+        counters, increments, error = self.load(captures[1], monkeypatch, True)
+        assert error is not None
+        assert counters == {
+            "ok": 4, "quarantined": 0, "salvaged_tail": 0, "unparsed_frames": 0
+        }
+        assert increments == [4]
+
+    def test_lenient_load_that_salvages(self, captures, monkeypatch):
+        counters, increments, error = self.load(captures[1], monkeypatch, False)
+        assert error is None
+        assert counters == {
+            "ok": 4, "quarantined": 1, "salvaged_tail": 1, "unparsed_frames": 0
+        }
+        assert increments == [4]

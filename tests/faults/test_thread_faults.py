@@ -41,7 +41,7 @@ def _segments():
 
 
 def _options(**overrides):
-    defaults = dict(workers=2, use_cache=False)
+    defaults = dict(workers=2)
     defaults.update(overrides)
     return MatrixBuildOptions(**defaults)
 

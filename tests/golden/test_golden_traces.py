@@ -28,14 +28,16 @@ checked in — the protocol generators are seeded and deterministic, so
 the corpus stores only the compact expected artifacts.
 """
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import cluster_segments
 from repro.core.matrix import MatrixBuildOptions
-from repro.core.matrixcache import CACHE_FORMAT_VERSION, matrix_checksum
 from repro.core.pipeline import ClusteringConfig
 from repro.msgtypes import cluster_message_types
 from repro.obs.tracer import Tracer, use_tracer
@@ -51,21 +53,35 @@ EXPECTED_DIR = Path(__file__).parent / "expected"
 GOLDEN_PROTOCOLS = ("dhcp", "dns", "ntp", "nbns", "smb", "awdl")
 GOLDEN_MESSAGES = 120
 GOLDEN_SEED = 1202
+#: The ``cache_format_version`` every artifact records: the format of
+#: the on-disk matrix cache the corpus was first written against.  That
+#: cache is gone; the field stays, frozen, so the artifacts do not change.
+GOLDEN_FORMAT_VERSION = 4
+
+
+def matrix_checksum(values: np.ndarray) -> str:
+    """The artifacts' ``matrix_sha256``: SHA-256 over a format tag, the
+    matrix shape and its raw value bytes."""
+    digest = hashlib.sha256()
+    digest.update(b"repro-matrix-payload-v2\0")
+    digest.update(struct.pack("<QQ", *values.shape))
+    digest.update(np.ascontiguousarray(values))
+    return digest.hexdigest()
 
 
 def golden_run(protocol: str, matrix_options: MatrixBuildOptions | None = None) -> dict:
     """One deterministic pipeline run, reduced to its golden artifacts.
 
-    *matrix_options* overrides the build backend (default: serial, no
-    cache) — the parallelism parity suite re-runs the whole corpus
-    through the threaded backend and asserts the identical artifacts.
+    *matrix_options* overrides the build backend (default: serial) —
+    the parallelism parity suite re-runs the whole corpus through the
+    threaded backend and asserts the identical artifacts.
     """
     model = get_model(protocol)
     trace = model.generate(GOLDEN_MESSAGES, seed=GOLDEN_SEED).preprocess()
     segments = GroundTruthSegmenter(model).segment(trace)
     config = ClusteringConfig(
         matrix_options=matrix_options
-        or MatrixBuildOptions(workers=1, use_cache=False)
+        or MatrixBuildOptions(workers=1)
     )
     result = cluster_segments(segments, config)
     epsilon = float(result.epsilon)
@@ -79,7 +95,7 @@ def golden_run(protocol: str, matrix_options: MatrixBuildOptions | None = None) 
         "seed": GOLDEN_SEED,
         "segmenter": "groundtruth",
         "kernel": "binned",
-        "cache_format_version": CACHE_FORMAT_VERSION,
+        "cache_format_version": GOLDEN_FORMAT_VERSION,
         "unique_segments": len(result.segments),
         "matrix_sha256": matrix_checksum(result.matrix.values),
         "epsilon": epsilon,
@@ -194,7 +210,7 @@ def test_golden_trace_worker_stability(protocol, workers, request, thread_pool_a
     with use_tracer(tracer):
         actual = golden_run(
             protocol,
-            matrix_options=MatrixBuildOptions(workers=workers, use_cache=False),
+            matrix_options=MatrixBuildOptions(workers=workers),
         )
     backends = {span.attributes["backend"] for span in tracer.find("matrix.build")}
     assert backends == {"parallel" if workers else "serial"}
@@ -223,7 +239,7 @@ def test_golden_trace_session_replay(protocol, request):
     trace = model.generate(GOLDEN_MESSAGES, seed=GOLDEN_SEED).preprocess()
     messages = list(trace.messages)
     session = AnalysisSession(
-        ClusteringConfig(matrix_options=MatrixBuildOptions(workers=1, use_cache=False)),
+        ClusteringConfig(matrix_options=MatrixBuildOptions(workers=1)),
         segmenter=GroundTruthSegmenter(model),
         protocol=protocol,
     )

@@ -174,7 +174,7 @@ class TestKernelMatchesOracle:
         segments = GroundTruthSegmenter(model).segment(trace)
         matrix = DissimilarityMatrix.build(
             unique_segments(segments, min_length=2),
-            options=MatrixBuildOptions(storage="memmap", use_cache=False),
+            options=MatrixBuildOptions(storage="memmap"),
         )
         assert isinstance(matrix.values, np.memmap)
         index_of = {u.data: i for i, u in enumerate(matrix.segments)}

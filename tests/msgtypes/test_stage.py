@@ -25,7 +25,7 @@ SEED = 11
 
 def serial_config() -> ClusteringConfig:
     return ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=1, use_cache=False)
+        matrix_options=MatrixBuildOptions(workers=1)
     )
 
 

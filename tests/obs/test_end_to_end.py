@@ -109,16 +109,12 @@ class TestSpansPerStage:
         for name in ("segment", "pipeline", *PIPELINE_STAGES):
             assert durations.snapshot(span=name, status="ok")["count"] == 1
         assert metrics.histogram("repro_cluster_size").snapshot()["count"] >= 1
-        snapshot = metrics.snapshot()
-        assert "repro_matrix_cache_hits_total" in snapshot
-        assert "repro_matrix_cache_misses_total" in snapshot
 
 
 class TestCliArtefacts:
-    def run_analyze(self, tmp_path, monkeypatch, extra=()):
+    def run_analyze(self, tmp_path, extra=()):
         from repro.__main__ import main as repro_main
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         manifest_path = tmp_path / "run.json"
         metrics_path = tmp_path / "run.prom"
         code = repro_main(
@@ -138,8 +134,8 @@ class TestCliArtefacts:
         assert code == 0
         return manifest_path, metrics_path
 
-    def test_manifest_has_all_stages_and_cache_counters(self, tmp_path, monkeypatch):
-        manifest_path, _ = self.run_analyze(tmp_path, monkeypatch)
+    def test_manifest_has_all_stages(self, tmp_path):
+        manifest_path, _ = self.run_analyze(tmp_path)
         manifest = validate_manifest(json.loads(manifest_path.read_text()))
         names = []
 
@@ -152,20 +148,12 @@ class TestCliArtefacts:
             walk(root)
         for stage in ("segment", *PIPELINE_STAGES):
             assert names.count(stage) == 1, f"expected one {stage} span, got {names}"
-        hits = manifest["metrics"]["repro_matrix_cache_hits_total"]
-        misses = manifest["metrics"]["repro_matrix_cache_misses_total"]
-        assert hits["type"] == "counter" and misses["type"] == "counter"
-        # First run over an empty cache dir: one miss, no hit.
-        assert misses["series"][0]["value"] == 1
-        assert hits["series"][0]["value"] == 0
         assert manifest["config_fingerprint"]
-        assert manifest["config"]["matrix_options"]["use_cache"] is True
 
-    def test_prometheus_file_parses(self, tmp_path, monkeypatch):
-        manifest_path, metrics_path = self.run_analyze(tmp_path, monkeypatch)
+    def test_prometheus_file_parses(self, tmp_path):
+        manifest_path, metrics_path = self.run_analyze(tmp_path)
         samples = parse_prometheus_text(metrics_path.read_text())
         assert samples[span_count_sample("pipeline")] == 1
-        assert samples[("repro_matrix_cache_misses_total", ())] == 1
         for stage in PIPELINE_STAGES:
             assert samples[span_count_sample(stage)] == 1
             assert (
@@ -176,32 +164,23 @@ class TestCliArtefacts:
         (pipeline,) = [root for root in manifest["spans"] if root["name"] == "pipeline"]
         assert pipeline["attributes"]["unique_segments"] > 0
 
-    def test_second_run_hits_matrix_cache(self, tmp_path, monkeypatch):
-        self.run_analyze(tmp_path, monkeypatch)
-        manifest_path, _ = self.run_analyze(tmp_path, monkeypatch)
-        manifest = json.loads(manifest_path.read_text())
-        hits = manifest["metrics"]["repro_matrix_cache_hits_total"]
-        assert hits["series"][0]["value"] == 1
-
-    def test_timings_view_reads_span_data(self, tmp_path, monkeypatch, capsys):
-        self.run_analyze(tmp_path, monkeypatch, extra=["--timings"])
+    def test_timings_view_reads_span_data(self, tmp_path, capsys):
+        self.run_analyze(tmp_path, extra=["--timings"])
         err = capsys.readouterr().err
         assert "timings:" in err
         for stage in ("segment", "matrix", "autoconf", "dbscan", "refine"):
             assert f"{stage}=" in err
-        assert "matrix cache: hits=0 misses=1 stores=1" in err
+        assert "matrix: backend=" in err
 
-    def test_analyze_verb_is_optional(self, tmp_path, monkeypatch, capsys):
+    def test_analyze_verb_is_optional(self, capsys):
         from repro.__main__ import main as repro_main
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert repro_main(["--model", "ntp", "-n", "60"]) == 0
         assert "pseudo data types" in capsys.readouterr().out
 
-    def test_eval_cli_emits_artefacts(self, tmp_path, monkeypatch, capsys):
+    def test_eval_cli_emits_artefacts(self, tmp_path):
         from repro.eval.__main__ import main as eval_main
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         manifest_path = tmp_path / "eval.json"
         metrics_path = tmp_path / "eval.prom"
         code = eval_main(

@@ -87,8 +87,8 @@ class TestConfigFingerprint:
         from repro.core.matrix import MatrixBuildOptions
 
         base = ClusteringConfig(matrix_options=MatrixBuildOptions())
-        cached = ClusteringConfig(matrix_options=MatrixBuildOptions(use_cache=True))
-        assert config_fingerprint(base) != config_fingerprint(cached)
+        mapped = ClusteringConfig(matrix_options=MatrixBuildOptions(storage="memmap"))
+        assert config_fingerprint(base) != config_fingerprint(mapped)
 
     def test_defaulted_fields_add_nothing_at_any_depth(self):
         from repro.core.matrix import MatrixBuildOptions

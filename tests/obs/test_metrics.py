@@ -126,16 +126,3 @@ class TestContextBinding:
         get_metrics().counter(name).inc(4)
         assert get_metrics().counter(name).value() == 0
         assert get_metrics() is not get_metrics()
-
-
-class TestCacheCounterCompat:
-    def test_cache_counters_reads_active_registry(self):
-        from repro.core.matrixcache import cache_counters
-
-        with use_metrics(MetricsRegistry()):
-            assert cache_counters() == {"hits": 0, "misses": 0, "stores": 0}
-            get_metrics().counter("repro_matrix_cache_hits_total").inc(2)
-            assert cache_counters()["hits"] == 2
-        with use_metrics(MetricsRegistry()):
-            assert cache_counters() == {"hits": 0, "misses": 0, "stores": 0}
-        assert cache_counters() == {"hits": 0, "misses": 0, "stores": 0}

@@ -32,13 +32,13 @@ MESSAGES = 60
 
 def serial_config() -> ClusteringConfig:
     return ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=1, use_cache=False)
+        matrix_options=MatrixBuildOptions(workers=1)
     )
 
 
 def refined_nemesys(workers: int = 1) -> RefinedSegmenter:
     config = ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=workers, use_cache=False)
+        matrix_options=MatrixBuildOptions(workers=workers)
     )
     segmenter = resolve_segmenter("nemesys", refinement="pca", config=config)
     assert isinstance(segmenter, RefinedSegmenter)

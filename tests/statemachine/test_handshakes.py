@@ -37,7 +37,7 @@ HOLDOUT_STRIDE = 5
 
 def config(workers: int) -> ClusteringConfig:
     return ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=workers, use_cache=False)
+        matrix_options=MatrixBuildOptions(workers=workers)
     )
 
 

@@ -29,7 +29,7 @@ from repro.statemachine.stage import StateMachineResult
 
 def serial_config() -> ClusteringConfig:
     return ClusteringConfig(
-        matrix_options=MatrixBuildOptions(workers=1, use_cache=False)
+        matrix_options=MatrixBuildOptions(workers=1)
     )
 
 

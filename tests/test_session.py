@@ -10,6 +10,7 @@ provisional labels, checkpoint resume, and the ``run_analysis``
 quarantine regression this PR fixes.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro.api import run_analysis
 from repro.core import autoconf as autoconf_mod
 from repro.core import matrix as matrix_mod
+from repro.core.matrix import MatrixBuildOptions
 from repro.core.pipeline import ClusteringConfig
 from repro.errors import QuarantineReport
 from repro.net.trace import Trace, TraceMessage
@@ -36,9 +38,11 @@ from repro.session import (
     SESSION_RECLUSTERS_METRIC,
     AnalysisSession,
     SessionCheckpoint,
+    _legacy_session_fingerprints,
     _message_from_record,
     session_fingerprint,
 )
+from repro.statemachine.export import to_json
 
 #: A journal (WAL, archive and snapshot from one compaction) written
 #: before defaulted config fields left the session fingerprint: DNS
@@ -311,6 +315,97 @@ class TestLegacyJournal:
         assert resumed.replayed["archive_chunks"] == 2
         assert resumed.replayed["wal_chunks"] == 1
         assert resumed.digest() == self._fresh_digest()
+
+
+class TestFingerprintResume:
+    """A journal resumes under any worker count and storage, which change
+    no output; another dtype or clustering field still replays nothing."""
+
+    #: The fingerprint journals written before the matrix cache was
+    #: deleted carry for ``MatrixBuildOptions(workers=2, use_cache=True)``
+    #: with the nemesys segmenter and protocol "p".
+    CACHED_WORKERS_2 = "558678db474fe36555dc727694708c6502656da9be21eed3d834091a785fa948"
+
+    @staticmethod
+    def config(**options) -> ClusteringConfig:
+        return ClusteringConfig(matrix_options=MatrixBuildOptions(**options))
+
+    def test_resumes_under_another_worker_count_and_storage(self, tmp_path):
+        path = tmp_path / "session.jsonl"
+        messages = make_messages(60, seed=21)
+        writer = AnalysisSession(self.config(workers=2), protocol="p", checkpoint_path=path)
+        for start in range(0, len(messages), 20):
+            writer.append(messages[start : start + 20])
+        digest = writer.digest()
+        for options in ({"workers": 1}, {"storage": "memmap"}, {}):
+            resumed = AnalysisSession(
+                self.config(**options), protocol="p", checkpoint_path=path
+            )
+            assert resumed.replayed["wal_chunks"] == 3
+            assert resumed.digest() == digest
+
+    def test_replays_lines_stamped_while_the_cache_existed(self, tmp_path):
+        config = self.config(workers=2)
+        assert self.CACHED_WORKERS_2 in _legacy_session_fingerprints(config, "nemesys", "p")
+        path = tmp_path / "session.jsonl"
+        SessionCheckpoint(path, self.CACHED_WORKERS_2).record_chunk(
+            0, make_messages(30, seed=22)
+        )
+        resumed = AnalysisSession(config, protocol="p", checkpoint_path=path)
+        assert resumed.replayed["wal_chunks"] == 1
+        assert resumed.message_count == 30
+
+    def test_another_dtype_replays_nothing(self, tmp_path):
+        path = tmp_path / "session.jsonl"
+        AnalysisSession(self.config(workers=2), protocol="p", checkpoint_path=path).append(
+            make_messages(20, seed=23)
+        )
+        resumed = AnalysisSession(
+            self.config(workers=2, dtype="float32"), protocol="p", checkpoint_path=path
+        )
+        assert resumed.replayed["wal_chunks"] == 0
+        assert resumed.message_count == 0
+
+
+def retransmitted(protocol: str, count: int = 120, every: int = 7) -> list[TraceMessage]:
+    """*count* model messages, every *every*-th repeated 0.5 ms later."""
+    messages = []
+    for index, message in enumerate(get_model(protocol).generate(count, seed=924)):
+        messages.append(message)
+        if index % every == every - 1:
+            messages.append(dataclasses.replace(message, timestamp=message.timestamp + 5e-4))
+    return messages
+
+
+class TestSnapshotStateMachine:
+    """Session tracking in a snapshot reads every appended message, as
+    ``run_analysis`` reads the raw trace, retransmissions included."""
+
+    @pytest.mark.parametrize("protocol", ["dns", "dhcp", "smb"])
+    def test_automaton_equals_the_batch_run(self, protocol, tmp_path):
+        messages = retransmitted(protocol)
+        batch = run_analysis(Trace(messages=list(messages), protocol=protocol), statemachine=True)
+        expected = to_json(batch.statemachine.machine)
+        chunks = [messages[start : start + 20] for start in range(0, len(messages), 20)]
+        # Compact about every third chunk, so a resume reads the snapshot
+        # and then a WAL tail.
+        probe = SessionCheckpoint(tmp_path / "probe.jsonl", "f")
+        probe.record_chunk(0, chunks[0])
+        options = dict(
+            protocol=protocol,
+            statemachine=True,
+            checkpoint_path=tmp_path / "session.jsonl",
+            wal_max_bytes=int(2.5 * probe.wal_bytes()),
+        )
+        session = AnalysisSession(**options)
+        for chunk in chunks:
+            session.append(chunk)
+        assert to_json(session.snapshot().statemachine.machine) == expected
+        assert session.compactions >= 1
+        resumed = AnalysisSession(**options)
+        assert resumed.replayed["snapshot"] == "ok"
+        assert resumed.replayed["wal_chunks"] >= 1
+        assert to_json(resumed.snapshot().statemachine.machine) == expected
 
 
 class TestWalRotation:
